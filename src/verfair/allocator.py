@@ -62,11 +62,10 @@ def _id_ranks(ids):
     return ranks
 
 
-def _pick(scores_row, candidates, id_rank):
-    """Most relevant candidate; ties broken by ascending item id."""
-    s = scores_row[candidates]
-    tied = candidates[s == s.max()]
-    return tied[np.argmin(id_rank[tied])]
+def _preferences(scores, id_rank):
+    """Per-row item indices by descending score, ties by ascending item id."""
+    m, n = scores.shape
+    return np.lexsort((np.broadcast_to(id_rank, (m, n)), -scores), axis=1)
 
 
 def _exchange(c, r, slate, avail, needy, scores, id_rank):
@@ -90,34 +89,38 @@ def _exchange(c, r, slate, avail, needy, scores, id_rank):
     return c2[best], y[best]
 
 
-def _resort(items, phases, scores_row, id_rank, probs):
+def _deadlines(probs):
+    """deadline[r] = the last rank whose examination probability still
+    matches rank r's: r itself when probs strictly decrease, k-1 when they
+    are flat."""
+    return np.array([np.flatnonzero(probs >= probs[r] - 1e-12).max()
+                     for r in range(len(probs))])
+
+
+def _resort(items, phases, scores_row, id_rank, deadline):
     """Relevance-descending permutation that never demotes allocation items.
 
     A plain sort can push an allocation-phase item below the rank whose
     examination probability was charged against its group's quota, silently
     shrinking the exposure the quota mechanism just granted. Each
-    allocation item therefore gets a deadline: the last rank whose
-    examination probability still matches its placement rank's (the
-    placement rank itself when probs strictly decrease; unconstrained when
-    probs are flat). Ranks are filled top-down with the most relevant
-    remaining item, restricted to the deadline-critical items whenever
-    deferring them any further would force one past its deadline. Whenever
-    the plain sort already meets every deadline, the result is identical
-    to it.
+    allocation item placed at rank r therefore may end no lower than
+    `deadline[r]` (see `_deadlines`). Ranks are filled top-down with the
+    most relevant remaining item, restricted to the deadline-critical items
+    whenever deferring them any further would force one past its deadline.
+    Whenever the plain sort already meets every deadline, the result is
+    identical to it: the critical items pending at rank r must then fill
+    ranks r..d exactly, so the plain sort's item at rank r is among them.
     """
     k = len(items)
-    deadline = np.empty(k, dtype=int)
-    for r in range(k):
-        deadline[r] = np.flatnonzero(probs >= probs[r] - 1e-12).max()
     placed = np.zeros(k, dtype=bool)
     out = np.empty(k, dtype=int)
     for r in range(k):
         pending = [j for j in range(k) if not placed[j] and phases[j] == 1]
-        critical = None
-        for d in sorted({deadline[j] for j in pending}):
-            if sum(deadline[j] <= d for j in pending) >= d - r + 1:
-                critical = d
-                break
+        # critical: the smallest d by which d - r + 1 pending items are
+        # due, so they must fill ranks r..d; the (i+1)-th earliest due
+        # rank d qualifies once i + 1 >= d - r + 1
+        due = sorted(deadline[j] for j in pending)
+        critical = next((d for i, d in enumerate(due) if i >= d - r), None)
         if critical is not None:
             cands = [j for j in pending if deadline[j] <= critical]
         else:
@@ -152,6 +155,7 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     id_rank = _id_ranks(rel.item_ids)
     gidx = groups.indices(rel)
     n_groups = len(groups.group_ids)
+    pref = _preferences(scores, id_rank)  # row c = c's items, best first
 
     slate = np.full((m, k), -1, dtype=int)
     phase = np.zeros((m, k), dtype=np.int8)  # 1 allocation, 2 appending
@@ -162,58 +166,80 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     if alpha > 0:
         quota = compute_quotas(rel, groups, model, alpha).vector(groups)
         anchor = find_anchor(model, m, alpha)
-        slots = [(c, anchor.rank) for c in range(anchor.consumer, m + 1)]
-        for r in range(anchor.rank + 1, k + 1):
-            slots.extend((c, r) for c in range(1, m + 1))
-        for c1, r1 in slots:
-            c, r = c1 - 1, r1 - 1
+        by_group = np.argsort(gidx, kind="stable")
+        members = np.split(by_group, np.cumsum(
+            np.bincount(gidx, minlength=n_groups))[:-1])
+        for r in range(anchor.rank - 1, k):
             p = model.probs[r]
-            headroom_ok = (quota - alloc_exp)[gidx] >= p - _QUOTA_EPS
-            candidates = np.flatnonzero(avail[c] & headroom_ok)
-            if candidates.size == 0 and headroom_ok.any():
-                swap = _exchange(c, r, slate, avail,
-                                 np.flatnonzero(headroom_ok), scores, id_rank)
+            floor = p - _QUOTA_EPS
+            # headroom[d]: item d's group can still take a slot of rank r
+            headroom = ((quota - alloc_exp) >= floor)[gidx]
+            first = anchor.consumer - 1 if r == anchor.rank - 1 else 0
+            for c in range(first, m):
+                prefs = pref[c]
+                unshown = avail[c, prefs]
+                hit = headroom[prefs] & unshown
+                j = hit.argmax()
+                swap = None
+                if not hit[j] and headroom.any():
+                    swap = _exchange(c, r, slate, avail,
+                                     np.flatnonzero(headroom), scores, id_rank)
                 if swap is not None:
-                    c2, y = swap
+                    c2, charged = swap
                     d = slate[c2, r]
-                    slate[c2, r], slate[c, r], phase[c, r] = y, d, 1
-                    avail[c2, d], avail[c2, y], avail[c, d] = True, False, False
-                    alloc_exp[gidx[y]] += p
-                    continue
-            if candidates.size == 0:
-                fallback_used = True
-                candidates = np.flatnonzero(avail[c])
-            d = _pick(scores[c], candidates, id_rank)
-            slate[c, r] = d
-            phase[c, r] = 1
-            alloc_exp[gidx[d]] += p
-            avail[c, d] = False
-
-    for c in range(m):
-        for r in range(k):
-            if slate[c, r] < 0:
-                d = _pick(scores[c], np.flatnonzero(avail[c]), id_rank)
+                    slate[c2, r] = charged
+                    avail[c2, d] = True
+                    avail[c2, charged] = False
+                elif hit[j]:
+                    d = charged = prefs[j]
+                else:
+                    fallback_used = True
+                    d = charged = prefs[unshown.argmax()]
                 slate[c, r] = d
-                phase[c, r] = 2
+                phase[c, r] = 1
                 avail[c, d] = False
+                g = gidx[charged]
+                alloc_exp[g] += p
+                headroom[members[g]] = quota[g] - alloc_exp[g] >= floor
 
+    # Appending: each consumer's empty slots, in rank order, take its best
+    # items not yet shown. A row shows at most k - e items before this
+    # phase, where e is its number of empty slots, so its first k
+    # preferences hold at least e unshown ones.
+    head = pref[:, :k]
+    unused = avail[np.arange(m)[:, None], head]
+    empty = slate < 0
+    take = np.argsort(~unused, axis=1, kind="stable")
+    into = np.argsort(~empty, axis=1, kind="stable")
+    fill = np.arange(k) < empty.sum(axis=1)[:, None]
+    rows = np.nonzero(fill)[0]
+    slate[rows, into[fill]] = np.take_along_axis(head, take, axis=1)[fill]
+    phase[empty] = 2
+
+    # Re-sort: the plain relevance sort, except on the rows where it would
+    # demote an allocation item past its deadline.
+    row_scores = np.take_along_axis(scores, slate, axis=1)
+    perm = np.lexsort((id_rank[slate], -row_scores), axis=1)
+    deadline = _deadlines(model.probs)
+    new_rank = np.empty_like(perm)
+    np.put_along_axis(new_rank, perm, np.arange(k)[None, :], axis=1)
+    late = ((phase == 1) & (new_rank > deadline)).any(axis=1)
+    for c in np.flatnonzero(late):
+        perm[c] = _resort(slate[c], phase[c], scores[c], id_rank, deadline)
+    final = np.take_along_axis(slate, perm, axis=1)
+
+    item_ids = np.array(rel.item_ids, dtype=object)
+    tags = np.array(["", ALLOCATION, APPENDING], dtype=object)
     order_ids = tuple(rel.consumer_ids[c] for c in order)
-    slates, provenance, pre_ranks = {}, {}, {}
-    for c, cid in enumerate(order_ids):
-        items = slate[c]
-        resort = _resort(items, phase[c], scores[c], id_rank, model.probs)
-        slates[cid] = [rel.item_ids[d] for d in items[resort]]
-        provenance[cid] = {
-            rel.item_ids[items[r]]: (ALLOCATION if phase[c, r] == 1 else APPENDING)
-            for r in range(k)
-        }
-        pre_ranks[cid] = {rel.item_ids[items[r]]: r + 1 for r in range(k)}
-
+    placed = item_ids[slate].tolist()
+    ranks = range(1, k + 1)
     return SlateSet(
         order=order_ids,
-        slates=slates,
-        provenance=provenance,
-        pre_ranks=pre_ranks,
+        slates=dict(zip(order_ids, item_ids[final].tolist())),
+        provenance={cid: dict(zip(row, row_tags)) for cid, row, row_tags
+                    in zip(order_ids, placed, tags[phase].tolist())},
+        pre_ranks={cid: dict(zip(row, ranks))
+                   for cid, row in zip(order_ids, placed)},
         fallback_used=fallback_used,
         allocation_exposure=dict(zip(groups.group_ids, alloc_exp.tolist())),
     )

@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .allocator import APPENDING, SlateSet, _id_ranks
+from .allocator import APPENDING, SlateSet, _id_ranks, _preferences
 from .data import GroupMap, RelevanceMatrix, identity_groups
 from .exposure import ExposureModel
 from .quota import compute_quotas, group_relevance
@@ -29,18 +29,12 @@ def _as_slateset(rel: RelevanceMatrix, slate_idx):
                     provenance=provenance, pre_ranks=pre_ranks)
 
 
-def _topk_rows(scores, id_rank, k):
-    """Per-row top-k item indices by descending score, ties by item id."""
-    m, n = scores.shape
-    order = np.lexsort((np.broadcast_to(id_rank, (m, n)), -scores), axis=1)
-    return order[:, :k]
-
-
 def top_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
     """Each consumer's k highest-relevance items, descending."""
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
-    return _as_slateset(rel, _topk_rows(rel.scores, _id_ranks(rel.item_ids), k))
+    top = _preferences(rel.scores, _id_ranks(rel.item_ids))[:, :k]
+    return _as_slateset(rel, top)
 
 
 def random_k(rel: RelevanceMatrix, k, seed) -> SlateSet:

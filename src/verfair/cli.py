@@ -24,8 +24,24 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+DEFAULT_CUTOFFS = (1, 3, 10)
+
+
 def _parse_cutoffs(text):
     return tuple(int(x) for x in text.split(","))
+
+
+def _add_cutoffs(p):
+    p.add_argument("--cutoffs", type=_parse_cutoffs,
+                   help="comma-separated NDCG cutoffs "
+                        "(default: those of 1,3,10 that are <= --k)")
+
+
+def _cutoffs(args):
+    """--cutoffs as given, else the default cutoffs no longer than --k."""
+    if args.cutoffs is not None:
+        return args.cutoffs
+    return tuple(c for c in DEFAULT_CUTOFFS if c <= args.k)
 
 
 def build_parser():
@@ -39,7 +55,7 @@ def build_parser():
     p.add_argument("--method", required=True, choices=harness.METHODS)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--cutoffs", type=_parse_cutoffs, default=(1, 3, 10))
+    _add_cutoffs(p)
     p.add_argument("--no-shuffle", action="store_true",
                    help="keep dataset consumer order")
     p.add_argument("--out", required=True, help="slate CSV output path")
@@ -50,7 +66,7 @@ def build_parser():
     p.add_argument("--method", required=True, choices=harness.METHODS)
     p.add_argument("--grid", required=True,
                    help="comma-separated parameter values")
-    p.add_argument("--cutoffs", type=_parse_cutoffs, default=(1, 3, 10))
+    _add_cutoffs(p)
     p.add_argument("--out", required=True, help="metrics CSV output path")
 
     p = sub.add_parser("bench", help="timing benchmark (per 1k slates)")
@@ -90,7 +106,7 @@ def main(argv=None):
             rel, groups = _load(args)
             config = RunConfig(method=args.method, eta=args.eta, k=args.k,
                                alpha=args.alpha, lam=args.lam, seed=args.seed,
-                               cutoffs=args.cutoffs,
+                               cutoffs=_cutoffs(args),
                                shuffle=not args.no_shuffle)
             _, report = harness.run(config, rel, groups,
                                     slate_path=args.out,
@@ -103,7 +119,7 @@ def main(argv=None):
             rel, groups = _load(args)
             grid = tuple(float(x) for x in args.grid.split(","))
             config = SweepConfig(method=args.method, grid=grid, eta=args.eta,
-                                 k=args.k, cutoffs=args.cutoffs,
+                                 k=args.k, cutoffs=_cutoffs(args),
                                  seed=args.seed)
             records = harness.sweep(config, rel, groups)
             harness.write_sweep(records, args.out)

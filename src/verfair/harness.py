@@ -45,7 +45,6 @@ class SweepConfig:
     k: int = 10
     cutoffs: tuple = (1, 3, 10)
     seed: int = 0
-    repeat: int = 1
 
     def __post_init__(self):
         if not self.grid:

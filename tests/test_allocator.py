@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
                      allocate, allocate_individual, compute_quotas,
                      identity_groups, synth_relevance, top_k)
-from verfair.allocator import ALLOCATION
+from verfair.allocator import ALLOCATION, _deadlines, _resort
 
 
 class TestGoldenVertical:
@@ -199,6 +199,42 @@ class TestResorting:
             for rank, d in enumerate(slate, start=1):
                 if s.provenance[cid][d] == ALLOCATION:
                     assert rank <= s.pre_ranks[cid][d]
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
+    def test_equals_plain_sort_when_it_meets_every_deadline(self, eta):
+        rng = np.random.default_rng(int(eta) + 40)
+        k, n = 6, 10
+        deadline = _deadlines(ExposureModel.pbm(eta, k).probs)
+        plain_ok = 0
+        for _ in range(300):
+            scores_row = rng.choice([0.2, 0.5, 0.8], size=n)  # ties too
+            id_rank = rng.permutation(n)
+            items = rng.permutation(n)[:k]
+            phases = rng.choice(np.array([1, 2], dtype=np.int8), size=k)
+            plain = np.lexsort((id_rank[items], -scores_row[items]))
+            new_rank = np.argsort(plain)
+            out = _resort(items, phases, scores_row, id_rank, deadline)
+            assert sorted(out.tolist()) == list(range(k))
+            assert all(np.flatnonzero(out == j)[0] <= deadline[j]
+                       for j in range(k) if phases[j] == 1)
+            if all(new_rank[j] <= deadline[j]
+                   for j in range(k) if phases[j] == 1):
+                plain_ok += 1
+                assert out.tolist() == plain.tolist()
+        assert plain_ok > 0
+
+    def test_keeps_allocation_item_that_plain_sort_would_demote(self):
+        # the allocation item placed at rank 2 is the least relevant: the
+        # plain sort would move it to rank 3, past its deadline
+        items = np.array([0, 1, 2])
+        scores_row = np.array([0.9, 0.1, 0.5])
+        phases = np.array([2, 1, 2], dtype=np.int8)
+        deadline = _deadlines(ExposureModel.pbm(1.0, 3).probs)
+        assert deadline.tolist() == [0, 1, 2]
+        plain = np.lexsort((items, -scores_row[items]))
+        assert plain.tolist() == [0, 2, 1]
+        out = _resort(items, phases, scores_row, np.arange(3), deadline)
+        assert out.tolist() == [0, 1, 2]
 
 
 def test_vertical_beats_horizontal_at_top_rank():

@@ -159,6 +159,18 @@ class TestCli:
         assert out.exists()
         assert "fairness_ind=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_default_cutoffs_fit_short_slates(self, tmp_path, command):
+        # without --cutoffs, only the default cutoffs <= k are evaluated
+        rel_path = self._gen(tmp_path)
+        out = tmp_path / "out.csv"
+        extra = ["--alpha", "1"] if command == "run" else ["--grid", "0,1"]
+        code = main([command, "--relevance", rel_path,
+                     "--method", "verfair-ind", "--k", "5", *extra,
+                     "--out", str(out)])
+        assert code == 0
+        assert out.exists()
+
     def test_gen_and_sweep(self, tmp_path):
         rel_path = tmp_path / "rel.csv"
         code = main(["gen", "--m", "8", "--n", "6", "--seed", "3",
