@@ -31,27 +31,60 @@ _QUOTA_EPS = 1e-9
 
 ALLOCATION = "allocation"
 APPENDING = "appending"
+PHASE_TAG = ("", ALLOCATION, APPENDING)  # phase code -> tag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlateSet:
-    """The m slates of length k produced by an allocator.
+    """The m slates of length k produced by an allocator, as index arrays.
 
-    `provenance` tags each placed item with the phase that placed it and
-    `pre_ranks` records its 1-based rank before the re-sorting phase, so
-    the no-demotion guarantee can be audited after the fact.
+    Row c is the slate of consumer `consumer_ids[rows[c]]`, rows in
+    allocation order. `items[c, j]` indexes into `item_ids` the item shown
+    at rank j + 1, `phase[c, j]` codes the phase that placed it (see
+    `PHASE_TAG`) and `pre_rank[c, j]` is its 1-based rank before the
+    re-sorting phase, so the no-demotion guarantee can be audited after
+    the fact. Ids are mapped only by the CSV writers and by the read-only
+    views `order`, `slates`, `provenance` and `pre_ranks`.
     `fallback_used` means some allocation slot was filled beyond its
     group's quota. A same-rank exchange is not a fallback: it charges the
     needy group within its headroom and moves the handed item's charge
     unchanged.
     """
 
-    order: tuple                  # consumer ids in allocation order
-    slates: dict                  # consumer_id -> list of item_ids (final)
-    provenance: dict              # consumer_id -> {item_id: phase tag}
-    pre_ranks: dict               # consumer_id -> {item_id: rank before re-sort}
+    consumer_ids: tuple           # every consumer id of the dataset
+    item_ids: tuple               # every item id of the dataset
+    rows: np.ndarray              # (m,) positions in consumer_ids
+    items: np.ndarray             # (m, k) item indices, final rank order
+    phase: np.ndarray             # (m, k) int8 phase code of items
+    pre_rank: np.ndarray          # (m, k) rank of items before re-sort
     fallback_used: bool = False
     allocation_exposure: dict = field(default_factory=dict)  # group -> exposure
+
+    @property
+    def order(self):
+        """Consumer ids in allocation order."""
+        return tuple(self.consumer_ids[r] for r in self.rows.tolist())
+
+    def _item_rows(self):
+        return np.array(self.item_ids, dtype=object)[self.items].tolist()
+
+    @property
+    def slates(self):
+        """consumer_id -> list of item_ids (final)."""
+        return dict(zip(self.order, self._item_rows()))
+
+    @property
+    def provenance(self):
+        """consumer_id -> {item_id: phase tag}."""
+        tags = np.array(PHASE_TAG, dtype=object)[self.phase].tolist()
+        return {cid: dict(zip(row, row_tags)) for cid, row, row_tags
+                in zip(self.order, self._item_rows(), tags)}
+
+    @property
+    def pre_ranks(self):
+        """consumer_id -> {item_id: rank before re-sort}."""
+        return {cid: dict(zip(row, ranks)) for cid, row, ranks
+                in zip(self.order, self._item_rows(), self.pre_rank.tolist())}
 
 
 def _id_ranks(ids):
@@ -226,20 +259,10 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     late = ((phase == 1) & (new_rank > deadline)).any(axis=1)
     for c in np.flatnonzero(late):
         perm[c] = _resort(slate[c], phase[c], scores[c], id_rank, deadline)
-    final = np.take_along_axis(slate, perm, axis=1)
-
-    item_ids = np.array(rel.item_ids, dtype=object)
-    tags = np.array(["", ALLOCATION, APPENDING], dtype=object)
-    order_ids = tuple(rel.consumer_ids[c] for c in order)
-    placed = item_ids[slate].tolist()
-    ranks = range(1, k + 1)
     return SlateSet(
-        order=order_ids,
-        slates=dict(zip(order_ids, item_ids[final].tolist())),
-        provenance={cid: dict(zip(row, row_tags)) for cid, row, row_tags
-                    in zip(order_ids, placed, tags[phase].tolist())},
-        pre_ranks={cid: dict(zip(row, ranks))
-                   for cid, row in zip(order_ids, placed)},
+        consumer_ids=rel.consumer_ids, item_ids=rel.item_ids, rows=order,
+        items=np.take_along_axis(slate, perm, axis=1),
+        phase=np.take_along_axis(phase, perm, axis=1), pre_rank=perm + 1,
         fallback_used=fallback_used,
         allocation_exposure=dict(zip(groups.group_ids, alloc_exp.tolist())),
     )

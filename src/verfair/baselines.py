@@ -1,8 +1,8 @@
 """Comparison allocators and an exhaustive oracle for tiny instances.
 
 All baselines build slates horizontally (one consumer's full list at a
-time) and return the same SlateSet shape as the vertical allocator so the
-evaluation stack treats them uniformly.
+time) and return their (m, k) item index array as the same SlateSet the
+vertical allocator returns, so the evaluation stack treats them uniformly.
 """
 
 from __future__ import annotations
@@ -11,30 +11,30 @@ from itertools import permutations
 
 import numpy as np
 
-from .allocator import APPENDING, SlateSet, _id_ranks, _preferences
+from .allocator import (APPENDING, PHASE_TAG, SlateSet, _id_ranks,
+                        _preferences)
 from .data import GroupMap, RelevanceMatrix, identity_groups
 from .exposure import ExposureModel
 from .quota import compute_quotas, group_relevance
 
+_APPENDED = np.int8(PHASE_TAG.index(APPENDING))
 
-def _as_slateset(rel: RelevanceMatrix, slate_idx):
-    """Wrap an (m, k) array of item indices in dataset consumer order."""
-    slates, provenance, pre_ranks = {}, {}, {}
-    for c, cid in enumerate(rel.consumer_ids):
-        items = [rel.item_ids[d] for d in slate_idx[c]]
-        slates[cid] = items
-        provenance[cid] = {d: APPENDING for d in items}
-        pre_ranks[cid] = {d: r + 1 for r, d in enumerate(items)}
-    return SlateSet(order=tuple(rel.consumer_ids), slates=slates,
-                    provenance=provenance, pre_ranks=pre_ranks)
+
+def _horizontal(rel: RelevanceMatrix, slate_idx) -> SlateSet:
+    """An (m, k) array of item indices in dataset consumer order, every
+    item appended at its final rank."""
+    m, k = slate_idx.shape
+    return SlateSet(rel.consumer_ids, rel.item_ids, np.arange(m), slate_idx,
+                    phase=np.broadcast_to(_APPENDED, (m, k)),
+                    pre_rank=np.broadcast_to(np.arange(1, k + 1), (m, k)))
 
 
 def top_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
     """Each consumer's k highest-relevance items, descending."""
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
-    top = _preferences(rel.scores, _id_ranks(rel.item_ids))[:, :k]
-    return _as_slateset(rel, top)
+    top = _preferences(rel.scores, _id_ranks(rel.item_ids))[:, :k].copy()
+    return _horizontal(rel, top)
 
 
 def random_k(rel: RelevanceMatrix, k, seed) -> SlateSet:
@@ -44,7 +44,7 @@ def random_k(rel: RelevanceMatrix, k, seed) -> SlateSet:
     rng = np.random.default_rng(seed)
     slate_idx = np.array([rng.choice(rel.n, size=k, replace=False)
                           for _ in range(rel.m)])
-    return _as_slateset(rel, slate_idx)
+    return _horizontal(rel, slate_idx)
 
 
 def pr_k(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
@@ -64,7 +64,7 @@ def pr_k(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
         picks = np.lexsort((id_rank, -deficit))[:k]
         slate_idx[c] = picks
         exposure[picks] += model.probs[:k]
-    return _as_slateset(rel, slate_idx)
+    return _horizontal(rel, slate_idx)
 
 
 def fairco(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
@@ -94,7 +94,7 @@ def fairco(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
         picks = np.lexsort((id_rank, -boosted))[:k]
         slate_idx[c] = picks
         np.add.at(exposure, gidx[picks], model.probs[:k])
-    return _as_slateset(rel, slate_idx)
+    return _horizontal(rel, slate_idx)
 
 
 _ORACLE_LIMIT = 4_000_000  # max enumerated combinations held in memory at once

@@ -24,9 +24,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-DEFAULT_CUTOFFS = (1, 3, 10)
-
-
 def _parse_cutoffs(text):
     return tuple(int(x) for x in text.split(","))
 
@@ -41,7 +38,7 @@ def _cutoffs(args):
     """--cutoffs as given, else the default cutoffs no longer than --k."""
     if args.cutoffs is not None:
         return args.cutoffs
-    return tuple(c for c in DEFAULT_CUTOFFS if c <= args.k)
+    return tuple(c for c in harness.DEFAULT_CUTOFFS if c <= args.k)
 
 
 def build_parser():

@@ -53,15 +53,24 @@ def accumulate(slates, model: ExposureModel, groups: GroupMap) -> ExposureLedger
     """Sum each item's examination probability over all slates it appears in.
 
     Items never shown get an explicit 0 entry; group totals aggregate the
-    item totals under `groups`.
+    item totals under `groups`. Both sums run consumer by consumer, rank by
+    rank, in the slate set's row order.
     """
-    per_item = {d: 0.0 for d in groups.assignment}
-    for cid, slate in slates.slates.items():
-        for rank, d in enumerate(slate, start=1):
-            if d not in per_item:
-                raise ValueError(f"slate for {cid!r} contains unknown item {d!r}")
-            per_item[d] += float(model.probs[rank - 1])
-    per_group = {g: 0.0 for g in groups.group_ids}
-    for d, e in per_item.items():
-        per_group[groups.assignment[d]] += e
-    return ExposureLedger(per_item, per_group)
+    ids = list(groups.assignment)
+    pos = {d: i for i, d in enumerate(ids)}
+    col = np.array([pos.get(d, -1) for d in slates.item_ids], dtype=int)
+    shown = col[slates.items.ravel()]
+    if (shown < 0).any():
+        c, r = divmod(int(np.argmax(shown < 0)), slates.items.shape[1])
+        raise ValueError(
+            f"slate for {slates.consumer_ids[slates.rows[c]]!r} contains "
+            f"unknown item {slates.item_ids[slates.items[c, r]]!r}")
+    m, k = slates.items.shape
+    per_item = np.bincount(shown, weights=np.tile(model.probs[:k], m),
+                           minlength=len(ids))
+    gpos = {g: i for i, g in enumerate(groups.group_ids)}
+    group_of = np.array([gpos[groups.assignment[d]] for d in ids], dtype=int)
+    per_group = np.bincount(group_of, weights=per_item,
+                            minlength=len(groups.group_ids))
+    return ExposureLedger(dict(zip(ids, per_item.tolist())),
+                          dict(zip(groups.group_ids, per_group.tolist())))

@@ -10,9 +10,12 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .allocator import allocate, allocate_individual
+import numpy as np
+
+from .allocator import PHASE_TAG, allocate, allocate_individual
 from .baselines import fairco, pr_k, random_k, top_k
 from .data import GroupMap, RelevanceMatrix, identity_groups
 from .exposure import ExposureModel, accumulate
@@ -24,6 +27,8 @@ METHODS = ("top-k", "random-k", "pr-k", "fairco", "verfair-ind", "verfair-group"
 # Methods taking a tradeoff parameter, and which one.
 PARAM_OF = {"verfair-ind": "alpha", "verfair-group": "alpha", "fairco": "lambda"}
 
+DEFAULT_CUTOFFS = (1, 3, 10)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -33,7 +38,7 @@ class RunConfig:
     alpha: float = 1.0
     lam: float = 0.0
     seed: int = 0
-    cutoffs: tuple = (1, 3, 10)
+    cutoffs: tuple = DEFAULT_CUTOFFS
     shuffle: bool = True
 
 
@@ -43,7 +48,7 @@ class SweepConfig:
     grid: tuple          # alpha values or lambda values, method-dependent
     eta: float = 1.0
     k: int = 10
-    cutoffs: tuple = (1, 3, 10)
+    cutoffs: tuple = DEFAULT_CUTOFFS
     seed: int = 0
 
     def __post_init__(self):
@@ -99,8 +104,13 @@ def _param_value(config: RunConfig):
     return float("nan")
 
 
-METRICS_HEADER = ("method,param,eta,k,ndcg@1,ndcg@3,ndcg@10,"
-                  "fairness_ind,fairness_group,wall_ms_per_1k")
+def metrics_header(cutoffs):
+    """Metrics CSV header with one ndcg@<c> column per cutoff."""
+    return ",".join(["method,param,eta,k", *(f"ndcg@{c}" for c in cutoffs),
+                     "fairness_ind,fairness_group,wall_ms_per_1k"])
+
+
+METRICS_HEADER = metrics_header(DEFAULT_CUTOFFS)
 
 
 def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
@@ -121,34 +131,64 @@ def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
         write_slates(slates, config, slate_path)
     if metrics_path is not None:
         with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(METRICS_HEADER + "\n")
+            fh.write(metrics_header(report.ndcg_at) + "\n")
             fh.write(_metrics_row(config.method, _param_value(config),
-                                  config.eta, config.k, report,
-                                  wall_ms_per_1k) + "\n")
+                                  config.eta, config.k, report.ndcg_at,
+                                  report.fairness_individual,
+                                  report.fairness_group, wall_ms_per_1k)
+                     + "\n")
     return slates, report
 
 
-def _metrics_row(method, param, eta, k, report, wall_ms):
-    def nd(kc):
-        return report.ndcg_at.get(kc, float("nan"))
+def _metrics_row(method, param, eta, k, ndcg_at, fairness_ind,
+                 fairness_group, wall_ms):
     cells = [method, repr(float(param)), repr(float(eta)), str(k),
-             repr(float(nd(1))), repr(float(nd(3))), repr(float(nd(10))),
-             repr(float(report.fairness_individual)),
-             repr(float(report.fairness_group)), repr(float(wall_ms))]
+             *(repr(float(v)) for v in ndcg_at.values()),
+             repr(float(fairness_ind)), repr(float(fairness_group)),
+             repr(float(wall_ms))]
     return ",".join(cells)
 
 
+def _csv_fields(values):
+    """Each value as `csv.writer` writes it as one field of a row."""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))
+    writer.writerows((v, "") for v in values)
+    cut = len(writer.dialect.lineterminator) + 1  # the "," and row end
+    return [line[:-cut] for line in lines]
+
+
+_CHUNK = 4096  # consumers per write
+
+
 def write_slates(slates, config: RunConfig, path):
-    """Slate dump: a run-header line, then consumer_id,rank,item_id,phase_tag."""
+    """Slate dump: a run-header line, then consumer_id,rank,item_id,phase_tag.
+
+    Byte-identical to one `csv.writer` row per slot. Each id is quoted
+    once, and the rows go out in chunks of `_CHUNK` consumers, each line
+    joined from four pieces: consumer, ",rank,", item, ",tag" + row end.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# method={config.method} alpha={config.alpha} "
                  f"lambda={config.lam} eta={config.eta} k={config.k} "
                  f"seed={config.seed}\n")
         w = csv.writer(fh)
         w.writerow(["consumer_id", "rank", "item_id", "phase_tag"])
-        for cid in slates.order:
-            for rank, d in enumerate(slates.slates[cid], start=1):
-                w.writerow([cid, rank, d, slates.provenance[cid][d]])
+        m, k = slates.items.shape
+        end = w.dialect.lineterminator
+        item = np.array(_csv_fields(slates.item_ids), dtype=object)
+        tail = np.array([f",{t}{end}" for t in PHASE_TAG], dtype=object)
+        line = np.empty((min(m, _CHUNK), k, 4), dtype=object)
+        line[:, :, 1] = [f",{r}," for r in range(1, k + 1)]
+        for a in range(0, m, _CHUNK):
+            rows = slates.rows[a:a + _CHUNK]
+            part = line[:len(rows)]
+            part[:, :, 0] = np.array(
+                _csv_fields(slates.consumer_ids[r] for r in rows.tolist()),
+                dtype=object)[:, None]
+            part[:, :, 2] = item[slates.items[a:a + _CHUNK]]
+            part[:, :, 3] = tail[slates.phase[a:a + _CHUNK]]
+            fh.write("".join(part.ravel().tolist()))
 
 
 def sweep(config: SweepConfig, rel: RelevanceMatrix, groups: GroupMap = None):
@@ -178,14 +218,13 @@ def sweep(config: SweepConfig, rel: RelevanceMatrix, groups: GroupMap = None):
 
 
 def write_sweep(records, path):
+    """Metrics CSV of sweep records, one ndcg@<c> column per cutoff."""
+    cutoffs = records[0].ndcg_at if records else DEFAULT_CUTOFFS
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(METRICS_HEADER + "\n")
+        fh.write(metrics_header(cutoffs) + "\n")
         for r in records:
-            class _R:  # adapt TradeoffRecord to the EvalReport shape
-                ndcg_at = r.ndcg_at
-                fairness_individual = r.fairness_individual
-                fairness_group = r.fairness_group
-            fh.write(_metrics_row(r.method, r.param, r.eta, r.k, _R,
+            fh.write(_metrics_row(r.method, r.param, r.eta, r.k, r.ndcg_at,
+                                  r.fairness_individual, r.fairness_group,
                                   r.wall_ms_per_1k) + "\n")
 
 
@@ -211,7 +250,7 @@ def dump_distributions(slates, rel: RelevanceMatrix, groups: GroupMap,
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["item_id", "avg_relevance", "exposure", "quota_at_alpha"])
-        if not slates.slates:
+        if not len(slates.items):
             return
         ledger = accumulate(slates, model, groups)
         quota = compute_quotas(rel, identity_groups(rel), model, alpha)

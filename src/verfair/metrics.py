@@ -24,6 +24,14 @@ class EvalReport:
     fairness_group: float
 
 
+def _positions(ids, dataset_ids):
+    """Index of each of `ids` within `dataset_ids`."""
+    if ids == dataset_ids:
+        return np.arange(len(ids))
+    pos = {d: i for i, d in enumerate(dataset_ids)}
+    return np.array([pos[d] for d in ids], dtype=int)
+
+
 def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c) -> float:
     """Mean over consumers of DCG@k_c / IDCG@k_c.
 
@@ -32,18 +40,16 @@ def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c) -> float:
     """
     if not 1 <= k_c <= model.k:
         raise ValueError(f"cutoff {k_c} out of range 1..{model.k}")
-    item_pos = rel.item_index()
     discounts = model.probs[:k_c]
     ideal_scores = -np.sort(-rel.scores, axis=1)[:, :k_c]
-    idcg_all = ideal_scores @ discounts
-    vals = []
-    cpos = rel.consumer_index()
-    for cid, slate in slates.slates.items():
-        c = cpos[cid]
-        gains = rel.scores[c, [item_pos[d] for d in slate[:k_c]]]
-        dcg = float(gains @ discounts)
-        idcg = float(idcg_all[c])
-        vals.append(dcg / idcg if idcg > 0 else 1.0)
+    rows = _positions(slates.consumer_ids, rel.consumer_ids)[slates.rows]
+    cols = _positions(slates.item_ids, rel.item_ids)[slates.items[:, :k_c]]
+    gains = rel.scores[rows[:, None], cols]
+    # vecdot takes the same per-row dot product as `gains[c] @ discounts`
+    dcg = np.vecdot(gains, discounts)
+    idcg = (ideal_scores @ discounts)[rows]
+    vals = np.ones(len(rows))
+    np.divide(dcg, idcg, out=vals, where=idcg > 0)
     return float(np.mean(vals))
 
 

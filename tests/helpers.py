@@ -4,17 +4,30 @@ import math
 
 import numpy as np
 
-from verfair import compute_quotas
+from verfair import GroupMap, compute_quotas
 from verfair.allocator import SlateSet
 
 
 def make_slateset(slates):
-    """Wrap a plain {consumer: [items]} dict in a SlateSet."""
-    return SlateSet(order=tuple(slates), slates=slates,
-                    provenance={c: {d: "appending" for d in sl}
-                                for c, sl in slates.items()},
-                    pre_ranks={c: {d: r + 1 for r, d in enumerate(sl)}
-                               for c, sl in slates.items()})
+    """Wrap a plain {consumer: [items]} dict in a SlateSet: rows in the
+    dict's order, item indices in order of first appearance, every item
+    appended at its final rank."""
+    item_ids = tuple(dict.fromkeys(d for sl in slates.values() for d in sl))
+    pos = {d: i for i, d in enumerate(item_ids)}
+    k = len(next(iter(slates.values()), ()))
+    items = np.array([[pos[d] for d in sl] for sl in slates.values()],
+                     dtype=int).reshape(len(slates), k)
+    return SlateSet(tuple(slates), item_ids, np.arange(len(slates)), items,
+                    phase=np.full(items.shape, 2, dtype=np.int8),
+                    pre_rank=np.tile(np.arange(1, k + 1), (len(slates), 1)))
+
+
+def random_groups(rel, rng):
+    """Every item in one of g non-empty groups."""
+    g = int(rng.integers(1, rel.n + 1))
+    label = rng.permutation(np.arange(rel.n) % g)
+    return GroupMap({d: f"g{label[i]}" for i, d in enumerate(rel.item_ids)},
+                    tuple(f"g{i}" for i in range(g)))
 
 
 def brute_ndcg(slates, rel, probs, k_c):

@@ -1,5 +1,6 @@
 """Frozen copy of the allocator's allocate, _resort, _pick and _exchange
-(and _id_ranks) as they were before the array rewrite of the hot path.
+(and _id_ranks) as they were before the array rewrite of the hot path,
+with the dict-shaped SlateSet record they build.
 
 It is the differential reference: `tests/test_allocator_differential.py`
 requires the production `verfair.allocator.allocate` to return a SlateSet
@@ -9,14 +10,37 @@ deliberately slow and exist only to pin behaviour.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from verfair.allocator import ALLOCATION, APPENDING, SlateSet
+from verfair.allocator import ALLOCATION, APPENDING
 from verfair.data import GroupMap, RelevanceMatrix
 from verfair.exposure import ExposureModel
 from verfair.quota import compute_quotas, find_anchor
 
 _QUOTA_EPS = 1e-9
+
+
+@dataclass(frozen=True)
+class SlateSet:
+    """The m slates of length k produced by an allocator.
+
+    `provenance` tags each placed item with the phase that placed it and
+    `pre_ranks` records its 1-based rank before the re-sorting phase, so
+    the no-demotion guarantee can be audited after the fact.
+    `fallback_used` means some allocation slot was filled beyond its
+    group's quota. A same-rank exchange is not a fallback: it charges the
+    needy group within its headroom and moves the handed item's charge
+    unchanged.
+    """
+
+    order: tuple                  # consumer ids in allocation order
+    slates: dict                  # consumer_id -> list of item_ids (final)
+    provenance: dict              # consumer_id -> {item_id: phase tag}
+    pre_ranks: dict               # consumer_id -> {item_id: rank before re-sort}
+    fallback_used: bool = False
+    allocation_exposure: dict = field(default_factory=dict)  # group -> exposure
 
 
 def _id_ranks(ids):

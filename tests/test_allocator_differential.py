@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import reference_allocator
 import verfair.allocator as allocator
-from verfair import (ExposureModel, GroupMap, RelevanceMatrix,
-                     identity_groups, synth_relevance)
+from helpers import random_groups
+from verfair import (ExposureModel, RelevanceMatrix, identity_groups,
+                     synth_relevance)
 from verfair.allocator import _deadlines, _resort
 
 FIELDS = ("order", "slates", "provenance", "pre_ranks", "fallback_used",
@@ -27,14 +28,6 @@ def assert_same(rel, groups, model, alpha, seed, shuffle=True):
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), \
             (name, rel.m, rel.n, model.k, alpha, seed)
-
-
-def random_groups(rel, rng):
-    """Every item in one of g non-empty groups."""
-    g = int(rng.integers(1, rel.n + 1))
-    label = rng.permutation(np.arange(rel.n) % g)
-    return GroupMap({d: f"g{label[i]}" for i, d in enumerate(rel.item_ids)},
-                    tuple(f"g{i}" for i in range(g)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from verfair import (ExposureModel, identity_groups, save_relevance,
@@ -7,7 +8,7 @@ from verfair import (ExposureModel, identity_groups, save_relevance,
 from verfair.allocator import SlateSet
 from verfair.cli import main
 from verfair.harness import (METRICS_HEADER, RunConfig, SweepConfig, bench,
-                             dump_distributions, run, sweep)
+                             dump_distributions, metrics_header, run, sweep)
 
 
 @pytest.fixture
@@ -27,7 +28,8 @@ class TestRun:
         assert lines[0].startswith("# method=verfair-ind")
         assert lines[1] == "consumer_id,rank,item_id,phase_tag"
         assert len(lines) == 2 + rel.m * 5
-        assert metrics_path.read_text().splitlines()[0] == METRICS_HEADER
+        assert metrics_path.read_text().splitlines()[0] == \
+            metrics_header((1, 3))
 
     def test_deterministic(self, rel):
         config = RunConfig(method="verfair-ind", eta=1.0, k=5, alpha=0.7,
@@ -128,7 +130,10 @@ class TestDumpDistributions:
         assert _gini(exposure) > _gini(relevance)
 
     def test_empty_slates_header_only(self, rel, tmp_path):
-        empty = SlateSet(order=(), slates={}, provenance={}, pre_ranks={})
+        empty = SlateSet((), rel.item_ids, np.arange(0),
+                         np.empty((0, 5), dtype=int),
+                         np.empty((0, 5), dtype=np.int8),
+                         np.empty((0, 5), dtype=int))
         path = tmp_path / "dist.csv"
         dump_distributions(empty, rel, identity_groups(rel),
                            ExposureModel.pbm(1.0, 5), 1.0, path)
@@ -171,6 +176,46 @@ class TestCli:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_metrics_columns_follow_default_cutoffs(self, tmp_path, command):
+        # --k 5 without --cutoffs evaluates 1 and 3: no ndcg@10 column
+        rel_path = self._gen(tmp_path)
+        out, metrics = tmp_path / "out.csv", tmp_path / "metrics.csv"
+        extra = (["--metrics-out", str(metrics)] if command == "run"
+                 else ["--grid", "1"])
+        code = main([command, "--relevance", rel_path,
+                     "--method", "verfair-ind", "--k", "5", *extra,
+                     "--out", str(out)])
+        assert code == 0
+        header, row = (metrics if command == "run" else out
+                       ).read_text().splitlines()
+        assert header == ("method,param,eta,k,ndcg@1,ndcg@3,"
+                          "fairness_ind,fairness_group,wall_ms_per_1k")
+        assert len(row.split(",")) == len(header.split(","))
+        assert "nan" not in row
+        # k >= 10 keeps the header the CSV always had
+        assert METRICS_HEADER == ("method,param,eta,k,ndcg@1,ndcg@3,ndcg@10,"
+                                  "fairness_ind,fairness_group,wall_ms_per_1k")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_metrics_columns_follow_given_cutoffs(self, tmp_path, command):
+        rel_path = self._gen(tmp_path)
+        out, metrics = tmp_path / "out.csv", tmp_path / "metrics.csv"
+        extra = (["--metrics-out", str(metrics)] if command == "run"
+                 else ["--grid", "1"])
+        code = main([command, "--relevance", rel_path,
+                     "--method", "verfair-ind", "--k", "5",
+                     "--cutoffs", "1,2,5", *extra, "--out", str(out)])
+        assert code == 0
+        header, row = (metrics if command == "run" else out
+                       ).read_text().splitlines()
+        assert header == ("method,param,eta,k,ndcg@1,ndcg@2,ndcg@5,"
+                          "fairness_ind,fairness_group,wall_ms_per_1k")
+        config = RunConfig(method="verfair-ind", k=5, cutoffs=(1, 2, 5))
+        _, report = run(config, synth_relevance(10, 8, seed=1))
+        assert row.split(",")[4:7] == \
+            [repr(report.ndcg_at[c]) for c in (1, 2, 5)]
+
     def test_gen_and_sweep(self, tmp_path):
         rel_path = tmp_path / "rel.csv"
         code = main(["gen", "--m", "8", "--n", "6", "--seed", "3",
@@ -183,7 +228,7 @@ class TestCli:
                      "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == METRICS_HEADER
+        assert lines[0] == metrics_header((1, 3))
         assert len(lines) == 4
 
     def test_dump_subcommand(self, tmp_path):
