@@ -10,6 +10,7 @@ Canonical on-disk formats:
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -92,10 +93,98 @@ class GroupMap:
         return np.array([gpos[self.assignment[d]] for d in items.item_ids])
 
 
+# Rows of the score block handed to one np.loadtxt call.
+_CHUNK_ROWS = 4096
+# Characters that send a file to the csv parser: the quote, NUL (a csv
+# error before Python 3.11), and the ASCII separators that np.loadtxt
+# strips around a number as whitespace and float() rejects.
+_CSV_PARSER_ONLY = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def load_relevance(path) -> RelevanceMatrix:
-    """Read a relevance CSV, validating shape, ids and score values."""
+    """Read a relevance CSV, validating shape, ids and score values.
+
+    The score block is parsed by `np.loadtxt` in chunks of rows. A file that
+    parse cannot read exactly as `csv.reader` and `float()` would is read
+    again by the csv parser, which returns the same matrix or raises the
+    error that names the line and item.
+    """
+    parsed = _parse_relevance_numpy(path)
+    if parsed is None:
+        parsed = _parse_relevance_csv(path)
+    return RelevanceMatrix(*parsed)
+
+
+def _plain(lines, limit):
+    """True when csv.reader splits `lines` at each comma, no field is longer
+    than `limit`, and float() reads every number as np.loadtxt does."""
+    text = "".join(lines)
+    if any(c in text for c in _CSV_PARSER_ONLY):
+        return False
+    return max(map(len, lines)) <= limit or all(
+        max(map(len, line.split(","))) <= limit for line in lines)
+
+
+def _parse_relevance_numpy(path):
+    """(consumer_ids, item_ids, scores) of a relevance CSV, or None where
+    the result could differ from `_parse_relevance_csv`'s, which includes
+    every file that parser rejects.
+
+    Without quotes, csv rows are the file's lines under universal newlines,
+    split at each comma. np.loadtxt converts each number with
+    PyOS_string_to_double, the same correctly rounded conversion as
+    float(), so the scores are bit-equal.
+    """
+    limit = csv.field_size_limit()
+    consumer_ids = []
+    blocks = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            if not _plain([header], limit):
+                return None
+            header = header.removesuffix("\n").split(",")
+            if len(header) < 2 or header[0] != "consumer_id":
+                return None
+            n = len(header) - 1
+            while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+                if not _plain(lines, limit):
+                    return None
+                tails = []
+                for line in lines:
+                    cid, _, tail = line.partition(",")
+                    consumer_ids.append(cid)
+                    tails.append(tail)
+                # no comma, or nothing after it: np.loadtxt would skip the row
+                if "\n" in tails or "" in tails:
+                    return None
+                block = np.loadtxt(tails, delimiter=",", dtype=np.float64,
+                                   comments=None, quotechar=None, ndmin=2)
+                if block.shape != (len(tails), n):
+                    return None
+                blocks.append(block)
+    except ValueError:  # a number loadtxt rejects, ragged rows, bad UTF-8
+        return None
+    if not blocks:
+        return None
+    return tuple(consumer_ids), tuple(header[1:]), np.concatenate(blocks)
+
+
+def _read_csv(path):
+    """Every row of a CSV file; csv and decoding errors name the file."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
+
+
+def _parse_relevance_csv(path):
+    """The exact parse: csv rows and one float() per cell."""
+    rows = _read_csv(path)
     if not rows:
         raise DataError(f"{path}: empty file")
     header = rows[0]
@@ -122,7 +211,7 @@ def load_relevance(path) -> RelevanceMatrix:
         scores.append(vals)
     if not consumer_ids:
         raise DataError(f"{path}: no consumer rows")
-    return RelevanceMatrix(tuple(consumer_ids), item_ids, np.array(scores))
+    return tuple(consumer_ids), item_ids, np.array(scores)
 
 
 def save_relevance(rel: RelevanceMatrix, path):
@@ -136,13 +225,11 @@ def save_relevance(rel: RelevanceMatrix, path):
 
 def load_groups(path, items: RelevanceMatrix) -> GroupMap:
     """Read an item -> group CSV covering every item of `items` exactly once."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if not rows or rows[0] != ["item_id", "group_id"]:
         raise DataError(f"{path}: expected header 'item_id,group_id'")
     known = set(items.item_ids)
     assignment = {}
-    group_ids = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise DataError(f"{path}: line {lineno}: expected 2 fields")
@@ -152,12 +239,11 @@ def load_groups(path, items: RelevanceMatrix) -> GroupMap:
         if d in assignment:
             raise DataError(f"{path}: line {lineno}: duplicate item id {d!r}")
         assignment[d] = g
-        if g not in group_ids:
-            group_ids.append(g)
     missing = known - set(assignment)
     if missing:
         raise DataError(f"{path}: missing group for item {sorted(missing)[0]!r}")
-    return GroupMap(assignment, tuple(group_ids))
+    # groups in order of first appearance
+    return GroupMap(assignment, tuple(dict.fromkeys(assignment.values())))
 
 
 def save_groups(groups: GroupMap, path):

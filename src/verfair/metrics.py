@@ -32,16 +32,26 @@ def _positions(ids, dataset_ids):
     return np.array([pos[d] for d in ids], dtype=int)
 
 
-def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c) -> float:
+def _ideal_rows(rel: RelevanceMatrix):
+    """Each consumer's relevance row sorted in descending order."""
+    return -np.sort(-rel.scores, axis=1)
+
+
+def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c,
+         ideal=None) -> float:
     """Mean over consumers of DCG@k_c / IDCG@k_c.
 
     DCG@k_c = sum_{j<=k_c} R(slate[j], u) * p_j; the ideal ranking sorts the
     consumer's own relevance row. Consumers with zero ideal DCG contribute 1.
+    `ideal` is `_ideal_rows(rel)`, passed by callers that evaluate several
+    cutoffs so the matrix is sorted once; it is computed when omitted.
     """
     if not 1 <= k_c <= model.k:
         raise ValueError(f"cutoff {k_c} out of range 1..{model.k}")
     discounts = model.probs[:k_c]
-    ideal_scores = -np.sort(-rel.scores, axis=1)[:, :k_c]
+    if ideal is None:
+        ideal = _ideal_rows(rel)
+    ideal_scores = ideal[:, :k_c]
     rows = _positions(slates.consumer_ids, rel.consumer_ids)[slates.rows]
     cols = _positions(slates.item_ids, rel.item_ids)[slates.items[:, :k_c]]
     gains = rel.scores[rows[:, None], cols]
@@ -92,8 +102,9 @@ def evaluate(slates, rel: RelevanceMatrix, groups: GroupMap,
              model: ExposureModel, cutoffs) -> EvalReport:
     """Bundle NDCG at each cutoff with both fairness levels from one ledger."""
     ledger = accumulate(slates, model, groups)
+    ideal = _ideal_rows(rel)
     return EvalReport(
-        ndcg_at={kc: ndcg(slates, rel, model, kc) for kc in cutoffs},
+        ndcg_at={kc: ndcg(slates, rel, model, kc, ideal) for kc in cutoffs},
         fairness_individual=jsd_fairness(ledger, rel, groups, "individual"),
         fairness_group=jsd_fairness(ledger, rel, groups, "group"),
     )

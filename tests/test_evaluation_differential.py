@@ -16,7 +16,7 @@ import reference_evaluation as ref
 import verfair.harness as harness
 from helpers import make_slateset, random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
-                     identity_groups, jsd_fairness, load_groups,
+                     evaluate, identity_groups, jsd_fairness, load_groups,
                      load_relevance, ndcg, save_groups, save_relevance,
                      synth_relevance)
 from verfair.cli import main
@@ -29,9 +29,12 @@ def assert_same_evaluation(slates, rel, groups, model, k):
     want = ref.accumulate(slates, model, groups)
     assert list(got.per_item.items()) == list(want.per_item.items())
     assert list(got.per_group.items()) == list(want.per_group.items())
-    for kc in range(1, k + 1):
-        assert ndcg(slates, rel, model, kc) == ref.ndcg(slates, rel, model,
-                                                        kc), kc
+    cutoffs = range(1, k + 1)
+    shared = evaluate(slates, rel, groups, model, cutoffs).ndcg_at
+    for kc in cutoffs:
+        want = ref.ndcg(slates, rel, model, kc)
+        assert ndcg(slates, rel, model, kc) == want, kc
+        assert shared[kc] == want, kc
 
 
 def instance(m, n, seed, tied, zero_row):
