@@ -15,6 +15,21 @@ remaining (top) slots greedily by relevance, and the re-sorting phase sorts
 each consumer's slate by personal relevance, with the constraint that an
 allocation-phase item never ends below the rank it was placed at, so its
 exposure never drops below what the quota granted.
+
+The allocation phase walks a rank in runs of consumers, not slot by slot.
+Every slot charges some group, and a charge only lowers that group's
+headroom, so within a rank headroom only shrinks: a consumer's pick (its
+first unshown preference whose group has headroom) changes only when the
+group of that pick runs out. Each rank therefore picks for all its
+consumers at once, commits the longest run in which no group is charged
+past its capacity, and re-picks only the consumers whose picked group ran
+out. Exchanges and fallbacks stay events taken one consumer at a time,
+between runs, in consumer order. The capacities are exact: a group's
+exposure after t charges of probability p is a running sum of
+[exposure, p, p, ...], which `np.add.accumulate` computes with the same
+float additions, in the same order, as one `+= p` per slot, so every
+headroom test and every granted exposure is bit-identical to the
+slot-by-slot walk kept in `tests/reference_allocator.py`.
 """
 
 from __future__ import annotations
@@ -28,6 +43,11 @@ from .exposure import ExposureModel
 from .quota import compute_quotas, find_anchor
 
 _QUOTA_EPS = 1e-9
+# Preferences read per row before a pick looks further down the row. The
+# first pick of a rank gathers (m, _PICK_DEPTH) of them at once: at 16 the
+# benchmark's alloc-ind peak RSS rose by up to 5.6% over the slot-by-slot
+# walk on some seeds, at 8 by at most 2.7%, with no loss of speed.
+_PICK_DEPTH = 8
 
 ALLOCATION = "allocation"
 APPENDING = "appending"
@@ -122,6 +142,153 @@ def _exchange(c, r, slate, avail, needy, scores, id_rank):
     return c2[best], y[best]
 
 
+def _capacities(quota, alloc_exp, p, slots):
+    """(cap, acc): group g has headroom for a slot of probability p while
+    it has been charged fewer than cap[g] slots of this rank, and
+    acc[g, t] is its exposure after t such charges.
+
+    acc is one `np.add.accumulate` of [alloc_exp[g], p, p, ...], the same
+    sequence of float additions as one `alloc_exp[g] += p` per slot, and
+    `quota - acc` only shrinks along a row, so cap and the exposures read
+    off acc are bit-identical to a slot-by-slot walk. The width starts at
+    the largest capacity the quotients suggest and doubles until every
+    group's capacity fits, or reaches `slots`, beyond which it is moot.
+    """
+    floor = p - _QUOTA_EPS
+    room = max((quota - alloc_exp).max() - floor, 0.0)
+    width = slots if room >= p * (slots - 2) else int(room / p) + 2
+    while True:
+        steps = np.full((len(quota), width + 1), p)
+        steps[:, 0] = alloc_exp
+        acc = np.add.accumulate(steps, axis=1)
+        headroom = quota[:, None] - acc >= floor
+        if width == slots or not headroom[:, -1].any():
+            return headroom.sum(axis=1), acc
+        width = min(slots, 2 * width)
+
+
+def _picks(rows, start, pref, avail, open_item, budget):
+    """(at, item): the first position at or after `start` in each row's
+    preferences whose item is open and not shown by the row, and that
+    item; n and -1 where there is none.
+
+    Rows are read a window of preferences at a time, the window doubling
+    for the rows still without a hit while at most `budget` preferences
+    are gathered at once, so no temporary grows to (m, n).
+    """
+    n = pref.shape[1]
+    at = np.full(len(rows), n)
+    item = np.full(len(rows), -1)
+    todo = np.flatnonzero(start < n)
+    lo = start[todo]
+    width = _PICK_DEPTH
+    while todo.size:
+        cols = lo[:, None] + np.arange(width)
+        row = rows[todo, None]
+        items = pref[row, np.minimum(cols, n - 1)]
+        hit = open_item[items] & avail[row, items] & (cols < n)
+        j = hit.argmax(axis=1)
+        found = hit[np.arange(todo.size), j]
+        at[todo[found]] = lo[found] + j[found]
+        item[todo[found]] = items[found, j[found]]
+        lo = lo[~found] + width
+        todo = todo[~found]
+        todo, lo = todo[lo < n], lo[lo < n]
+        width = max(_PICK_DEPTH, min(2 * width, budget // max(todo.size, 1)))
+    return at, item
+
+
+def _place(slate, avail, r, consumers, items):
+    """Show each consumer its item at rank r."""
+    slate[consumers, r] = items
+    avail[consumers, items] = False
+
+
+def _fallback(c, r, pref, avail):
+    """Consumer c's most relevant item not shown yet. c shows at most r
+    items before rank r, so it is among c's first r + 1 preferences."""
+    prefs = pref[c, :r + 1]
+    return prefs[avail[c, prefs].argmax()]
+
+
+def _allocate_rank(r, first, p, quota, alloc_exp, gidx, pref, avail, slate,
+                   scores, id_rank):
+    """Fill rank r of consumers first..m-1 in order, each slot with the
+    consumer's first unshown preference whose group has headroom, else an
+    exchange, else the fallback; charge `alloc_exp` and return whether a
+    fallback was used.
+
+    Within a rank headroom only shrinks, so a consumer's pick stays valid
+    until the group of that pick runs out. The walk therefore picks for
+    every remaining consumer at once and commits, in one step, the longest
+    run of consumers in which no group is charged past its capacity. The
+    consumer after the run either picked a group that just ran out, and
+    is re-picked from where its old pick stood, or has no pick, and takes
+    an exchange or the fallback on its own.
+    """
+    m, n = avail.shape
+    n_groups = len(quota)
+    rows = np.arange(first, m)
+    cap, acc = _capacities(quota, alloc_exp, p, len(rows))
+    # pick -1 (none) maps to a sentinel group of capacity 0, which is
+    # always open and always ends a run
+    cap = np.append(cap, 0)
+    group = np.append(gidx, n_groups)
+    count = np.zeros(n_groups + 1, dtype=int)
+    open_item = np.ones(n + 1, dtype=bool)
+    open_item[:n] = (cap > 0)[gidx]
+    budget = len(rows) * _PICK_DEPTH
+    at, pick = _picks(rows, np.zeros(len(rows), dtype=int), pref, avail,
+                      open_item, budget)
+    fallback = False
+    pos = 0
+    while pos < len(rows):
+        stale = pos + np.flatnonzero(~open_item[pick[pos:]])
+        if stale.size:
+            at[stale], pick[stale] = _picks(rows[stale], at[stale] + 1, pref,
+                                            avail, open_item, budget)
+        g = group[pick[pos:]]
+        # the run ends at the first consumer whose group the consumers
+        # before it in the run have already charged to capacity
+        by_group = np.argsort(g, kind="stable")
+        sorted_g = g[by_group]
+        seen = np.arange(g.size) - np.searchsorted(sorted_g, sorted_g)
+        over = by_group[seen >= (cap - count)[sorted_g]]
+        end = over.min() if over.size else g.size
+        _place(slate, avail, r, rows[pos:pos + end], pick[pos:pos + end])
+        count += np.bincount(g[:end], minlength=n_groups + 1)
+        open_item[:n] = (count < cap)[gidx]
+        pos += end
+        if pos == len(rows) or pick[pos] >= 0:
+            continue
+        c = rows[pos]
+        swap = None
+        if open_item[:n].any():
+            swap = _exchange(c, r, slate, avail, np.flatnonzero(open_item[:n]),
+                             scores, id_rank)
+        if swap is not None:
+            c2, charged = swap
+            d = slate[c2, r]
+            slate[c2, r] = charged
+            avail[c2, d] = True
+            avail[c2, charged] = False
+        else:
+            fallback = True
+            d = charged = _fallback(c, r, pref, avail)
+        _place(slate, avail, r, c, d)
+        count[gidx[charged]] += 1
+        open_item[:n] = (count < cap)[gidx]
+        pos += 1
+    width = acc.shape[1] - 1
+    count = count[:n_groups]
+    alloc_exp[:] = acc[np.arange(n_groups), np.minimum(count, width)]
+    for g in np.flatnonzero(count > width):
+        # fallbacks charged g past the width acc was built to
+        alloc_exp[g] = np.add.accumulate(
+            np.append(alloc_exp[g], np.full(count[g] - width, p)))[-1]
+    return fallback
+
+
 def _deadlines(probs):
     """deadline[r] = the last rank whose examination probability still
     matches rank r's: r itself when probs strictly decrease, k-1 when they
@@ -199,41 +366,12 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     if alpha > 0:
         quota = compute_quotas(rel, groups, model, alpha).vector(groups)
         anchor = find_anchor(model, m, alpha)
-        by_group = np.argsort(gidx, kind="stable")
-        members = np.split(by_group, np.cumsum(
-            np.bincount(gidx, minlength=n_groups))[:-1])
         for r in range(anchor.rank - 1, k):
-            p = model.probs[r]
-            floor = p - _QUOTA_EPS
-            # headroom[d]: item d's group can still take a slot of rank r
-            headroom = ((quota - alloc_exp) >= floor)[gidx]
             first = anchor.consumer - 1 if r == anchor.rank - 1 else 0
-            for c in range(first, m):
-                prefs = pref[c]
-                unshown = avail[c, prefs]
-                hit = headroom[prefs] & unshown
-                j = hit.argmax()
-                swap = None
-                if not hit[j] and headroom.any():
-                    swap = _exchange(c, r, slate, avail,
-                                     np.flatnonzero(headroom), scores, id_rank)
-                if swap is not None:
-                    c2, charged = swap
-                    d = slate[c2, r]
-                    slate[c2, r] = charged
-                    avail[c2, d] = True
-                    avail[c2, charged] = False
-                elif hit[j]:
-                    d = charged = prefs[j]
-                else:
-                    fallback_used = True
-                    d = charged = prefs[unshown.argmax()]
-                slate[c, r] = d
-                phase[c, r] = 1
-                avail[c, d] = False
-                g = gidx[charged]
-                alloc_exp[g] += p
-                headroom[members[g]] = quota[g] - alloc_exp[g] >= floor
+            fallback_used |= _allocate_rank(
+                r, first, model.probs[r], quota, alloc_exp, gidx, pref,
+                avail, slate, scores, id_rank)
+        phase[slate >= 0] = 1
 
     # Appending: each consumer's empty slots, in rank order, take its best
     # items not yet shown. A row shows at most k - e items before this

@@ -47,8 +47,7 @@ def random_k(rel: RelevanceMatrix, k, seed) -> SlateSet:
     return _horizontal(rel, slate_idx)
 
 
-def pr_k(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
-         k) -> SlateSet:
+def pr_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
     """Pure-fairness baseline: give each consumer the k most under-exposed
     items relative to their full fair share (alpha=1), largest deficit at
     the top rank, updating the running ledger after each slate."""

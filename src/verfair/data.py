@@ -112,7 +112,10 @@ def load_relevance(path) -> RelevanceMatrix:
     parsed = _parse_relevance_numpy(path)
     if parsed is None:
         parsed = _parse_relevance_csv(path)
-    return RelevanceMatrix(*parsed)
+    try:
+        return RelevanceMatrix(*parsed)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _plain(lines, limit):

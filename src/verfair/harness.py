@@ -81,7 +81,7 @@ def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
     if method == "random-k":
         return random_k(rel, model.k, seed)
     if method == "pr-k":
-        return pr_k(rel, groups, model, model.k)
+        return pr_k(rel, model, model.k)
     if method == "fairco":
         level = "group" if groups is not None and len(groups.group_ids) < rel.n \
             else "individual"

@@ -59,16 +59,18 @@ def compute_quotas(rel: RelevanceMatrix, groups: GroupMap,
 def find_anchor(model: ExposureModel, m, alpha) -> AnchorPoint:
     """Walk slots (m,k),(m-1,k),...,(1,k),(m,k-1),... accumulating
     examination probability; return the first slot at which the accumulated
-    exposure reaches alpha * E_total (ties stop the walk)."""
+    exposure reaches alpha * E_total (ties stop the walk).
+
+    The walk's running sums are one `np.add.accumulate` over the slots in
+    walk order, the same sequence of float additions as a slot-by-slot
+    `acc += p`, so the anchor is exact."""
     if not 0 < alpha <= 1:
         raise ValueError("anchor search requires 0 < alpha <= 1")
     target = alpha * total_exposure(model, m)
-    acc = 0.0
-    for j in range(model.k, 0, -1):
-        p = model.probs[j - 1]
-        for i in range(m, 0, -1):
-            acc += p
-            if acc >= target - _REL_EPS * target:
-                return AnchorPoint(i, j)
-    # alpha <= 1 guarantees the accumulated total reaches the target
-    return AnchorPoint(1, 1)
+    walked = np.add.accumulate(np.repeat(model.probs[::-1], m))
+    reached = walked >= target - _REL_EPS * target
+    if not reached.any():
+        # alpha <= 1 guarantees the accumulated total reaches the target
+        return AnchorPoint(1, 1)
+    slot = int(reached.argmax())
+    return AnchorPoint(m - slot % m, model.k - slot // m)

@@ -94,7 +94,7 @@ def test_04_strict_fairness_limit():
         return jsd_fairness(accumulate(slates, model, groups), rel, groups)
 
     f_ver = fairness(allocate_individual(rel, model, 1.0, seed=0))
-    f_pr = fairness(pr_k(rel, groups, model, 10))
+    f_pr = fairness(pr_k(rel, model, 10))
     f_top = fairness(top_k(rel, model, 10))
     assert f_ver >= 0.98
     assert f_pr >= 0.99

@@ -7,14 +7,15 @@ flag and the granted exposure must all be bit-identical.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_allocator
 import verfair.allocator as allocator
 from helpers import random_groups
-from verfair import (ExposureModel, RelevanceMatrix, identity_groups,
-                     synth_relevance)
+from verfair import (ExposureModel, GroupMap, RelevanceMatrix, find_anchor,
+                     identity_groups, synth_relevance)
 from verfair.allocator import _deadlines, _resort
 
 FIELDS = ("order", "slates", "provenance", "pre_ranks", "fallback_used",
@@ -109,6 +110,64 @@ def test_large_instance_takes_the_slow_resort_on_few_rows(monkeypatch):
     for alpha in (0.7, 1.0):
         assert_same(rel, identity_groups(rel), model, alpha, seed=7)
     assert 0 < len(resorted) < rel.m
+
+
+def skewed_groups(m, seed):
+    """m x 100 beta(0.5, 2) scores over 20 groups of unequal size, each
+    group's scores scaled by a weight from 1.0 down to 0.3, so the popular
+    groups run out of headroom within a rank."""
+    sizes = (12, 10, 9, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 3, 2, 2, 2, 1, 1)
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    weight = np.linspace(1.0, 0.3, len(sizes))[label]
+    rel = RelevanceMatrix(tuple(f"u{i}" for i in range(m)),
+                          tuple(f"d{j:03d}" for j in range(len(label))),
+                          rng.beta(0.5, 2.0, size=(m, len(label))) * weight)
+    group_ids = tuple(f"g{g:02d}" for g in range(len(sizes)))
+    return rel, GroupMap({d: group_ids[g] for d, g in
+                          zip(rel.item_ids, label)}, group_ids)
+
+
+@pytest.mark.parametrize("eta, alphas", [(2.0, (0.25, 0.5, 0.75, 1.0)),
+                                         (0.0, (0.55, 1.0))])
+def test_large_grouped_instance_commits_runs_between_events(
+        monkeypatch, eta, alphas):
+    # ranks are committed in runs of many consumers, and the exchange and
+    # fallback events between two runs of a rank still take one consumer
+    # at a time
+    log = []
+
+    def counting_place(slate, avail, r, consumers, items):
+        if np.size(consumers):
+            log.append(("run", r, int(np.min(consumers)),
+                        int(np.size(consumers))))
+        return real_place(slate, avail, r, consumers, items)
+
+    def counting(kind, real):
+        def counted(c, r, *args):
+            log.append((kind, r, int(c), 1))
+            return real(c, r, *args)
+        return counted
+
+    real_place = allocator._place
+    monkeypatch.setattr(allocator, "_place", counting_place)
+    for kind in ("_exchange", "_fallback"):
+        monkeypatch.setattr(allocator, kind,
+                            counting(kind, getattr(allocator, kind)))
+    rel, groups = skewed_groups(1000, seed=0)
+    model = ExposureModel.pbm(eta, 10)
+    # the first alpha's anchor falls mid-rank
+    assert find_anchor(model, rel.m, alphas[0]).consumer > 1
+    for alpha in alphas:
+        assert_same(rel, groups, model, alpha, seed=0)
+    assert max(size for kind, _, _, size in log if kind == "run") >= rel.m // 2
+    mid_rank = {
+        kind for i, (kind, r, c, _) in enumerate(log) if kind != "run"
+        and any(e[0] == "run" and e[1] == r and e[3] > 1 for e in log[:i])
+        and any(e[0] == "run" and e[1] == r and e[2] > c for e in log[i:])}
+    assert "_fallback" in mid_rank
+    if eta == 2.0:
+        assert "_exchange" in mid_rank
 
 
 @settings(max_examples=200, deadline=None)

@@ -244,6 +244,10 @@ def assert_same_as_reference(path):
         assert got[1].startswith(f"{path}: line ")
         assert got[1].endswith(f": {exc}")
         return got
+    if want[0] == "error" and not want[1].startswith(f"{path}: "):
+        # a RelevanceMatrix validation error, which the loader prefixes
+        # with the file and the frozen loader does not
+        want = ("error", f"{path}: {want[1]}")
     assert got == want
     return got
 
@@ -437,3 +441,20 @@ def test_cli_exits_2_on_malformed_groups(body, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(groups) in err
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"consumer_id,A\nc1,0.5\nc1,0.5\n", "duplicate consumer ids"),
+    (b"consumer_id,A,A\nc1,0.5,0.5\n", "duplicate item ids"),
+    (b"consumer_id,A,B\nc1,0.5,nan\n",
+     "non-finite score at consumer 'c1', item 'B'"),
+    (b"consumer_id,A,B\nc1,0.5,0.5\nc2,-0.5,0.5\n",
+     "negative score at consumer 'c2', item 'A'"),
+])
+def test_cli_validation_error_names_the_file(body, message, tmp_path, capsys):
+    path = tmp_path / "rel.csv"
+    path.write_bytes(body)
+    argv = ["run", "--relevance", str(path), "--method", "top-k", "--k", "1",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_quota
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, compute_quotas,
                      find_anchor, identity_groups, synth_relevance,
                      total_exposure)
@@ -123,3 +124,25 @@ class TestFindAnchor:
                    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
         positions = [walk_pos(a) for a in anchors]
         assert all(p1 <= p2 for p1, p2 in zip(positions, positions[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 500), k=st.integers(1, 12),
+       eta=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+       alpha=st.one_of(st.just(1.0), st.floats(0, 1, exclude_min=True)))
+def test_find_anchor_matches_slot_walk(m, k, eta, alpha):
+    model = ExposureModel.pbm(eta, k)
+    assert find_anchor(model, m, alpha) == \
+        reference_quota.find_anchor(model, m, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 500), k=st.integers(1, 12), data=st.data())
+def test_find_anchor_matches_slot_walk_on_slot_boundaries(m, k, data):
+    # flat probabilities: alpha = j / (m k) asks for exactly j slots, so
+    # the target lands on a running sum and only the tie rule decides
+    j = data.draw(st.integers(1, m * k), label="j")
+    model = ExposureModel.pbm(0.0, k)
+    alpha = j / (m * k)
+    assert find_anchor(model, m, alpha) == \
+        reference_quota.find_anchor(model, m, alpha)
