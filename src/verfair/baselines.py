@@ -67,16 +67,15 @@ def pr_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
 
 
 def fairco(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
-           lam, level="individual") -> SlateSet:
+           lam) -> SlateSet:
     """Proportional-controller baseline: boost each item's score by its
     group's under-exposure relative to the best exposure-to-relevance
-    ratio seen so far, then rank top-k by the boosted score."""
+    ratio seen so far, then rank top-k by the boosted score. It works at
+    the level of `groups`; `identity_groups(rel)` gives individual level."""
     if rel.n < model.k:
         raise ValueError(f"need n >= k (n={rel.n}, k={model.k})")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if level == "individual":
-        groups = identity_groups(rel)
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be a finite number >= 0")
     gidx = groups.indices(rel)
     rg = group_relevance(rel, groups)
     positive = rg > 0

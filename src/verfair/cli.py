@@ -13,15 +13,22 @@ from . import harness
 from .data import (DataError, identity_groups, load_groups, load_relevance,
                    save_relevance, synth_relevance)
 from .exposure import ExposureModel
-from .harness import RunConfig, SweepConfig
+from .harness import RunConfig
 
 
 def _add_common(p):
     p.add_argument("--relevance", required=True, help="relevance CSV path")
-    p.add_argument("--groups", help="item->group CSV path (optional)")
+    p.add_argument("--groups", help="item->group CSV path (optional); "
+                                    "fairco and verfair-group work at its level")
+    p.add_argument("--method", required=True, choices=harness.METHODS)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_params(p):
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
 
 
 def _parse_cutoffs(text):
@@ -49,9 +56,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="single allocation run with metrics")
     _add_common(p)
-    p.add_argument("--method", required=True, choices=harness.METHODS)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    _add_params(p)
     _add_cutoffs(p)
     p.add_argument("--no-shuffle", action="store_true",
                    help="keep dataset consumer order")
@@ -60,7 +65,6 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="tradeoff sweep over a parameter grid")
     _add_common(p)
-    p.add_argument("--method", required=True, choices=harness.METHODS)
     p.add_argument("--grid", required=True,
                    help="comma-separated parameter values")
     _add_cutoffs(p)
@@ -68,9 +72,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="timing benchmark (per 1k slates)")
     _add_common(p)
-    p.add_argument("--method", required=True, choices=harness.METHODS)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    _add_params(p)
     p.add_argument("--repeat", type=int, default=3)
 
     p = sub.add_parser("gen", help="generate a synthetic relevance CSV")
@@ -83,9 +85,7 @@ def build_parser():
 
     p = sub.add_parser("dump", help="per-item relevance/exposure/quota CSV")
     _add_common(p)
-    p.add_argument("--method", required=True, choices=harness.METHODS)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    _add_params(p)
     p.add_argument("--out", required=True)
     return ap
 
@@ -115,10 +115,9 @@ def main(argv=None):
         elif args.command == "sweep":
             rel, groups = _load(args)
             grid = tuple(float(x) for x in args.grid.split(","))
-            config = SweepConfig(method=args.method, grid=grid, eta=args.eta,
-                                 k=args.k, cutoffs=_cutoffs(args),
-                                 seed=args.seed)
-            records = harness.sweep(config, rel, groups)
+            config = RunConfig(method=args.method, eta=args.eta, k=args.k,
+                               seed=args.seed, cutoffs=_cutoffs(args))
+            records = harness.sweep(config, grid, rel, groups)
             harness.write_sweep(records, args.out)
             print(f"wrote {len(records)} records to {args.out}")
         elif args.command == "bench":

@@ -21,8 +21,8 @@ class ExposureModel:
 
     @classmethod
     def pbm(cls, eta, k) -> "ExposureModel":
-        if eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not eta >= 0:  # also rejects nan
+            raise ValueError("eta must be a non-negative number")
         if k < 1:
             raise ValueError("k must be >= 1")
         ranks = np.arange(1, k + 1)

@@ -1,8 +1,10 @@
 """Single runs, parameter sweeps, timing benchmarks, and per-item
 distribution dumps, all emitting diffable CSV.
 
-Timing covers slate generation only (no loading, no metric evaluation) and
-is normalized to milliseconds per 1000 slates.
+A run is a one-point sweep: both make, time and evaluate a slate set
+through `_point` and write metrics through `write_sweep`. Timing covers slate
+generation only (no loading, no metric evaluation) and is normalized to
+milliseconds per 1000 slates.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,24 +45,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    method: str
-    grid: tuple          # alpha values or lambda values, method-dependent
-    eta: float = 1.0
-    k: int = 10
-    cutoffs: tuple = DEFAULT_CUTOFFS
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.grid:
-            raise ValueError("parameter grid must be non-empty")
-        if any(v < 0 for v in self.grid):
-            raise ValueError("parameter values must be non-negative")
-        if PARAM_OF.get(self.method) == "alpha" and any(v > 1 for v in self.grid):
-            raise ValueError("alpha values must be in [0,1]")
-
-
-@dataclass(frozen=True)
 class TradeoffRecord:
     method: str
     param: float
@@ -75,7 +59,8 @@ class TradeoffRecord:
 def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
                 model: ExposureModel, *, alpha=1.0, lam=0.0, seed=0,
                 shuffle=True):
-    """Dispatch a method name to its allocator."""
+    """Dispatch a method name to its allocator. `fairco` and
+    `verfair-group` work at the level of `groups`."""
     if method == "top-k":
         return top_k(rel, model, model.k)
     if method == "random-k":
@@ -83,25 +68,12 @@ def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
     if method == "pr-k":
         return pr_k(rel, model, model.k)
     if method == "fairco":
-        level = "group" if groups is not None and len(groups.group_ids) < rel.n \
-            else "individual"
-        return fairco(rel, groups or identity_groups(rel), model, lam, level)
+        return fairco(rel, groups, model, lam)
     if method == "verfair-ind":
         return allocate_individual(rel, model, alpha, seed, shuffle)
     if method == "verfair-group":
-        if groups is None:
-            raise ValueError("verfair-group requires a group map")
         return allocate(rel, groups, model, alpha, seed, shuffle)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _param_value(config: RunConfig):
-    kind = PARAM_OF.get(config.method)
-    if kind == "alpha":
-        return config.alpha
-    if kind == "lambda":
-        return config.lam
-    return float("nan")
 
 
 def metrics_header(cutoffs):
@@ -113,11 +85,8 @@ def metrics_header(cutoffs):
 METRICS_HEADER = metrics_header(DEFAULT_CUTOFFS)
 
 
-def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
-        slate_path=None, metrics_path=None):
-    """Generate one slate set, evaluate it, optionally write both CSVs."""
-    if config.method not in METHODS:
-        raise ValueError(f"unknown method {config.method!r}")
+def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap):
+    """Make, time and evaluate one slate set: (slates, report, record)."""
     groups = groups or identity_groups(rel)
     model = ExposureModel.pbm(config.eta, config.k)
     t0 = time.perf_counter()
@@ -126,27 +95,59 @@ def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
                          seed=config.seed, shuffle=config.shuffle)
     wall = time.perf_counter() - t0
     report = evaluate(slates, rel, groups, model, config.cutoffs)
-    wall_ms_per_1k = wall * 1000.0 * 1000.0 / rel.m
+    return slates, report, TradeoffRecord(
+        config.method, float(param), config.eta, config.k, report.ndcg_at,
+        report.fairness_individual, report.fairness_group,
+        wall * 1e6 / rel.m)
+
+
+def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
+        slate_path=None, metrics_path=None):
+    """Generate one slate set, evaluate it, optionally write both CSVs.
+
+    The metrics row's param is the method's alpha or lambda, and nan for a
+    method without a tradeoff parameter.
+    """
+    param = {"alpha": config.alpha, "lambda": config.lam}.get(
+        PARAM_OF.get(config.method), float("nan"))
+    slates, report, record = _point(config, param, rel, groups)
     if slate_path is not None:
         write_slates(slates, config, slate_path)
     if metrics_path is not None:
-        with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(metrics_header(report.ndcg_at) + "\n")
-            fh.write(_metrics_row(config.method, _param_value(config),
-                                  config.eta, config.k, report.ndcg_at,
-                                  report.fairness_individual,
-                                  report.fairness_group, wall_ms_per_1k)
-                     + "\n")
+        write_sweep([record], metrics_path)
     return slates, report
 
 
-def _metrics_row(method, param, eta, k, ndcg_at, fairness_ind,
-                 fairness_group, wall_ms):
-    cells = [method, repr(float(param)), repr(float(eta)), str(k),
-             *(repr(float(v)) for v in ndcg_at.values()),
-             repr(float(fairness_ind)), repr(float(fairness_group)),
-             repr(float(wall_ms))]
-    return ",".join(cells)
+def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
+          groups: GroupMap = None):
+    """One TradeoffRecord per grid value, in ascending order.
+
+    Each value replaces `config.lam` for fairco and `config.alpha` for
+    every other method, and is the record's param.
+    """
+    if not grid:
+        raise ValueError("parameter grid must be non-empty")
+    if not all(v >= 0 for v in grid):
+        raise ValueError("parameter values must be non-negative numbers")
+    kind = PARAM_OF.get(config.method)
+    if kind == "alpha" and max(grid) > 1:
+        raise ValueError("alpha values must be in [0,1]")
+    field = "lam" if kind == "lambda" else "alpha"
+    return [_point(replace(config, **{field: v}), v, rel, groups)[2]
+            for v in sorted(grid)]
+
+
+def write_sweep(records, path):
+    """Metrics CSV of records, one ndcg@<c> column per cutoff."""
+    cutoffs = records[0].ndcg_at if records else DEFAULT_CUTOFFS
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(metrics_header(cutoffs) + "\n")
+        for r in records:
+            floats = (*r.ndcg_at.values(), r.fairness_individual,
+                      r.fairness_group, r.wall_ms_per_1k)
+            cells = [r.method, repr(float(r.param)), repr(float(r.eta)),
+                     str(r.k), *(repr(float(v)) for v in floats)]
+            fh.write(",".join(cells) + "\n")
 
 
 def _csv_fields(values):
@@ -189,43 +190,6 @@ def write_slates(slates, config: RunConfig, path):
             part[:, :, 2] = item[slates.items[a:a + _CHUNK]]
             part[:, :, 3] = tail[slates.phase[a:a + _CHUNK]]
             fh.write("".join(part.ravel().tolist()))
-
-
-def sweep(config: SweepConfig, rel: RelevanceMatrix, groups: GroupMap = None):
-    """One TradeoffRecord per grid point, ordered by parameter value."""
-    if config.method not in METHODS:
-        raise ValueError(f"unknown method {config.method!r}")
-    groups = groups or identity_groups(rel)
-    model = ExposureModel.pbm(config.eta, config.k)
-    records = []
-    for value in sorted(config.grid):
-        kwargs = {"seed": config.seed}
-        if PARAM_OF.get(config.method) == "lambda":
-            kwargs["lam"] = value
-        else:
-            kwargs["alpha"] = value
-        t0 = time.perf_counter()
-        slates = make_slates(config.method, rel, groups, model, **kwargs)
-        wall = time.perf_counter() - t0
-        report = evaluate(slates, rel, groups, model, config.cutoffs)
-        records.append(TradeoffRecord(
-            method=config.method, param=float(value), eta=config.eta,
-            k=config.k, ndcg_at=report.ndcg_at,
-            fairness_individual=report.fairness_individual,
-            fairness_group=report.fairness_group,
-            wall_ms_per_1k=wall * 1e6 / rel.m))
-    return records
-
-
-def write_sweep(records, path):
-    """Metrics CSV of sweep records, one ndcg@<c> column per cutoff."""
-    cutoffs = records[0].ndcg_at if records else DEFAULT_CUTOFFS
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(metrics_header(cutoffs) + "\n")
-        for r in records:
-            fh.write(_metrics_row(r.method, r.param, r.eta, r.k, r.ndcg_at,
-                                  r.fairness_individual, r.fairness_group,
-                                  r.wall_ms_per_1k) + "\n")
 
 
 def bench(method, rel: RelevanceMatrix, groups: GroupMap = None, *,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import bound_unsatisfiable
+from verfair.harness import make_slates
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
                      allocate_individual, compute_quotas, fairco,
                      identity_groups, jsd_fairness, ndcg, oracle_exact, pr_k,
@@ -145,6 +146,29 @@ class TestFairco:
         rel = synth_relevance(3, 3, seed=0)
         with pytest.raises(ValueError):
             fairco(rel, identity_groups(rel), ExposureModel.pbm(0.0, 2), -1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        rel = synth_relevance(3, 3, seed=0)
+        with pytest.raises(ValueError, match="lambda"):
+            fairco(rel, identity_groups(rel), ExposureModel.pbm(0.0, 2), lam)
+
+    def test_runs_at_the_level_of_its_map(self):
+        rel = synth_relevance(300, 40, seed=5)
+        model = ExposureModel.pbm(1.0, 8)
+        four = GroupMap({d: f"g{j % 4}" for j, d in enumerate(rel.item_ids)},
+                        ("g0", "g1", "g2", "g3"))
+        grouped = fairco(rel, four, model, 2.0)
+        individual = fairco(rel, identity_groups(rel), model, 2.0)
+        assert np.array_equal(
+            grouped.items, make_slates("fairco", rel, four, model, lam=2.0).items)
+        assert not np.array_equal(grouped.items, individual.items)
+        # singleton groups under other, shuffled ids are individual level
+        names = np.random.default_rng(5).permutation(rel.n)
+        renamed = {d: f"s{names[j]}" for j, d in enumerate(rel.item_ids)}
+        singletons = GroupMap(renamed, tuple(sorted(renamed.values())))
+        assert np.array_equal(fairco(rel, singletons, model, 2.0).items,
+                              individual.items)
 
 
 class TestOracle:

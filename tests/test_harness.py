@@ -3,11 +3,11 @@ import csv
 import numpy as np
 import pytest
 
-from verfair import (ExposureModel, identity_groups, save_relevance,
-                     synth_relevance, top_k)
+from verfair import (ExposureModel, GroupMap, identity_groups, save_groups,
+                     save_relevance, synth_relevance, top_k)
 from verfair.allocator import SlateSet
 from verfair.cli import main
-from verfair.harness import (METRICS_HEADER, RunConfig, SweepConfig, bench,
+from verfair.harness import (METRICS_HEADER, RunConfig, bench,
                              dump_distributions, metrics_header, run, sweep)
 
 
@@ -51,42 +51,38 @@ class TestRun:
 
 class TestSweep:
     def test_one_record_per_grid_point_sorted(self, rel):
-        config = SweepConfig(method="verfair-ind", grid=(1.0, 0.0, 0.5),
-                             eta=1.0, k=5, cutoffs=(1, 3))
-        records = sweep(config, rel)
+        config = RunConfig(method="verfair-ind", eta=1.0, k=5, cutoffs=(1, 3))
+        records = sweep(config, (1.0, 0.0, 0.5), rel)
         assert [r.param for r in records] == [0.0, 0.5, 1.0]
 
     def test_single_point(self, rel):
-        config = SweepConfig(method="top-k", grid=(0.0,), eta=1.0, k=5,
-                             cutoffs=(1,))
-        assert len(sweep(config, rel)) == 1
+        config = RunConfig(method="top-k", eta=1.0, k=5, cutoffs=(1,))
+        assert len(sweep(config, (0.0,), rel)) == 1
 
     def test_tradeoff_trend(self, rel):
-        config = SweepConfig(method="verfair-ind", grid=(0.0, 1.0),
-                             eta=1.0, k=5, cutoffs=(5,))
-        lo, hi = sweep(config, rel)
+        config = RunConfig(method="verfair-ind", eta=1.0, k=5, cutoffs=(5,))
+        lo, hi = sweep(config, (0.0, 1.0), rel)
         assert lo.ndcg_at[5] >= hi.ndcg_at[5]
         assert hi.fairness_individual >= lo.fairness_individual
 
     def test_fairco_gain_sweep(self, rel):
-        config = SweepConfig(method="fairco", grid=(0.0, 1.0, 10.0, 1000.0),
-                             eta=1.0, k=5, cutoffs=(5,))
-        records = sweep(config, rel)
+        config = RunConfig(method="fairco", eta=1.0, k=5, cutoffs=(5,))
+        records = sweep(config, (0.0, 1.0, 10.0, 1000.0), rel)
         assert records[-1].fairness_individual > records[0].fairness_individual
 
-    def test_empty_grid_rejected(self):
+    def test_empty_grid_rejected(self, rel):
         with pytest.raises(ValueError):
-            SweepConfig(method="verfair-ind", grid=())
+            sweep(RunConfig(method="verfair-ind"), (), rel)
 
-    def test_alpha_above_one_rejected(self):
+    def test_alpha_above_one_rejected(self, rel):
         with pytest.raises(ValueError):
-            SweepConfig(method="verfair-ind", grid=(0.5, 1.5))
+            sweep(RunConfig(method="verfair-ind"), (0.5, 1.5), rel)
 
     def test_reproducible(self, rel):
-        config = SweepConfig(method="verfair-ind", grid=(0.0, 0.5, 1.0),
-                             eta=1.0, k=5, seed=4, cutoffs=(1, 3, 5))
-        a = sweep(config, rel)
-        b = sweep(config, rel)
+        config = RunConfig(method="verfair-ind", eta=1.0, k=5, seed=4,
+                           cutoffs=(1, 3, 5))
+        a = sweep(config, (0.0, 0.5, 1.0), rel)
+        b = sweep(config, (0.0, 0.5, 1.0), rel)
         for ra, rb in zip(a, b):
             assert ra.ndcg_at == rb.ndcg_at
             assert ra.fairness_individual == rb.fairness_individual
@@ -249,3 +245,64 @@ class TestCli:
         code = main(["run", "--relevance", rel_path, "--method", "top-k",
                      "--k", "99", "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+    def test_nan_eta_exits_2(self, tmp_path):
+        rel_path = self._gen(tmp_path)
+        metrics = tmp_path / "metrics.csv"
+        code = main(["run", "--relevance", rel_path, "--method", "top-k",
+                     "--k", "4", "--eta", "nan", "--out",
+                     str(tmp_path / "o.csv"), "--metrics-out", str(metrics)])
+        assert code == 2
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_2(self, tmp_path, lam):
+        rel_path = self._gen(tmp_path)
+        out = tmp_path / "o.csv"
+        code = main(["run", "--relevance", rel_path, "--method", "fairco",
+                     "--k", "4", "--lambda", lam, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["fairco", "top-k", "verfair-ind"])
+    def test_nan_grid_value_exits_2(self, tmp_path, method):
+        rel_path = self._gen(tmp_path)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--relevance", rel_path, "--method", method,
+                     "--k", "4", "--grid", "nan,1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method,flag,value,groups", [
+        ("verfair-ind", "--alpha", "0.5", False),
+        ("verfair-group", "--alpha", "0.5", True),
+        ("fairco", "--lambda", "1.0", False),
+        ("fairco", "--lambda", "1.0", True),
+        ("top-k", None, "0.25", False),
+    ])
+    def test_run_row_equals_sweep_row(self, tmp_path, method, flag, value,
+                                      groups):
+        rel_path = self._gen(tmp_path)
+        common = ["--relevance", rel_path, "--method", method, "--k", "4"]
+        if groups:
+            rel = synth_relevance(10, 8, seed=1)
+            save_groups(GroupMap({d: f"g{j % 3}"
+                                  for j, d in enumerate(rel.item_ids)},
+                                 ("g0", "g1", "g2")), tmp_path / "groups.csv")
+            common += ["--groups", str(tmp_path / "groups.csv")]
+        run_metrics, sweep_out = tmp_path / "run.csv", tmp_path / "sweep.csv"
+        assert main(["run", *common, *([flag, value] if flag else []),
+                     "--out", str(tmp_path / "slates.csv"),
+                     "--metrics-out", str(run_metrics)]) == 0
+        assert main(["sweep", *common, "--grid", value,
+                     "--out", str(sweep_out)]) == 0
+        run_lines = run_metrics.read_text().splitlines()
+        sweep_lines = sweep_out.read_text().splitlines()
+        assert run_lines[0] == sweep_lines[0]
+        run_row = run_lines[1].split(",")
+        sweep_row = sweep_lines[1].split(",")
+        if flag is None:
+            # a method without a parameter: nan in run, the grid value in sweep
+            assert (run_row[1], sweep_row[1]) == ("nan", value)
+            run_row[1] = sweep_row[1]
+        assert run_row[:-1] == sweep_row[:-1]
