@@ -48,6 +48,10 @@ _QUOTA_EPS = 1e-9
 # benchmark's alloc-ind peak RSS rose by up to 5.6% over the slot-by-slot
 # walk on some seeds, at 8 by at most 2.7%, with no loss of speed.
 _PICK_DEPTH = 8
+# Scores sorted at once by `_preferences`. From 1 << 14 up its speed is
+# flat; at 1 << 18 one block held all of alloc-ind's 2000x100 and the
+# benchmark's peak RSS rose by 2 MB.
+_SORT_BLOCK = 1 << 15
 
 ALLOCATION = "allocation"
 APPENDING = "appending"
@@ -115,10 +119,32 @@ def _id_ranks(ids):
     return ranks
 
 
-def _preferences(scores, id_rank):
-    """Per-row item indices by descending score, ties by ascending item id."""
+def _preferences(scores, id_rank, depth):
+    """(m, depth) item indices per row by descending score, ties by
+    ascending item id: the first `depth` columns of each row's
+    `np.lexsort((id_rank, -scores))`.
+
+    Distinct scores have one descending order, so an unstable argsort finds
+    it. A row is sorted again with the id tie-break only where two of its
+    first depth + 1 sorted scores are equal (0.0 and -0.0 included): with
+    no such tie, its first depth items each score strictly above every
+    item after them. Rows go a block of `_SORT_BLOCK` scores at a time, so
+    no temporary grows to (m, n).
+    """
     m, n = scores.shape
-    return np.lexsort((np.broadcast_to(id_rank, (m, n)), -scores), axis=1)
+    out = np.empty((m, depth), dtype=np.intp)
+    step = max(1, _SORT_BLOCK // n)
+    for lo in range(0, m, step):
+        block = scores[lo:lo + step]
+        order = np.argsort(-block, axis=1)
+        lead = np.take_along_axis(block, order[:, :depth + 1], axis=1)
+        out[lo:lo + step] = order[:, :depth]
+        tied = np.flatnonzero((lead[:, 1:] == lead[:, :-1]).any(axis=1))
+        if tied.size:
+            out[lo + tied] = np.lexsort(
+                (np.broadcast_to(id_rank, (tied.size, n)), -block[tied]),
+                axis=1)[:, :depth]
+    return out
 
 
 def _exchange(c, r, slate, avail, needy, scores, id_rank):
@@ -177,6 +203,7 @@ def _picks(rows, start, pref, avail, open_item, budget):
     are gathered at once, so no temporary grows to (m, n).
     """
     n = pref.shape[1]
+    flat_pref, flat_avail = pref.ravel(), avail.ravel()
     at = np.full(len(rows), n)
     item = np.full(len(rows), -1)
     todo = np.flatnonzero(start < n)
@@ -184,9 +211,9 @@ def _picks(rows, start, pref, avail, open_item, budget):
     width = _PICK_DEPTH
     while todo.size:
         cols = lo[:, None] + np.arange(width)
-        row = rows[todo, None]
-        items = pref[row, np.minimum(cols, n - 1)]
-        hit = open_item[items] & avail[row, items] & (cols < n)
+        base = rows[todo, None] * n
+        items = flat_pref.take(base + np.minimum(cols, n - 1))
+        hit = open_item[items] & flat_avail.take(base + items) & (cols < n)
         j = hit.argmax(axis=1)
         found = hit[np.arange(todo.size), j]
         at[todo[found]] = lo[found] + j[found]
@@ -298,7 +325,8 @@ def _deadlines(probs):
 
 
 def _resort(items, phases, scores_row, id_rank, deadline):
-    """Relevance-descending permutation that never demotes allocation items.
+    """Relevance-descending permutations that never demote allocation
+    items, one per row of `items`.
 
     A plain sort can push an allocation-phase item below the rank whose
     examination probability was charged against its group's quota, silently
@@ -310,25 +338,34 @@ def _resort(items, phases, scores_row, id_rank, deadline):
     Whenever the plain sort already meets every deadline, the result is
     identical to it: the critical items pending at rank r must then fill
     ranks r..d exactly, so the plain sort's item at rank r is among them.
+
+    All rows fill rank r together. Items in a row are distinct, so the most
+    relevant candidate (ties by item id) is the one the plain sort ranks
+    first.
     """
-    k = len(items)
-    placed = np.zeros(k, dtype=bool)
-    out = np.empty(k, dtype=int)
+    rows, k = items.shape
+    plain = np.lexsort(
+        (id_rank[items], -np.take_along_axis(scores_row, items, axis=1)),
+        axis=1)
+    plain_rank = np.empty_like(plain)
+    np.put_along_axis(plain_rank, plain, np.arange(k)[None, :], axis=1)
+    at = np.arange(rows)
+    placed = np.zeros((rows, k), dtype=bool)
+    out = np.empty((rows, k), dtype=int)
     for r in range(k):
-        pending = [j for j in range(k) if not placed[j] and phases[j] == 1]
+        pending = (phases == 1) & ~placed
         # critical: the smallest d by which d - r + 1 pending items are
         # due, so they must fill ranks r..d; the (i+1)-th earliest due
-        # rank d qualifies once i + 1 >= d - r + 1
-        due = sorted(deadline[j] for j in pending)
-        critical = next((d for i, d in enumerate(due) if i >= d - r), None)
-        if critical is not None:
-            cands = [j for j in pending if deadline[j] <= critical]
-        else:
-            cands = [j for j in range(k) if not placed[j]]
-        best = min(cands,
-                   key=lambda j: (-scores_row[items[j]], id_rank[items[j]]))
-        placed[best] = True
-        out[r] = best
+        # rank d qualifies once i + 1 >= d - r + 1 (k marks no item)
+        due = np.sort(np.where(pending, deadline, k), axis=1)
+        hit = (due < k) & (np.arange(k) >= due - r)
+        i = hit.argmax(axis=1)
+        critical = np.where(hit[at, i], due[at, i], -1)[:, None]
+        cands = np.where(critical >= 0, pending & (deadline <= critical),
+                         ~placed)
+        best = np.where(cands, plain_rank, k).argmin(axis=1)
+        placed[at, best] = True
+        out[:, r] = best
     return out
 
 
@@ -355,7 +392,7 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     id_rank = _id_ranks(rel.item_ids)
     gidx = groups.indices(rel)
     n_groups = len(groups.group_ids)
-    pref = _preferences(scores, id_rank)  # row c = c's items, best first
+    pref = _preferences(scores, id_rank, n)  # row c = c's items, best first
 
     slate = np.full((m, k), -1, dtype=int)
     phase = np.zeros((m, k), dtype=np.int8)  # 1 allocation, 2 appending
@@ -394,9 +431,9 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     deadline = _deadlines(model.probs)
     new_rank = np.empty_like(perm)
     np.put_along_axis(new_rank, perm, np.arange(k)[None, :], axis=1)
-    late = ((phase == 1) & (new_rank > deadline)).any(axis=1)
-    for c in np.flatnonzero(late):
-        perm[c] = _resort(slate[c], phase[c], scores[c], id_rank, deadline)
+    late = np.flatnonzero(((phase == 1) & (new_rank > deadline)).any(axis=1))
+    perm[late] = _resort(slate[late], phase[late], scores[late], id_rank,
+                         deadline)
     return SlateSet(
         consumer_ids=rel.consumer_ids, item_ids=rel.item_ids, rows=order,
         items=np.take_along_axis(slate, perm, axis=1),

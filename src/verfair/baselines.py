@@ -33,7 +33,7 @@ def top_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
     """Each consumer's k highest-relevance items, descending."""
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
-    top = _preferences(rel.scores, _id_ranks(rel.item_ids))[:, :k].copy()
+    top = _preferences(rel.scores, _id_ranks(rel.item_ids), k)
     return _horizontal(rel, top)
 
 

@@ -32,6 +32,9 @@ class RelevanceMatrix:
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "scores", scores)
+        if scores.ndim != 2:
+            raise DataError(f"relevance scores must be a 2-D matrix, "
+                            f"got shape {scores.shape}")
         m, n = scores.shape
         if m < 1 or n < 1:
             raise DataError("relevance matrix must be at least 1x1")

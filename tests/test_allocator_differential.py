@@ -6,6 +6,8 @@ compared with `==`, so slates, phase tags, pre-re-sort ranks, the fallback
 flag and the granted exposure must all be bit-identical.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,9 +101,9 @@ def test_tiny_family_with_exchanges(monkeypatch):
 def test_large_instance_takes_the_slow_resort_on_few_rows(monkeypatch):
     resorted = []
 
-    def counting_resort(*args):
-        resorted.append(1)
-        return real_resort(*args)
+    def counting_resort(items, *args):
+        resorted.append(len(items))
+        return real_resort(items, *args)
 
     real_resort = allocator._resort
     monkeypatch.setattr(allocator, "_resort", counting_resort)
@@ -109,7 +111,7 @@ def test_large_instance_takes_the_slow_resort_on_few_rows(monkeypatch):
     model = ExposureModel.pbm(1.0, 10)
     for alpha in (0.7, 1.0):
         assert_same(rel, identity_groups(rel), model, alpha, seed=7)
-    assert 0 < len(resorted) < rel.m
+    assert 0 < sum(resorted) < rel.m
 
 
 def skewed_groups(m, seed):
@@ -181,7 +183,83 @@ def test_resort_matches_reference(k, extra, eta, seed):
     items = rng.permutation(n)[:k]
     phases = rng.choice(np.array([1, 2], dtype=np.int8), size=k)
     probs = ExposureModel.pbm(eta, k).probs
-    got = _resort(items, phases, scores_row, id_rank, _deadlines(probs))
+    got = _resort(items[None], phases[None], scores_row[None], id_rank,
+                  _deadlines(probs))[0]
     want = reference_allocator._resort(items, phases, scores_row, id_rank,
                                        probs)
     assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_batched_resort_matches_reference_on_every_late_row(monkeypatch,
+                                                            alpha):
+    # every row whose plain sort breaks a deadline, on a wide input where
+    # hundreds of them do
+    calls = []
+
+    def recording_resort(*args):
+        out = real_resort(*args)
+        calls.append((args, out))
+        return out
+
+    real_resort = allocator._resort
+    monkeypatch.setattr(allocator, "_resort", recording_resort)
+    rel = synth_relevance(1000, 1000, seed=1)
+    model = ExposureModel.pbm(1.0, 10)
+    allocator.allocate(rel, identity_groups(rel), model, alpha, seed=1)
+    [((items, phases, scores, id_rank, _), out)] = calls
+    assert len(items) >= 300
+    for row in range(len(items)):
+        want = reference_allocator._resort(items[row], phases[row],
+                                           scores[row], id_rank, model.probs)
+        assert out[row].tolist() == want.tolist()
+
+
+def lexsort_preferences(scores, id_rank):
+    return np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores),
+                      axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 30), n=st.integers(1, 12),
+       block_rows=st.integers(1, 31), rounded=st.booleans(),
+       equal_rows=st.booleans(), signed_zeros=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_preferences_match_lexsort(m, n, block_rows, rounded, equal_rows,
+                                   signed_zeros, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.random((m, n))
+    if rounded:  # three score levels, so the item-id tie-breaks decide
+        scores = np.ceil(scores * 3) / 3
+    if equal_rows:
+        same = rng.random(m) < 0.3
+        scores[same] = scores[same, :1]
+    if signed_zeros:  # 0.0 and -0.0 compare equal and tie on the id
+        zero = rng.random((m, n)) < 0.4
+        scores[zero] = rng.choice([0.0, -0.0], size=zero.sum())
+    id_rank = rng.permutation(n)  # item ids not in sorted order
+    want = lexsort_preferences(scores, id_rank)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocator, "_SORT_BLOCK", block_rows * n)
+        for depth in range(1, n + 1):
+            got = allocator._preferences(scores, id_rank, depth)
+            assert got.tolist() == want[:, :depth].tolist(), depth
+
+
+def test_preferences_at_10k_by_1k_match_lexsort_within_its_memory():
+    rel = synth_relevance(10_000, 1000, seed=1)
+    id_rank = allocator._id_ranks(rel.item_ids)
+    tracemalloc.start()
+    try:
+        want = lexsort_preferences(rel.scores, id_rank)
+        lexsort_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        got = allocator._preferences(rel.scores, id_rank, rel.n)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= lexsort_peak
+    assert np.array_equal(allocator._preferences(rel.scores, id_rank, 10),
+                          want[:, :10])

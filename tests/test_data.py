@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import warnings
 
 import numpy as np
@@ -195,6 +196,11 @@ class TestValidation:
     def test_duplicate_item_ids_rejected(self):
         with pytest.raises(DataError):
             RelevanceMatrix(("c1",), ("A", "A"), np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2, 2)])
+    def test_non_matrix_scores_name_their_shape(self, shape):
+        with pytest.raises(DataError, match=rf"2-D.*{re.escape(str(shape))}"):
+            RelevanceMatrix(("c1",), ("A", "B"), np.ones(shape))
 
 
 @settings(max_examples=30, deadline=None)
