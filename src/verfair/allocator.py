@@ -125,25 +125,37 @@ def _preferences(scores, id_rank, depth):
     `np.lexsort((id_rank, -scores))`.
 
     Distinct scores have one descending order, so an unstable argsort finds
-    it. A row is sorted again with the id tie-break only where two of its
-    first depth + 1 sorted scores are equal (0.0 and -0.0 included): with
-    no such tie, its first depth items each score strictly above every
-    item after them. Rows go a block of `_SORT_BLOCK` scores at a time, so
-    no temporary grows to (m, n).
+    it. A row is sorted again only where two of its first depth + 1 sorted
+    scores are equal (0.0 and -0.0 included): with no such tie, its first
+    depth items each score strictly above every item after them. The
+    repair is a stable sort of the row's scores laid out in item-id order,
+    so equal scores keep ascending ids. Once most rows of a block tie, as
+    rated or rounded relevance does, the unstable pass is wasted work and
+    every later block goes to the stable sort outright. Rows go a block of
+    `_SORT_BLOCK` scores at a time, so no temporary grows to (m, n).
     """
     m, n = scores.shape
+    by_id = np.argsort(id_rank)
+
+    def stable(rows):
+        return by_id[np.argsort(-rows[:, by_id], axis=1,
+                                kind="stable")[:, :depth]]
+
     out = np.empty((m, depth), dtype=np.intp)
     step = max(1, _SORT_BLOCK // n)
+    mostly_tied = False
     for lo in range(0, m, step):
         block = scores[lo:lo + step]
+        if mostly_tied:
+            out[lo:lo + step] = stable(block)
+            continue
         order = np.argsort(-block, axis=1)
         lead = np.take_along_axis(block, order[:, :depth + 1], axis=1)
         out[lo:lo + step] = order[:, :depth]
         tied = np.flatnonzero((lead[:, 1:] == lead[:, :-1]).any(axis=1))
         if tied.size:
-            out[lo + tied] = np.lexsort(
-                (np.broadcast_to(id_rank, (tied.size, n)), -block[tied]),
-                axis=1)[:, :depth]
+            out[lo + tied] = stable(block[tied])
+        mostly_tied = 2 * tied.size > len(block)
     return out
 
 

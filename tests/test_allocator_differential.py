@@ -222,15 +222,19 @@ def lexsort_preferences(scores, id_rank):
 
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 30), n=st.integers(1, 12),
-       block_rows=st.integers(1, 31), rounded=st.booleans(),
+       block_rows=st.integers(1, 31),
+       rounded=st.sampled_from(["none", "all", "first", "last"]),
        equal_rows=st.booleans(), signed_zeros=st.booleans(),
        seed=st.integers(0, 10_000))
 def test_preferences_match_lexsort(m, n, block_rows, rounded, equal_rows,
                                    signed_zeros, seed):
     rng = np.random.default_rng(seed)
     scores = rng.random((m, n))
-    if rounded:  # three score levels, so the item-id tie-breaks decide
-        scores = np.ceil(scores * 3) / 3
+    # three score levels, so the item-id tie-breaks decide; with half the
+    # rows tied, blocks that switch to the stable sort meet untied rows
+    rows = {"none": slice(0), "all": slice(None), "first": slice(m // 2),
+            "last": slice(m // 2, None)}[rounded]
+    scores[rows] = np.ceil(scores[rows] * 3) / 3
     if equal_rows:
         same = rng.random(m) < 0.3
         scores[same] = scores[same, :1]
@@ -246,20 +250,24 @@ def test_preferences_match_lexsort(m, n, block_rows, rounded, equal_rows,
             assert got.tolist() == want[:, :depth].tolist(), depth
 
 
-def test_preferences_at_10k_by_1k_match_lexsort_within_its_memory():
+@pytest.mark.parametrize("rounded", [False, True])
+def test_preferences_at_10k_by_1k_match_lexsort_within_its_memory(rounded):
     rel = synth_relevance(10_000, 1000, seed=1)
+    scores = rel.scores
+    if rounded:  # five score levels: every row ties, like rated relevance
+        scores = np.round(scores * 4) / 4
     id_rank = allocator._id_ranks(rel.item_ids)
     tracemalloc.start()
     try:
-        want = lexsort_preferences(rel.scores, id_rank)
+        want = lexsort_preferences(scores, id_rank)
         lexsort_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        got = allocator._preferences(rel.scores, id_rank, rel.n)
+        got = allocator._preferences(scores, id_rank, rel.n)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert peak <= lexsort_peak
-    assert np.array_equal(allocator._preferences(rel.scores, id_rank, 10),
+    assert np.array_equal(allocator._preferences(scores, id_rank, 10),
                           want[:, :10])
