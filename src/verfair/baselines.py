@@ -7,6 +7,7 @@ vertical allocator returns, so the evaluation stack treats them uniformly.
 
 from __future__ import annotations
 
+import heapq
 from itertools import permutations
 
 import numpy as np
@@ -47,31 +48,69 @@ def random_k(rel: RelevanceMatrix, k, seed) -> SlateSet:
     return _horizontal(rel, slate_idx)
 
 
+def _top_k(neg, id_rank, k):
+    """The first k of `np.lexsort((id_rank, neg))`: positions of the k
+    smallest `neg`, ties by ascending id rank, nan last.
+
+    When n is large against k (n >= 256 and n >= 4k) it keeps only the
+    entries not above the k-th smallest value, found by `np.partition`,
+    and sorts those. That is faster when few entries tie at the k-th
+    value; when most do, it sorts nearly all n after the partition."""
+    if neg.size < max(256, 4 * k):
+        return np.lexsort((id_rank, neg))[:k]
+    kth = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(~(neg > kth))  # nan is never above: kept, sorts last
+    return cand[np.lexsort((id_rank[cand], neg[cand]))[:k]]
+
+
 def pr_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
     """Pure-fairness baseline: give each consumer the k most under-exposed
     items relative to their full fair share (alpha=1), largest deficit at
-    the top rank, updating the running ledger after each slate."""
+    the top rank, updating the running ledger after each slate.
+
+    A slate changes only its own k items' deficits. So when k is small
+    against n (k <= 16 and n >= 16k) every item sits in one heap keyed
+    (-(quota - exposure), id rank): each consumer pops the k smallest
+    keys, the (deficit desc, item id asc) order, and pushes those k back
+    with their new exposure. Otherwise the heap's 2k Python-level calls
+    per consumer cost more than sorting all n deficits by `_top_k`."""
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
     id_rank = _id_ranks(rel.item_ids)
     quota = compute_quotas(rel, identity_groups(rel), model, 1.0)
     quota_vec = np.array([quota.per_group[d] for d in rel.item_ids])
-    exposure = np.zeros(rel.n)
-    slate_idx = np.empty((rel.m, k), dtype=int)
-    for c in range(rel.m):
-        deficit = quota_vec - exposure
-        picks = np.lexsort((id_rank, -deficit))[:k]
-        slate_idx[c] = picks
-        exposure[picks] += model.probs[:k]
-    return _horizontal(rel, slate_idx)
+    probs = model.probs[:k]
+    if k > 16 or rel.n < 16 * k:
+        exposure = np.zeros(rel.n)
+        slate_idx = np.empty((rel.m, k), dtype=int)
+        for c in range(rel.m):
+            # exposure - quota is -(quota - exposure) up to the sign of 0
+            picks = _top_k(exposure - quota_vec, id_rank, k)
+            slate_idx[c] = picks
+            exposure[picks] += probs
+        return _horizontal(rel, slate_idx)
+    quotas = quota_vec.tolist()
+    exposure = [0.0] * rel.n
+    heap = [(-q, r, j) for j, (q, r) in enumerate(zip(quotas, id_rank.tolist()))]
+    heapq.heapify(heap)
+    picked = []
+    for _ in range(rel.m):
+        top = [heapq.heappop(heap) for _ in range(k)]
+        # strict: a k beyond model.k raises instead of losing popped items
+        for (_, r, j), p in zip(top, probs.tolist(), strict=True):
+            exposure[j] += p
+            heapq.heappush(heap, (-(quotas[j] - exposure[j]), r, j))
+            picked.append(j)
+    return _horizontal(rel, np.array(picked, dtype=int).reshape(rel.m, k))
 
 
 def fairco(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
            lam) -> SlateSet:
     """Proportional-controller baseline: boost each item's score by its
     group's under-exposure relative to the best exposure-to-relevance
-    ratio seen so far, then rank top-k by the boosted score. It works at
-    the level of `groups`; `identity_groups(rel)` gives individual level."""
+    ratio seen so far, then rank top-k by the boosted score, ties by
+    item id (`_top_k`). It works at the level of `groups`;
+    `identity_groups(rel)` gives individual level."""
     if rel.n < model.k:
         raise ValueError(f"need n >= k (n={rel.n}, k={model.k})")
     if not (np.isfinite(lam) and lam >= 0):
@@ -79,19 +118,19 @@ def fairco(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     gidx = groups.indices(rel)
     rg = group_relevance(rel, groups)
     positive = rg > 0
+    # exposure / inf = 0 keeps groups without relevance out of the max
+    rg_safe = np.where(positive, rg, np.inf)
     id_rank = _id_ranks(rel.item_ids)
     k = model.k
+    probs = model.probs[:k]
     exposure = np.zeros(len(groups.group_ids))
     slate_idx = np.empty((rel.m, k), dtype=int)
     for c in range(rel.m):
-        err = np.zeros(len(groups.group_ids))
-        if positive.any():
-            ratio = np.where(positive, exposure / np.where(positive, rg, 1.0), 0.0)
-            err[positive] = np.maximum(0.0, ratio[positive].max() - ratio[positive])
-        boosted = rel.scores[c] + lam * err[gidx]
-        picks = np.lexsort((id_rank, -boosted))[:k]
+        ratio = exposure / rg_safe
+        err = np.where(positive, np.maximum(0.0, ratio.max() - ratio), 0.0)
+        picks = _top_k(-(rel.scores[c] + lam * err[gidx]), id_rank, k)
         slate_idx[c] = picks
-        np.add.at(exposure, gidx[picks], model.probs[:k])
+        np.add.at(exposure, gidx[picks], probs)
     return _horizontal(rel, slate_idx)
 
 

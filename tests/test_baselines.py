@@ -170,6 +170,23 @@ class TestFairco:
         assert np.array_equal(fairco(rel, singletons, model, 2.0).items,
                               individual.items)
 
+    def test_zero_relevance_group_is_never_boosted(self):
+        # group "z" has all-zero columns and ids that sort first, so any
+        # boost it got would win the tie-break; the other nine items are
+        # positive everywhere and can always fill k=4
+        rel = synth_relevance(200, 12, seed=21)
+        scores = rel.scores.copy()
+        scores[:, :3] = 0.0
+        item_ids = ("a0", "a1", "a2") + rel.item_ids[3:]
+        rel = RelevanceMatrix(rel.consumer_ids, item_ids, scores)
+        groups = GroupMap({d: "z" if j < 3 else f"g{j % 2}"
+                           for j, d in enumerate(item_ids)}, ("g0", "g1", "z"))
+        model = ExposureModel.pbm(1.0, 4)
+        assert (scores[:, 3:] > 0).all()
+        s = fairco(rel, groups, model, 1e6)
+        assert not np.isin(s.items, [0, 1, 2]).any()
+        assert not np.array_equal(s.items, top_k(rel, model, 4).items)
+
 
 class TestOracle:
     def test_alpha_zero_top_k_feasible(self, three_equal):

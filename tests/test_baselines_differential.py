@@ -1,0 +1,142 @@
+"""pr_k and fairco must return exactly what their frozen references return.
+
+`reference_baselines.py` holds the full-`lexsort` selections that the
+deficit heap (`pr_k`) and the partition select (`_top_k`) replaced. The
+(m, k) item arrays are compared with `np.array_equal`, so every slate,
+every rank and every tie-break must match. Item counts are drawn near k
+(full `lexsort`), at 16k and more (`pr_k`'s heap) and at 256 and more
+(`_top_k`'s partition), so every path is compared.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_baselines
+from helpers import random_groups
+from verfair import (ExposureModel, GroupMap, RelevanceMatrix, fairco,
+                     identity_groups, pr_k, synth_relevance)
+from verfair.baselines import _top_k
+
+LAMBDAS = (0.0, 1e-9, 0.01, 1.0, 1e6)
+
+
+def assert_pr_k_same(rel, model):
+    try:
+        want = reference_baselines.pr_k(rel, model, model.k).items
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            pr_k(rel, model, model.k)
+        assert str(got.value) == str(err)
+        return
+    assert np.array_equal(pr_k(rel, model, model.k).items, want), \
+        (rel.m, rel.n, model.k, model.eta)
+
+
+def assert_fairco_same(rel, groups, model, lam):
+    got = fairco(rel, groups, model, lam).items
+    want = reference_baselines.fairco(rel, groups, model, lam).items
+    assert np.array_equal(got, want), (rel.m, rel.n, model.k, model.eta, lam)
+
+
+def instance(m, n, seed, levels, zero_cols, neg_zero, shuffled_ids):
+    """`synth_relevance` scores, optionally rounded to `levels` values
+    (ties), with a random share `zero_cols` of all-zero columns, zeros
+    flipped to -0.0 with probability `neg_zero`, and item ids that sort
+    in another order than the columns."""
+    rng = np.random.default_rng(seed)
+    rel = synth_relevance(m, n, seed=seed)
+    scores = rel.scores.copy()
+    if levels:
+        scores = np.round(scores * levels) / levels
+    scores[:, rng.random(n) < zero_cols] = 0.0
+    scores[(scores == 0) & (rng.random(scores.shape) < neg_zero)] = -0.0
+    item_ids = rel.item_ids
+    if shuffled_ids:
+        item_ids = tuple(item_ids[j] for j in rng.permutation(n))
+    return RelevanceMatrix(rel.consumer_ids, item_ids, scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 40), k=st.integers(1, 5),
+       base=st.sampled_from(["k", "16k", "256"]), extra=st.integers(0, 8),
+       eta=st.sampled_from([0.0, 1.0, 2.0]), lam=st.sampled_from(LAMBDAS),
+       levels=st.sampled_from([0, 1, 2, 3]),
+       zero_cols=st.sampled_from([0.0, 0.3, 1.0]),
+       neg_zero=st.sampled_from([0.0, 0.5, 1.0]),
+       grouped=st.booleans(), zero_group=st.booleans(),
+       shuffled_ids=st.booleans(), seed=st.integers(0, 10_000))
+def test_hypothesis_family(m, k, base, extra, eta, lam, levels, zero_cols,
+                           neg_zero, grouped, zero_group, shuffled_ids, seed):
+    n = {"k": k, "16k": 16 * k, "256": 256}[base] + extra
+    rel = instance(m, n, seed, levels, zero_cols, neg_zero, shuffled_ids)
+    groups = (random_groups(rel, np.random.default_rng(seed)) if grouped
+              else identity_groups(rel))
+    if zero_group:  # every column of one group zero: its relevance is 0
+        gidx = groups.indices(rel)
+        scores = rel.scores.copy()
+        scores[:, gidx == gidx[seed % rel.n]] = 0.0
+        rel = RelevanceMatrix(rel.consumer_ids, rel.item_ids, scores)
+    model = ExposureModel.pbm(eta, k)
+    assert_pr_k_same(rel, model)
+    assert_fairco_same(rel, groups, model, lam)
+
+
+def test_all_zero_matrix():
+    rel = RelevanceMatrix(("c1", "c2"), ("B", "A", "C"), np.zeros((2, 3)))
+    model = ExposureModel.pbm(1.0, 2)
+    assert_pr_k_same(rel, model)
+    with pytest.raises(ValueError, match="total relevance is zero"):
+        pr_k(rel, model, 2)
+    for lam in LAMBDAS:
+        assert_fairco_same(rel, identity_groups(rel), model, lam)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_nan_boosts_sort_last(lam, k):
+    # item "A" has a subnormal average relevance and is the first slate's
+    # top pick; its exposure ratio then overflows to inf, so err (and at
+    # lam=0, 0 * inf) turns later boosted scores into nan
+    scores = np.full((6, 4), 0.5)
+    scores[0] = 0.0
+    scores[:, 2] = 5e-324
+    rel = RelevanceMatrix(tuple(f"c{i}" for i in range(6)),
+                          ("D", "B", "A", "C"), scores)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_fairco_same(rel, identity_groups(rel),
+                           ExposureModel.pbm(1.0, k), lam)
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0])
+def test_benchmark_shape(lam):
+    # load-wide's shape: 500x1000, item popularity skew, k=10, eta=1
+    rel = synth_relevance(500, 1000, seed=9)
+    weight = np.random.default_rng(9).permutation(np.linspace(1.0, 0.2, 1000))
+    rel = RelevanceMatrix(rel.consumer_ids, rel.item_ids, rel.scores * weight)
+    model = ExposureModel.pbm(1.0, 10)
+    twenty = GroupMap({d: f"g{j % 20}" for j, d in enumerate(rel.item_ids)},
+                      tuple(f"g{g}" for g in range(20)))
+    assert_fairco_same(rel, identity_groups(rel), model, lam)
+    assert_fairco_same(rel, twenty, model, lam)
+    if lam == 1.0:
+        assert_pr_k_same(rel, model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 5, 40, 255, 256, 300, 1100]),
+       data=st.data(), levels=st.sampled_from([0, 1, 3]),
+       special=st.sampled_from([0.0, -0.0, np.nan]),
+       share=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 10_000))
+def test_top_k_is_the_head_of_lexsort(n, data, levels, special, share, seed):
+    # both sides of the partition switch (n >= 256 and n >= 4k), k up to n
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    neg = -rng.random(n)
+    if levels:
+        neg = np.round(neg * levels) / levels
+    neg[rng.random(n) < share] = special
+    id_rank = rng.permutation(n)
+    assert np.array_equal(_top_k(neg, id_rank, k),
+                          np.lexsort((id_rank, neg))[:k])
