@@ -10,7 +10,7 @@ Canonical on-disk formats:
 from __future__ import annotations
 
 import csv
-import itertools
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -96,21 +96,30 @@ class GroupMap:
         return np.array([gpos[self.assignment[d]] for d in items.item_ids])
 
 
-# Rows of the score block handed to one np.loadtxt call.
-_CHUNK_ROWS = 4096
-# Characters that send a file to the csv parser: the quote, NUL (a csv
-# error before Python 3.11), and the ASCII separators that np.loadtxt
-# strips around a number as whitespace and float() rejects.
-_CSV_PARSER_ONLY = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+# Score fields per chunk of lines read at once, and per sub-block of the
+# decimal kernel, whose temporaries hold one or three words a field. Chunks
+# of 2**15 fields read up to 1.5 MB more peak RSS than 2**14 on seeds of
+# the benchmark's 1000 x 100 input.
+_CHUNK_FIELDS = 2 ** 14
+_BLOCK_FIELDS = 2 ** 12
+# The second pass of the kernel costs about what float() does on a few
+# hundred fields; fewer fields than this go straight to float().
+_FEW_FIELDS = 64
+# Bytes that send a file to the csv parser: the quote, and NUL (a csv
+# error before Python 3.11).
+_CSV_PARSER_ONLY = (b'"', b"\x00")
+# Ends each chunk, so that every read of the kernel stays inside it:
+# spaces are neither separators nor digits.
+_PAD = b" " * 32
 
 
 def load_relevance(path) -> RelevanceMatrix:
     """Read a relevance CSV, validating shape, ids and score values.
 
-    The score block is parsed by `np.loadtxt` in chunks of rows. A file that
-    parse cannot read exactly as `csv.reader` and `float()` would is read
-    again by the csv parser, which returns the same matrix or raises the
-    error that names the line and item.
+    The scores are converted by an exact numpy decimal kernel, in chunks of
+    lines. A file that parse cannot read exactly as `csv.reader` and
+    `float()` would is read again by the csv parser, which returns the same
+    matrix or raises the error that names the line and item.
     """
     parsed = _parse_relevance_numpy(path)
     if parsed is None:
@@ -121,59 +130,307 @@ def load_relevance(path) -> RelevanceMatrix:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _plain(lines, limit):
-    """True when csv.reader splits `lines` at each comma, no field is longer
-    than `limit`, and float() reads every number as np.loadtxt does."""
-    text = "".join(lines)
-    if any(c in text for c in _CSV_PARSER_ONLY):
-        return False
-    return max(map(len, lines)) <= limit or all(
-        max(map(len, line.split(","))) <= limit for line in lines)
-
-
 def _parse_relevance_numpy(path):
     """(consumer_ids, item_ids, scores) of a relevance CSV, or None where
     the result could differ from `_parse_relevance_csv`'s, which includes
     every file that parser rejects.
 
-    Without quotes, csv rows are the file's lines under universal newlines,
-    split at each comma. np.loadtxt converts each number with
-    PyOS_string_to_double, the same correctly rounded conversion as
-    float(), so the scores are bit-equal.
+    Without quotes, csv rows are the file's lines, split at each comma.
+    The file is read in chunks of whole lines, of about 2**14 fields if
+    the lines are like the first, and `_parse_rows` reads each chunk.
     """
     limit = csv.field_size_limit()
     consumer_ids = []
-    blocks = []
+    with open(path, "rb") as fh:
+        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        if not _plain(header) or b"\r" in header:
+            return None
+        try:
+            fields = header.decode().split(",")
+        except UnicodeDecodeError:
+            return None
+        if (len(fields) < 2 or fields[0] != "consumer_id"
+                or max(map(len, fields)) > limit):
+            return None
+        n = len(fields) - 1
+        line = fh.readline()
+        size = len(line) * max(1, _CHUNK_FIELDS // n)
+        # room for the rows of a file of lines like the first (a line of n
+        # numbers is at least 2n + 1 bytes); pages of rows never written
+        # are never touched
+        scores = np.empty((os.fstat(fh.fileno()).st_size
+                           // max(len(line), 2 * n + 1) + 1, n))
+        m = 0
+        while line:
+            parsed = _parse_rows(
+                b"".join([line, fh.read(size), fh.readline(), _PAD]), n, limit)
+            if parsed is None:
+                return None
+            consumer_ids += parsed[0]
+            block = parsed[1]
+            if m + len(block) > len(scores):
+                grown = np.empty((2 * (m + len(block)), n))
+                grown[:m] = scores[:m]
+                scores = grown
+            scores[m:m + len(block)] = block
+            m += len(block)
+            line = fh.readline()
+    if not m:
+        return None
+    return tuple(consumer_ids), tuple(fields[1:]), scores[:m]
+
+
+def _plain(data):
+    """True when csv.reader splits the bytes `data` at each comma and
+    newline."""
+    return not any(c in data for c in _CSV_PARSER_ONLY)
+
+
+def _parse_rows(data, n, limit):
+    """(consumer_ids, (rows, n) scores) of the whole lines that start the
+    bytes `data`, each a consumer id and n numbers, then _PAD; or None when
+    the csv parser could read the lines otherwise.
+
+    The lines are split at commas and newlines in one pass over their
+    bytes. `_decimals` converts the scores, and every field it does not
+    certify goes to float(), the csv parser's own conversion, so the scores
+    are bit-equal.
+    """
+    if b"\r" in data:  # csv ends a row at "\r\n", "\n" or a lone "\r"
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
+    if not _plain(data):
+        return None
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            return None
+    if not data.endswith(b"\n" + _PAD):  # the file's last line
+        data = data.removesuffix(_PAD) + b"\n" + _PAD
+    buf = np.frombuffer(data, dtype=np.uint8)
+    sep = buf == ord(",")
+    sep |= buf == ord("\n")
+    sep = np.flatnonzero(sep)
+    newline = buf[sep] == ord("\n")
+    rows = np.count_nonzero(newline)
+    if sep.size != rows * (n + 1) or not newline[n::n + 1].all():
+        return None
+    # a field's bytes are never fewer than the csv parser's characters
+    line_starts = np.r_[0, sep[n:-1:n + 1] + 1]
+    if ((sep[n::n + 1] - line_starts).max() > limit
+            and np.diff(sep, prepend=-1).max() > limit + 1):
+        return None
+    sep = sep.reshape(rows, n + 1)
+    consumer_ids = _ids(buf, line_starts, sep[:, 0])
+    starts = (sep[:, :-1] + 1).ravel()
+    ends = sep[:, 1:].ravel()
+    scores = np.empty(rows * n)
+    exact = np.empty(rows * n, dtype=bool)
+    blocks = [slice(i, i + _BLOCK_FIELDS)
+              for i in range(0, rows * n, _BLOCK_FIELDS)]
+    for general in (False, True):
+        for block in blocks:
+            scores[block], exact[block] = _decimals(
+                data, starts[block], ends[block], general)
+        rest = np.flatnonzero(~exact)
+        if rest.size < _FEW_FIELDS:
+            break
+        # the fields the first pass leaves are read together by the second
+        blocks = [rest[i:i + _BLOCK_FIELDS]
+                  for i in range(0, rest.size, _BLOCK_FIELDS)]
+    if rest.size:
+        fallback = _float_fields(data, starts[rest], ends[rest])
+        if fallback is None:
+            return None
+        scores[rest] = fallback
+    return consumer_ids, scores.reshape(rows, n)
+
+
+def _ids(buf, starts, ends):
+    """The UTF-8 strings buf[starts[i]:ends[i]], none holding a comma."""
+    length = ends - starts + 1  # each with the comma after it
+    at = np.arange(length.sum()) + np.repeat(starts - np.cumsum(length)
+                                             + length, length)
+    return buf[at].tobytes().decode().split(",")[:-1]
+
+
+def _float_fields(data, starts, ends):
+    """float() of each field, as the csv parser converts it, or None when
+    one is not a number."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-            if not _plain([header], limit):
-                return None
-            header = header.removesuffix("\n").split(",")
-            if len(header) < 2 or header[0] != "consumer_id":
-                return None
-            n = len(header) - 1
-            while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
-                if not _plain(lines, limit):
-                    return None
-                tails = []
-                for line in lines:
-                    cid, _, tail = line.partition(",")
-                    consumer_ids.append(cid)
-                    tails.append(tail)
-                # no comma, or nothing after it: np.loadtxt would skip the row
-                if "\n" in tails or "" in tails:
-                    return None
-                block = np.loadtxt(tails, delimiter=",", dtype=np.float64,
-                                   comments=None, quotechar=None, ndmin=2)
-                if block.shape != (len(tails), n):
-                    return None
-                blocks.append(block)
-    except ValueError:  # a number loadtxt rejects, ragged rows, bad UTF-8
+        return [float(data[a:b].decode())
+                for a, b in zip(starts.tolist(), ends.tolist())]
+    except ValueError:
         return None
-    if not blocks:
-        return None
-    return tuple(consumer_ids), tuple(header[1:]), np.concatenate(blocks)
+
+
+# The decimal kernel reads a field as the integer w of its digits, eight
+# per 64-bit little-endian word (Lemire, "Number Parsing at a Gigabyte per
+# Second", 2021), and a power of ten q, then rounds w * 10**q from a
+# double-double product.
+_BYTES = 0x0101010101010101
+_ZEROS = np.uint64(ord("0") * _BYTES)
+_MAX_DIGITS = 18  # so that w < 2**60
+_WORD_AT = np.array([[0], [8], [16]])  # byte offset of the 3 digit words
+# The powers of ten the kernel rounds against: every product w * 10**q
+# and its parts stay normal doubles, and 10**22 is the last one exact.
+_Q_MIN, _Q_MAX = -100, 22
+_SPLIT = 2.0 ** 27 + 1  # Dekker's splitter for binary64
+
+
+def _pow10_table():
+    """(hi, lo, high, low) for 10**q, q from _Q_MIN to _Q_MAX: hi is 10**q
+    correctly rounded and lo the rest of it correctly rounded, both by
+    exact integer division; high + low is Dekker's split of hi."""
+    hi, lo = [], []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        h_num, h_den = (num / den).as_integer_ratio()
+        hi.append(h_num / h_den)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    high = c - (c - hi)
+    return hi, np.array(lo), high, hi - high
+
+
+_POW10 = _pow10_table()
+_POW10_INT = 10 ** np.arange(17, dtype=np.uint64)
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _read(data, at, words):
+    """The `words` little-endian 8-byte words at each byte offset `at` of
+    the bytes `data`, shape (words, len(at))."""
+    view = np.ndarray((len(data) - 8 * words + 1,), dtype=f"V{8 * words}",
+                      buffer=data, strides=(1,))
+    return np.ascontiguousarray(view[at].view("<u8").reshape(-1, words).T)
+
+
+def _ctz_bytes(x):
+    """Index of the lowest non-zero byte of each word, 8 for a zero word."""
+    return (np.bitwise_count((x - 1) & ~x) >> 3).astype(np.int64)
+
+
+def _find(words, byte):
+    """Offset of the first byte equal to `byte` in each column of three
+    consecutive words, 24 if none is."""
+    x = words ^ np.uint64(byte * _BYTES)
+    i = _ctz_bytes((x - _BYTES) & ~x & np.uint64(0x80 * _BYTES))
+    i = np.where(i < 8, i + _WORD_AT, 24)
+    return np.minimum(np.minimum(i[0], i[1]), i[2])
+
+
+def _digits(words, count):
+    """Value of the first `count` (0 to 8) bytes of each word as decimal
+    digits, and a word that is non-zero where they are not all digits."""
+    shift = (64 - 8 * count).astype(np.uint64)
+    # the digits move to the top bytes, and "0"s fill the bytes below them
+    x = (words << shift) | (_ZEROS >> (np.uint64(64) - shift))
+    bad = ((x + np.uint64(0x46 * _BYTES)) | (x - _ZEROS)) \
+        & np.uint64(0x80 * _BYTES)
+    x -= _ZEROS
+    x = x * np.uint64(10) + (x >> 8)
+    mask = np.uint64(0x000000FF000000FF)
+    x = ((x & mask) * np.uint64(100 + (1000000 << 32))
+         + ((x >> 16) & mask) * np.uint64(1 + (10000 << 32))) >> 32
+    return x, bad
+
+
+def _decimals(data, starts, ends, general):
+    """(values, exact) for the fields [starts, ends) of the bytes `data`:
+    values[i] is float() of field i wherever exact[i] is true.
+
+    Unless `general`, only fields that start with "0." are read, from the
+    first byte after it that is not "0". With `general`, every field is
+    read from its start, and may hold one decimal point anywhere and end in
+    `e` or `E`, a sign and 1 to 7 digits. A field is kept when it has at
+    most 18 digits where it is read and the rounding of w * 10**q is
+    certified (see `_round`).
+    """
+    if general:
+        words, count, q, valid = _mantissa(data, starts, ends)
+    else:
+        head = _read(data, starts, 2)
+        valid = (head[0] & np.uint64(0xFFFF)) == np.uint64(0x2E30)
+        zeros = _ctz_bytes(((head[0] >> 16) | (head[1] << 48)) ^ _ZEROS)
+        first = starts + 2 + zeros
+        words = _read(data, first, 3)
+        count = ends - first
+        q = starts + 2 - ends  # -(zeros + count), at least -26 if valid
+    n = np.minimum(np.maximum(count - _WORD_AT, 0), 8)
+    value, bad = _digits(words, n)
+    valid &= ((bad[0] | bad[1] | bad[2]) == 0) & (count <= _MAX_DIGITS)
+    w = (value[0] * _POW10_INT[n[1] + n[2]] + value[1] * _POW10_INT[n[2]]
+         + value[2])
+    values, certified = _round(w * valid, (q - _Q_MIN) * valid)
+    return values, valid & certified
+
+
+def _mantissa(data, starts, ends):
+    """The digit words of each field with its decimal point squeezed out,
+    its digit count, q, and whether it has digits and its exponent is well
+    formed."""
+    words = _read(data, starts, 3)
+    length = ends - starts
+    mantissa = np.minimum(_find(words | np.uint64(0x20 * _BYTES), ord("e")),
+                          length)
+    dot = _find(words, ord("."))
+    has_dot = dot < mantissa
+    count = mantissa - has_dot
+    q = has_dot * (dot + 1 - mantissa)
+    # the exponent: an optional sign, then 1 to 7 digits
+    at = starts + mantissa + 1
+    x = _read(data, at, 1)[0]
+    sign = x & np.uint64(0xFF)
+    signed = (sign == ord("-")) | (sign == ord("+"))
+    exp_digits = ends - at - signed
+    value, bad = _digits(x >> (8 * signed).astype(np.uint64),
+                         np.minimum(np.maximum(exp_digits, 0), 7))
+    value = value.astype(np.int64)
+    has_exp = mantissa < length
+    q += has_exp * np.where(sign == ord("-"), -value, value)
+    valid = ((count >= 1) & (q >= _Q_MIN) & (q <= _Q_MAX)
+             & (~has_exp | ((bad == 0) & (exp_digits >= 1)
+                            & (exp_digits <= 7))))
+    # digits after the point are read one byte further on
+    dot = np.where(has_dot, dot, 24) - _WORD_AT
+    keep = _LOW_BYTES[np.minimum(np.maximum(dot, 0), 8)]
+    words = (words & keep) | (_read(data, starts + 1, 3) & ~keep)
+    return words, count, q, valid
+
+
+def _round(w, k):
+    """w * 10**q rounded to the nearest double, q = _Q_MIN + k, and whether
+    that rounding is certified.
+
+    w (< 2**60) is split exactly into wh + wl, and wh * hi into p + err by
+    Dekker's product. The computed residual of r = p + tail differs from
+    the exact one by about 10 * 2**-106 * r at most, well inside the bound
+    2**-95 * r. r is certified when the residual is farther than that bound
+    from half the gap to the neighbouring double, and is then the nearest
+    double, as float() returns. The gap is taken below r: just below a
+    power of two it is half the gap above, so it is the narrower one on
+    either side.
+    """
+    hi, lo, high, low = (t[k] for t in _POW10)
+    wh = w.astype(np.float64)
+    wl = (w - wh.astype(np.uint64)).view(np.int64).astype(np.float64)
+    c = wh * _SPLIT
+    wh_high = c - (c - wh)
+    wh_low = wh - wh_high
+    p = wh * hi
+    err = (((wh_high * high - p) + wh_high * low) + wh_low * high) \
+        + wh_low * low
+    tail = err + (wh * lo + wl * hi)
+    r = p + tail
+    residual = (p - r) + tail
+    # the gap below r, never wider than the one above
+    below = np.maximum(r.view(np.int64) - 1, 0).view(np.float64)
+    certified = np.abs(residual) < (r - below) * 0.5 - r * 2.0 ** -95
+    return r, certified | (w == 0)
 
 
 def _read_csv(path):

@@ -1,6 +1,8 @@
 import csv
+import decimal
 import io
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from verfair import (DataError, ExposureModel, GroupMap, RelevanceMatrix,
                      compute_quotas, identity_groups, load_groups,
                      load_relevance, save_groups, save_relevance,
                      synth_relevance)
+from verfair import data as data_module
 from verfair.cli import main
 from verfair.data import _parse_relevance_numpy
 
@@ -265,9 +268,31 @@ def csv_text(rows, terminator):
     return buf.getvalue()
 
 
+def near_halfway(x, digits, step, positional):
+    """The exact midpoint of the double x and the next one up, printed to
+    `digits` significant digits with `step` added to the last one, in
+    e-notation or positional."""
+    with decimal.localcontext(decimal.Context(prec=800)):
+        mid = (decimal.Decimal(x)
+               + decimal.Decimal(np.nextafter(x, np.inf))) / 2
+        mantissa, exp = format(mid, f".{digits - 1}e").split("e")
+        last = max(int(mantissa.replace(".", "")) + step, 0)
+        text = f"{last}e{int(exp) - digits + 1}"
+        return format(decimal.Decimal(text), "f") if positional else text
+
+
+# the exact midpoints of doubles, where a rounding certificate must give up
+NEAR_HALFWAY = st.builds(
+    near_halfway,
+    st.floats(min_value=0, max_value=1e30, allow_nan=False),
+    st.sampled_from([17, 18, 19]), st.sampled_from([-1, 0, 1]),
+    st.booleans())
+ZERO_LED = st.from_regex(r"\A0\.0{1,12}[0-9]{0,20}\Z")
 NUMBERS = st.one_of(
     st.floats(min_value=0, allow_nan=False, allow_infinity=False).map(repr),
     st.from_regex(r"\A[0-9]{1,22}(\.[0-9]{0,22})?([eE][+-]?[0-9]{1,3})?\Z"),
+    NEAR_HALFWAY,
+    ZERO_LED,
 )
 # cells float() and np.loadtxt may read differently, or that must fail
 ODD_CELLS = ("inf", "-inf", "nan", "-0.0", "1e400", "1e-400", "-0.5", "0_5",
@@ -369,6 +394,22 @@ def test_chunk_boundaries(m, writer, tmp_path):
     assert got[0] == "error" and f"line {m + 1}, item 'i2'" in got[1]
 
 
+@pytest.mark.parametrize("writer", ["repr", "save_relevance"])
+def test_chunks_of_whole_lines(writer, tmp_path):
+    # several chunks, of lines of varied length
+    test_chunk_boundaries(25_000, writer, tmp_path)
+
+
+def test_rows_beyond_the_first_lines_estimate(tmp_path):
+    # a long first line: the loader makes room for fewer rows than it finds
+    rows = [["consumer_id", "A", "B"], ["c" * 5000, "0.25", "0.5"]]
+    rows += [[f"c{i}", "1", "0.5"] for i in range(3000)]
+    path = tmp_path / "rel.csv"
+    path.write_text(csv_text(rows, "\n"), encoding="utf-8")
+    assert _parse_relevance_numpy(path) is not None
+    assert assert_same_as_reference(path)[0] == "ok"
+
+
 def test_quoted_ids_round_trip_through_the_csv_parser(tmp_path):
     rel = RelevanceMatrix(("a,b", 'q"x', "nl\nx"), ("i,1", "i2"),
                           np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
@@ -398,6 +439,90 @@ def test_save_load_round_trip_5000_by_50(tmp_path):
     assert back.item_ids == rel.item_ids
     assert np.array_equal(back.scores.view(np.int64),
                           rel.scores.view(np.int64))
+
+
+def write_rows(path, fields, width):
+    """A relevance CSV whose rows hold `width` of `fields` each."""
+    rows = [fields[i:i + width] for i in range(0, len(fields), width)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("consumer_id," + ",".join(f"i{j}" for j in range(width))
+                 + "\n")
+        for i, row in enumerate(rows):
+            fh.write(f"c{i}," + ",".join(row) + "\n")
+
+
+def test_loader_is_bit_exact_on_240k_hard_fields(tmp_path):
+    rng = np.random.default_rng(20)
+    third = 80_000
+    doubles = rng.random(third) * 10.0 ** rng.integers(-20, 5, third)
+    fields = [repr(x) for x in doubles.tolist()]
+    digits = "".join(map(str, rng.integers(0, 10, 19 * third).tolist()))
+    for i, (size, zeros) in enumerate(zip(rng.integers(1, 20, third).tolist(),
+                                          rng.integers(0, 7, third).tolist())):
+        fields.append("0." + "0" * zeros + digits[19 * i:19 * i + size])
+    for x in doubles[:third // 9 + 1].tolist():
+        fields += [near_halfway(x, size, step, size == 18)
+                   for size in (17, 18, 19) for step in (-1, 0, 1)]
+    del fields[3 * third:]
+    # rows longer than the csv field size limit, so each field is measured
+    path = tmp_path / "rel.csv"
+    write_rows(path, fields, 10_000)
+    assert _parse_relevance_numpy(path) is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rel = load_relevance(path)
+    want = np.array([float(f) for f in fields])
+    assert rel.scores.size == len(fields) >= 200_000
+    assert np.array_equal(rel.scores.ravel().view(np.int64),
+                          want.view(np.int64))
+
+
+def benchmark_shaped(dist, m, n, rng):
+    """Scores drawn as benchmark/workloads.py draws them."""
+    if dist == "uniform":
+        return rng.random((m, n))
+    if dist == "skewed":
+        return rng.random((m, n)) * rng.permutation(np.linspace(1.0, 0.2, n))
+    weight = np.linspace(1.0, 0.3, 20)[rng.integers(0, 20, n)]
+    return rng.beta(0.5, 2.0, size=(m, n)) * weight
+
+
+@pytest.mark.parametrize("dist", ["uniform", "skewed", "beta"])
+def test_kernel_converts_all_but_a_few_repr_scores(dist, tmp_path,
+                                                   monkeypatch):
+    scores = benchmark_shaped(dist, 1000, 100, np.random.default_rng(7))
+    path = tmp_path / "rel.csv"
+    write_rows(path, [repr(x) for x in scores.ravel().tolist()], 100)
+    fallback = []
+    float_fields = data_module._float_fields
+
+    def counted(data, starts, ends):
+        fallback.append(len(starts))
+        return float_fields(data, starts, ends)
+
+    monkeypatch.setattr(data_module, "_float_fields", counted)
+    parsed = _parse_relevance_numpy(path)
+    assert parsed is not None
+    assert np.array_equal(parsed[2].view(np.int64), scores.view(np.int64))
+    assert sum(fallback) < 0.01 * scores.size
+
+
+@pytest.mark.parametrize("m, n, parent_mib", [(500, 1000, 23.5),
+                                              (1000, 100, 5.0)])
+def test_loader_peak_memory_not_above_the_loadtxt_loader(m, n, parent_mib,
+                                                         tmp_path):
+    # parent_mib: the tracemalloc peak of the np.loadtxt loader it replaced
+    scores = np.random.default_rng(m).random((m, n))
+    path = tmp_path / "rel.csv"
+    write_rows(path, [repr(x) for x in scores.ravel().tolist()], n)
+    del scores
+    tracemalloc.start()
+    try:
+        load_relevance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_mib * 2 ** 20
 
 
 MALFORMED = {
