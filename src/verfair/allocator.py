@@ -336,9 +336,10 @@ def _deadlines(probs):
                      for r in range(len(probs))])
 
 
-def _resort(items, phases, scores_row, id_rank, deadline):
+def _resort(plain_rank, phases, deadline):
     """Relevance-descending permutations that never demote allocation
-    items, one per row of `items`.
+    items, one per row of `plain_rank`, the 0-based rank of each slot in
+    its row's plain sort by (score descending, item id ascending).
 
     A plain sort can push an allocation-phase item below the rank whose
     examination probability was charged against its group's quota, silently
@@ -355,12 +356,7 @@ def _resort(items, phases, scores_row, id_rank, deadline):
     relevant candidate (ties by item id) is the one the plain sort ranks
     first.
     """
-    rows, k = items.shape
-    plain = np.lexsort(
-        (id_rank[items], -np.take_along_axis(scores_row, items, axis=1)),
-        axis=1)
-    plain_rank = np.empty_like(plain)
-    np.put_along_axis(plain_rank, plain, np.arange(k)[None, :], axis=1)
+    rows, k = plain_rank.shape
     at = np.arange(rows)
     placed = np.zeros((rows, k), dtype=bool)
     out = np.empty((rows, k), dtype=int)
@@ -444,8 +440,7 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     new_rank = np.empty_like(perm)
     np.put_along_axis(new_rank, perm, np.arange(k)[None, :], axis=1)
     late = np.flatnonzero(((phase == 1) & (new_rank > deadline)).any(axis=1))
-    perm[late] = _resort(slate[late], phase[late], scores[late], id_rank,
-                         deadline)
+    perm[late] = _resort(new_rank[late], phase[late], deadline)
     return SlateSet(
         consumer_ids=rel.consumer_ids, item_ids=rel.item_ids, rows=order,
         items=np.take_along_axis(slate, perm, axis=1),

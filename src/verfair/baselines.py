@@ -19,6 +19,7 @@ from .exposure import ExposureModel
 from .quota import compute_quotas, group_relevance
 
 _APPENDED = np.int8(PHASE_TAG.index(APPENDING))
+_FMAX = np.finfo(float).max
 
 
 def _horizontal(rel: RelevanceMatrix, slate_idx) -> SlateSet:
@@ -125,12 +126,16 @@ def fairco(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     probs = model.probs[:k]
     exposure = np.zeros(len(groups.group_ids))
     slate_idx = np.empty((rel.m, k), dtype=int)
-    for c in range(rel.m):
-        ratio = exposure / rg_safe
-        err = np.where(positive, np.maximum(0.0, ratio.max() - ratio), 0.0)
-        picks = _top_k(-(rel.scores[c] + lam * err[gidx]), id_rank, k)
-        slate_idx[c] = picks
-        np.add.at(exposure, gidx[picks], probs)
+    # A subnormal relevance can overflow a ratio to inf, and inf - inf
+    # would be nan; the largest double keeps every err finite, so lam=0
+    # ranks as top_k and no boost is nan.
+    with np.errstate(over="ignore"):
+        for c in range(rel.m):
+            ratio = np.minimum(exposure / rg_safe, _FMAX)
+            err = np.where(positive, np.maximum(0.0, ratio.max() - ratio), 0.0)
+            picks = _top_k(-(rel.scores[c] + lam * err[gidx]), id_rank, k)
+            slate_idx[c] = picks
+            np.add.at(exposure, gidx[picks], probs)
     return _horizontal(rel, slate_idx)
 
 

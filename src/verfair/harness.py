@@ -159,15 +159,43 @@ def _csv_fields(values):
     return [line[:-cut] for line in lines]
 
 
+def _quotes(c):
+    """True when `csv.writer` writes the one-character field `c` otherwise
+    than as `c`, or refuses it (NUL before Python 3.11)."""
+    try:
+        return _csv_fields([c]) != [c]
+    except csv.Error:
+        return True
+
+
+# The ASCII characters that make csv.writer quote a field; it quotes for
+# no other character.
+_QUOTED = tuple(c for c in map(chr, range(128)) if _quotes(c))
+
+
+def _fields(ids):
+    """`_csv_fields(ids)`, which is `ids` itself when every id is a
+    non-empty `str` without a character that csv.writer quotes."""
+    try:
+        joined = "".join(ids)
+    except TypeError:  # some id is not a str
+        return _csv_fields(ids)
+    if all(ids) and not any(c in joined for c in _QUOTED):
+        return ids
+    return _csv_fields(ids)
+
+
 _CHUNK = 4096  # consumers per write
 
 
 def write_slates(slates, config: RunConfig, path):
     """Slate dump: a run-header line, then consumer_id,rank,item_id,phase_tag.
 
-    Byte-identical to one `csv.writer` row per slot. Each id is quoted
-    once, and the rows go out in chunks of `_CHUNK` consumers, each line
-    joined from four pieces: consumer, ",rank,", item, ",tag" + row end.
+    Byte-identical to one `csv.writer` row per slot. Ids go out as they
+    are unless csv.writer would quote one of them; then a list of ids is
+    quoted through `_csv_fields`, the consumers a chunk at a time. Each
+    line is joined from three pieces: the consumer, ",rank," and
+    "item,tag" + row end, taken from a table of every item and phase.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# method={config.method} alpha={config.alpha} "
@@ -177,18 +205,18 @@ def write_slates(slates, config: RunConfig, path):
         w.writerow(["consumer_id", "rank", "item_id", "phase_tag"])
         m, k = slates.items.shape
         end = w.dialect.lineterminator
-        item = np.array(_csv_fields(slates.item_ids), dtype=object)
-        tail = np.array([f",{t}{end}" for t in PHASE_TAG], dtype=object)
-        line = np.empty((min(m, _CHUNK), k, 4), dtype=object)
+        tail = np.array([f"{d},{t}{end}" for d in _fields(slates.item_ids)
+                         for t in PHASE_TAG], dtype=object)
+        cid = slates.consumer_ids
+        line = np.empty((min(m, _CHUNK), k, 3), dtype=object)
         line[:, :, 1] = [f",{r}," for r in range(1, k + 1)]
         for a in range(0, m, _CHUNK):
             rows = slates.rows[a:a + _CHUNK]
             part = line[:len(rows)]
-            part[:, :, 0] = np.array(
-                _csv_fields(slates.consumer_ids[r] for r in rows.tolist()),
-                dtype=object)[:, None]
-            part[:, :, 2] = item[slates.items[a:a + _CHUNK]]
-            part[:, :, 3] = tail[slates.phase[a:a + _CHUNK]]
+            part[:, :, 0] = np.array(_fields([cid[r] for r in rows.tolist()]),
+                                     dtype=object)[:, None]
+            part[:, :, 2] = tail[slates.items[a:a + _CHUNK] * len(PHASE_TAG)
+                                 + slates.phase[a:a + _CHUNK]]
             fh.write("".join(part.ravel().tolist()))
 
 

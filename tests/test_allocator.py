@@ -213,8 +213,7 @@ class TestResorting:
             phases = rng.choice(np.array([1, 2], dtype=np.int8), size=k)
             plain = np.lexsort((id_rank[items], -scores_row[items]))
             new_rank = np.argsort(plain)
-            out = _resort(items[None], phases[None], scores_row[None],
-                          id_rank, deadline)[0]
+            out = _resort(new_rank[None], phases[None], deadline)[0]
             assert sorted(out.tolist()) == list(range(k))
             assert all(np.flatnonzero(out == j)[0] <= deadline[j]
                        for j in range(k) if phases[j] == 1)
@@ -234,8 +233,7 @@ class TestResorting:
         assert deadline.tolist() == [0, 1, 2]
         plain = np.lexsort((items, -scores_row[items]))
         assert plain.tolist() == [0, 2, 1]
-        out = _resort(items[None], phases[None], scores_row[None],
-                      np.arange(3), deadline)[0]
+        out = _resort(np.argsort(plain)[None], phases[None], deadline)[0]
         assert out.tolist() == [0, 1, 2]
 
 

@@ -183,8 +183,8 @@ def test_resort_matches_reference(k, extra, eta, seed):
     items = rng.permutation(n)[:k]
     phases = rng.choice(np.array([1, 2], dtype=np.int8), size=k)
     probs = ExposureModel.pbm(eta, k).probs
-    got = _resort(items[None], phases[None], scores_row[None], id_rank,
-                  _deadlines(probs))[0]
+    plain = np.lexsort((id_rank[items], -scores_row[items]))
+    got = _resort(np.argsort(plain)[None], phases[None], _deadlines(probs))[0]
     want = reference_allocator._resort(items, phases, scores_row, id_rank,
                                        probs)
     assert got.tolist() == want.tolist()
@@ -206,13 +206,30 @@ def test_batched_resort_matches_reference_on_every_late_row(monkeypatch,
     monkeypatch.setattr(allocator, "_resort", recording_resort)
     rel = synth_relevance(1000, 1000, seed=1)
     model = ExposureModel.pbm(1.0, 10)
-    allocator.allocate(rel, identity_groups(rel), model, alpha, seed=1)
-    [((items, phases, scores, id_rank, _), out)] = calls
-    assert len(items) >= 300
-    for row in range(len(items)):
-        want = reference_allocator._resort(items[row], phases[row],
+    s = allocator.allocate(rel, identity_groups(rel), model, alpha, seed=1)
+    [((plain_rank, phases, _), out)] = calls
+    # the slates as they were before the re-sort, and the rows it was
+    # given: those whose plain sort demotes an allocation item past its
+    # deadline
+    pre = s.pre_rank - 1
+    items = np.empty_like(s.items)
+    np.put_along_axis(items, pre, s.items, axis=1)
+    phase = np.empty_like(s.phase)
+    np.put_along_axis(phase, pre, s.phase, axis=1)
+    scores = rel.scores[s.rows]
+    id_rank = allocator._id_ranks(rel.item_ids)
+    want_rank = np.argsort(np.lexsort(
+        (id_rank[items], -np.take_along_axis(scores, items, axis=1)),
+        axis=1), axis=1)
+    deadline = _deadlines(model.probs)
+    late = np.flatnonzero(((phase == 1) & (want_rank > deadline)).any(axis=1))
+    assert len(late) >= 300
+    assert plain_rank.tolist() == want_rank[late].tolist()
+    assert phases.tolist() == phase[late].tolist()
+    for i, row in enumerate(late):
+        want = reference_allocator._resort(items[row], phase[row],
                                            scores[row], id_rank, model.probs)
-        assert out[row].tolist() == want.tolist()
+        assert out[i].tolist() == want.tolist()
 
 
 def lexsort_preferences(scores, id_rank):

@@ -8,15 +8,18 @@ every rank and every tie-break must match. Item counts are drawn near k
 (`_top_k`'s partition), so every path is compared.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_baselines
+import verfair.baselines as baselines
 from helpers import random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, fairco,
-                     identity_groups, pr_k, synth_relevance)
+                     identity_groups, pr_k, synth_relevance, top_k)
 from verfair.baselines import _top_k
 
 LAMBDAS = (0.0, 1e-9, 0.01, 1.0, 1e6)
@@ -93,20 +96,59 @@ def test_all_zero_matrix():
         assert_fairco_same(rel, identity_groups(rel), model, lam)
 
 
+def checked_fairco(rel, groups, model, lam, monkeypatch):
+    """fairco's slates, failing on a nan boost or a floating-point warning."""
+    def no_nan_top_k(neg, id_rank, k):
+        assert not np.isnan(neg).any()
+        return real(neg, id_rank, k)
+
+    real = baselines._top_k
+    monkeypatch.setattr(baselines, "_top_k", no_nan_top_k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fairco(rel, groups, model, lam).slates
+
+
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("lam", [0.0, 1.0])
-def test_nan_boosts_sort_last(lam, k):
+def test_nan_boosts_sort_last(lam, k, monkeypatch):
     # item "A" has a subnormal average relevance and is the first slate's
-    # top pick; its exposure ratio then overflows to inf, so err (and at
-    # lam=0, 0 * inf) turns later boosted scores into nan
+    # top pick; its exposure ratio then overflows. Uncapped, that made
+    # every later boost nan (and, at lam=0, 0 * inf); capped at the
+    # largest double, "A" gets no boost and every other item the same
+    # finite one, so "A" sorts last and lam=0 ranks as top_k
     scores = np.full((6, 4), 0.5)
     scores[0] = 0.0
     scores[:, 2] = 5e-324
     rel = RelevanceMatrix(tuple(f"c{i}" for i in range(6)),
                           ("D", "B", "A", "C"), scores)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert_fairco_same(rel, identity_groups(rel),
-                           ExposureModel.pbm(1.0, k), lam)
+    model = ExposureModel.pbm(1.0, k)
+    got = checked_fairco(rel, identity_groups(rel), model, lam, monkeypatch)
+    assert got["c0"] == ["A", "B", "C", "D"][:k]
+    for c in range(1, 6):
+        assert got[f"c{c}"] == ["B", "C", "D", "A"][:k]
+    if lam == 0:
+        assert got == top_k(rel, model, k).slates
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 12), k=st.integers(1, 4), extra=st.integers(0, 4),
+       lam=st.sampled_from(LAMBDAS), grouped=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_subnormal_relevance_boosts_no_nan(m, k, extra, lam, grouped, seed):
+    # columns scaled to subnormal or zero relevance; lam=0 ranks as top_k
+    rng = np.random.default_rng(seed)
+    rel = synth_relevance(m, k + extra, seed=seed)
+    tiny = rng.random(rel.n) < 0.4
+    scores = rel.scores.copy()
+    scores[:, tiny] *= rng.choice([0.0, 5e-324, 1e-320], size=tiny.sum())
+    rel = RelevanceMatrix(rel.consumer_ids, rel.item_ids, scores)
+    groups = (random_groups(rel, rng) if grouped else identity_groups(rel))
+    model = ExposureModel.pbm(1.0, k)
+    with pytest.MonkeyPatch.context() as mp:
+        got = checked_fairco(rel, groups, model, lam, mp)
+    if lam == 0:
+        assert got == top_k(rel, model, k).slates
 
 
 @pytest.mark.parametrize("lam", [0.01, 1.0])

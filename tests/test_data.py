@@ -371,10 +371,15 @@ def plain_matrix(m, n, seed):
                            tuple(f"i{j}" for j in range(n)), scores)
 
 
-@pytest.mark.parametrize("m", [1, 4095, 4096, 4097])
-@pytest.mark.parametrize("writer", ["repr", "save_relevance"])
-def test_chunk_boundaries(m, writer, tmp_path):
-    rel = plain_matrix(m, 3, seed=m)
+# Lines in each chunk the loader reads from a file of 3-score lines that
+# all have the first line's length: that line, the lines that fill the
+# bytes read after it, and the line that completes the read.
+CHUNK_LINES = data_module._CHUNK_FIELDS // 3 + 2
+
+
+def count_chunks(rel, writer, tmp_path):
+    """Write `rel` with `writer`, check that the fast loader reads it as
+    the frozen one does, and return how many chunks it read."""
     path = tmp_path / "rel.csv"
     if writer == "save_relevance":  # \r\n row ends
         save_relevance(rel, path)
@@ -383,7 +388,16 @@ def test_chunk_boundaries(m, writer, tmp_path):
         rows += [[cid, *map(repr, row)]
                  for cid, row in zip(rel.consumer_ids, rel.scores.tolist())]
         path.write_text(csv_text(rows, "\n"), encoding="utf-8")
-    assert _parse_relevance_numpy(path) is not None  # the fast path ran
+    calls = []
+
+    def counting_parse_rows(*args):
+        calls.append(1)
+        return parse_rows(*args)
+
+    parse_rows = data_module._parse_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_parse_rows", counting_parse_rows)
+        assert _parse_relevance_numpy(path) is not None  # the fast path ran
     got = assert_same_as_reference(path)
     assert got[3] == rel.scores.view(np.int64).tolist()
 
@@ -391,13 +405,29 @@ def test_chunk_boundaries(m, writer, tmp_path):
     text = path.read_text(encoding="utf-8").rstrip("\r\n") + "x\n"
     path.write_text(text, encoding="utf-8")
     got = assert_same_as_reference(path)
-    assert got[0] == "error" and f"line {m + 1}, item 'i2'" in got[1]
+    assert got[0] == "error" and f"line {rel.m + 1}, item 'i2'" in got[1]
+    return len(calls)
+
+
+@pytest.mark.parametrize("m", [1, CHUNK_LINES - 1, CHUNK_LINES,
+                               CHUNK_LINES + 1])
+@pytest.mark.parametrize("writer", ["repr", "save_relevance"])
+def test_chunk_boundaries(m, writer, tmp_path):
+    # plain_matrix scores, each line padded through its consumer id to
+    # one length, so that the chunks hold CHUNK_LINES lines each
+    rel = plain_matrix(m, 3, seed=m)
+    width = [len(",".join(map(repr, row))) for row in rel.scores.tolist()]
+    ids = tuple(f"c{c}".ljust(max(width) - w + 8, "_")
+                for c, w in enumerate(width))
+    rel = RelevanceMatrix(ids, rel.item_ids, rel.scores)
+    assert count_chunks(rel, writer, tmp_path) == 1 + (m > CHUNK_LINES)
 
 
 @pytest.mark.parametrize("writer", ["repr", "save_relevance"])
 def test_chunks_of_whole_lines(writer, tmp_path):
     # several chunks, of lines of varied length
-    test_chunk_boundaries(25_000, writer, tmp_path)
+    assert count_chunks(plain_matrix(25_000, 3, seed=25_000), writer,
+                        tmp_path) >= 3
 
 
 def test_rows_beyond_the_first_lines_estimate(tmp_path):

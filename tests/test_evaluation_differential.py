@@ -6,6 +6,8 @@ became index arrays. Ledgers must be equal item by item and group by
 group, NDCG equal at every cutoff, and every CSV byte-identical.
 """
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,74 @@ def test_writer_bytes(method, chunk, tmp_path, monkeypatch):
         assert tags == {"allocation", "appending"}
     harness.write_slates(slates, config, tmp_path / "got.csv")
     ref.write_slates(slates, config, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+def fields_outcome(fields, ids):
+    """The fields as a list, or the csv error they raise."""
+    try:
+        return list(fields(ids))
+    except csv.Error as exc:  # NUL before Python 3.11
+        return ("error", str(exc))
+
+
+# text ids: every character csv.writer quotes, space, NUL, non-ASCII
+TEXT_IDS = st.text(st.sampled_from([",", '"', "\n", "\r", "a", "Z", "0", " ",
+                                     "\x00", "\t", "é", "€", "\U0001f600"]),
+                   max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.one_of(TEXT_IDS, st.text(max_size=3),
+                              st.integers(), st.floats(), st.none()),
+                    max_size=8))
+def test_fields_equal_csv_fields(ids):
+    assert fields_outcome(harness._fields, ids) == \
+        fields_outcome(harness._csv_fields, ids)
+
+
+@pytest.mark.parametrize("odd", ["last-chunk-consumers", "items-only"])
+def test_writer_bytes_quoting_some_chunks(odd, tmp_path, monkeypatch):
+    # with 3 consumers a chunk, the first chunks' ids go out as they are
+    # and the last chunk's through csv.writer; or only the items need it
+    monkeypatch.setattr(harness, "_CHUNK", 3)
+    rel = odd_instance(8, 15, 4)
+    consumers = tuple(f"u{c}" for c in range(8))
+    items = rel.item_ids
+    if odd == "last-chunk-consumers":
+        consumers = (*consumers[:6], "a,bu", 'q"xu')
+        items = tuple(f"d{j}" for j in range(15))
+    rel = RelevanceMatrix(consumers, items, rel.scores)
+    config = RunConfig(method="top-k", k=5)
+    slates = make_slates("top-k", rel, identity_groups(rel),
+                         ExposureModel.pbm(1.0, 5))
+    harness.write_slates(slates, config, tmp_path / "got.csv")
+    ref.write_slates(slates, config, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+def test_benchmark_ids_skip_csv_writer(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_csv_fields(values):
+        calls.append(1)
+        return real(values)
+
+    real = harness._csv_fields
+    monkeypatch.setattr(harness, "_csv_fields", counting_csv_fields)
+    monkeypatch.setattr(harness, "_CHUNK", 7)
+    rel = synth_relevance(30, 12, seed=2)
+    rel = RelevanceMatrix(tuple(f"u{c:05d}" for c in range(1, 31)),
+                          tuple(f"d{j:02d}" for j in range(1, 13)),
+                          rel.scores)
+    config = RunConfig(method="verfair-ind", k=4)
+    slates = make_slates("verfair-ind", rel, identity_groups(rel),
+                         ExposureModel.pbm(1.0, 4))
+    harness.write_slates(slates, config, tmp_path / "got.csv")
+    ref.write_slates(slates, config, tmp_path / "want.csv")
+    assert calls == []
     assert (tmp_path / "got.csv").read_bytes() == \
         (tmp_path / "want.csv").read_bytes()
 
