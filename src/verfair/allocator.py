@@ -18,18 +18,24 @@ exposure never drops below what the quota granted.
 
 The allocation phase walks a rank in runs of consumers, not slot by slot.
 Every slot charges some group, and a charge only lowers that group's
-headroom, so within a rank headroom only shrinks: a consumer's pick (its
-first unshown preference whose group has headroom) changes only when the
-group of that pick runs out. Each rank therefore picks for all its
-consumers at once, commits the longest run in which no group is charged
-past its capacity, and re-picks only the consumers whose picked group ran
-out. Exchanges and fallbacks stay events taken one consumer at a time,
-between runs, in consumer order. The capacities are exact: a group's
-exposure after t charges of probability p is a running sum of
-[exposure, p, p, ...], which `np.add.accumulate` computes with the same
-float additions, in the same order, as one `+= p` per slot, so every
-headroom test and every granted exposure is bit-identical to the
-slot-by-slot walk kept in `tests/reference_allocator.py`.
+headroom, so within a rank headroom only shrinks. Each rank therefore picks
+for all its consumers at once (each one's first unshown preference whose
+group has headroom) and then makes passes. A pass reads every group's
+closing position from the current picks, the position of the last picker
+the group has capacity for, commits the run of consumers before the first
+one past its group's closing position, and re-picks every consumer past
+its group's closing position. Re-picks only add pickers later in the rank,
+so closing positions read from the current picks are upper bounds on the
+true ones, and a consumer past one is truly shut out of that group.
+Exchanges and fallbacks taken while some group has headroom stay events
+taken one consumer at a time, between runs, in consumer order; once no
+group has headroom, the rest of the rank falls back in one step. The
+capacities are exact: a group's exposure after t charges of probability p
+is a running sum of [exposure, p, p, ...], which `np.add.accumulate`
+computes with the same float additions, in the same order, as one `+= p`
+per slot, so every headroom test and every granted exposure is
+bit-identical to the slot-by-slot walk kept in
+`tests/reference_allocator.py`.
 """
 
 from __future__ import annotations
@@ -205,10 +211,11 @@ def _capacities(quota, alloc_exp, p, slots):
         width = min(slots, 2 * width)
 
 
-def _picks(rows, start, pref, avail, open_item, budget):
-    """(at, item): the first position at or after `start` in each row's
-    preferences whose item is open and not shown by the row, and that
-    item; n and -1 where there is none.
+def _picks(rows, start, position, pref, avail, last, budget):
+    """(at, item): the first index at or after `start` in each row's
+    preferences whose item is open where the row stands in the rank
+    (`last[item] >= position`) and not shown by the row, and that item; n
+    and -1 where there is none.
 
     Rows are read a window of preferences at a time, the window doubling
     for the rows still without a hit while at most `budget` preferences
@@ -225,7 +232,8 @@ def _picks(rows, start, pref, avail, open_item, budget):
         cols = lo[:, None] + np.arange(width)
         base = rows[todo, None] * n
         items = flat_pref.take(base + np.minimum(cols, n - 1))
-        hit = open_item[items] & flat_avail.take(base + items) & (cols < n)
+        hit = ((last[items] >= position[todo, None])
+               & flat_avail.take(base + items) & (cols < n))
         j = hit.argmax(axis=1)
         found = hit[np.arange(todo.size), j]
         at[todo[found]] = lo[found] + j[found]
@@ -244,10 +252,36 @@ def _place(slate, avail, r, consumers, items):
 
 
 def _fallback(c, r, pref, avail):
-    """Consumer c's most relevant item not shown yet. c shows at most r
-    items before rank r, so it is among c's first r + 1 preferences."""
-    prefs = pref[c, :r + 1]
-    return prefs[avail[c, prefs].argmax()]
+    """The most relevant item not shown yet of consumer c, or of each
+    consumer in the array c. A consumer shows at most r items before rank
+    r, so it is among its first r + 1 preferences."""
+    rows = np.atleast_1d(c)
+    prefs = pref[rows, :r + 1]
+    best = avail[rows[:, None], prefs].argmax(axis=1)
+    items = prefs[np.arange(len(rows)), best]
+    return items if np.ndim(c) else items[0]
+
+
+def _closing(g, room, pos, size):
+    """(end, over, last) for the consumers at positions pos..size-1 of a
+    rank, whose picks are in groups g, when group h can still be charged
+    room[h] times.
+
+    last[h] is h's closing position, the position of its room[h]-th
+    picker: pos - 1 when it has no room, `size` when fewer consumers pick
+    it. `over` holds the positions of the consumers past their group's
+    closing position, and `end` is the first of them (`size` if none).
+    """
+    by_group = np.argsort(g, kind="stable")
+    sorted_g = g[by_group]
+    pickers = np.bincount(g, minlength=room.size)
+    seen = np.arange(g.size) - (np.cumsum(pickers) - pickers)[sorted_g]
+    need = room[sorted_g]
+    last = np.where(room > 0, size, pos - 1)
+    closes = seen == need - 1
+    last[sorted_g[closes]] = pos + by_group[closes]
+    over = pos + by_group[seen >= need]
+    return (over.min() if over.size else size), over, last
 
 
 def _allocate_rank(r, first, p, quota, alloc_exp, gidx, pref, avail, slate,
@@ -257,54 +291,64 @@ def _allocate_rank(r, first, p, quota, alloc_exp, gidx, pref, avail, slate,
     exchange, else the fallback; charge `alloc_exp` and return whether a
     fallback was used.
 
-    Within a rank headroom only shrinks, so a consumer's pick stays valid
-    until the group of that pick runs out. The walk therefore picks for
-    every remaining consumer at once and commits, in one step, the longest
-    run of consumers in which no group is charged past its capacity. The
-    consumer after the run either picked a group that just ran out, and
-    is re-picked from where its old pick stood, or has no pick, and takes
-    an exchange or the fallback on its own.
+    Within a rank headroom only shrinks, so the walk picks for every
+    remaining consumer at once and then makes passes. Each pass reads,
+    from the current picks, every group's closing position (the position
+    of its last picker within capacity, `_closing`), commits the run of
+    consumers before the first one past its group's closing position, and
+    re-picks every consumer past its group's closing position, from where
+    its old pick stood, with a group open at a position only up to its
+    closing position. A re-pick only adds pickers later in the rank, so
+    closing positions read from the current picks are upper bounds on the
+    true ones: a consumer found past one is truly shut out of that group,
+    and every preference a pick skips is truly closed to it. A consumer
+    left with no pick takes an exchange or the fallback on its own. Once
+    no group has headroom, every consumer left falls back, all at once.
     """
     m, n = avail.shape
     n_groups = len(quota)
     rows = np.arange(first, m)
-    cap, acc = _capacities(quota, alloc_exp, p, len(rows))
+    size = len(rows)
+    cap, acc = _capacities(quota, alloc_exp, p, size)
     # pick -1 (none) maps to a sentinel group of capacity 0, which is
-    # always open and always ends a run
+    # always closed, so a consumer without a pick always ends a run. Group
+    # codes take the smallest unsigned type that holds them: up to 16 bits,
+    # numpy's stable argsort is a radix sort.
     cap = np.append(cap, 0)
-    group = np.append(gidx, n_groups)
+    group = np.append(gidx, n_groups).astype(np.min_scalar_type(n_groups))
     count = np.zeros(n_groups + 1, dtype=int)
-    open_item = np.ones(n + 1, dtype=bool)
-    open_item[:n] = (cap > 0)[gidx]
-    budget = len(rows) * _PICK_DEPTH
-    at, pick = _picks(rows, np.zeros(len(rows), dtype=int), pref, avail,
-                      open_item, budget)
+    budget = size * _PICK_DEPTH
+    last = np.where(cap > 0, size, -1)
+    at, pick = _picks(rows, np.zeros(size, dtype=int), np.arange(size), pref,
+                      avail, last[gidx], budget)
     fallback = False
     pos = 0
-    while pos < len(rows):
-        stale = pos + np.flatnonzero(~open_item[pick[pos:]])
-        if stale.size:
-            at[stale], pick[stale] = _picks(rows[stale], at[stale] + 1, pref,
-                                            avail, open_item, budget)
+    while pos < size:
         g = group[pick[pos:]]
-        # the run ends at the first consumer whose group the consumers
-        # before it in the run have already charged to capacity
-        by_group = np.argsort(g, kind="stable")
-        sorted_g = g[by_group]
-        seen = np.arange(g.size) - np.searchsorted(sorted_g, sorted_g)
-        over = by_group[seen >= (cap - count)[sorted_g]]
-        end = over.min() if over.size else g.size
-        _place(slate, avail, r, rows[pos:pos + end], pick[pos:pos + end])
-        count += np.bincount(g[:end], minlength=n_groups + 1)
-        open_item[:n] = (count < cap)[gidx]
-        pos += end
-        if pos == len(rows) or pick[pos] >= 0:
+        end, over, last = _closing(g, cap - count, pos, size)
+        _place(slate, avail, r, rows[pos:end], pick[pos:end])
+        count += np.bincount(g[:end - pos], minlength=n_groups + 1)
+        pos = end
+        if pos == size:
+            break
+        open_item = (count < cap)[gidx]
+        if not open_item.any():
+            # counts only rise, so every consumer left falls back
+            d = _fallback(rows[pos:], r, pref, avail)
+            _place(slate, avail, r, rows[pos:], d)
+            count[:n_groups] += np.bincount(gidx[d], minlength=n_groups)
+            fallback = True
+            break
+        stale = over[pick[over] >= 0]
+        if stale.size:
+            at[stale], pick[stale] = _picks(rows[stale], at[stale] + 1,
+                                            stale, pref, avail, last[gidx],
+                                            budget)
+        if pick[pos] >= 0:
             continue
         c = rows[pos]
-        swap = None
-        if open_item[:n].any():
-            swap = _exchange(c, r, slate, avail, np.flatnonzero(open_item[:n]),
-                             scores, id_rank)
+        swap = _exchange(c, r, slate, avail, np.flatnonzero(open_item),
+                         scores, id_rank)
         if swap is not None:
             c2, charged = swap
             d = slate[c2, r]
@@ -316,7 +360,6 @@ def _allocate_rank(r, first, p, quota, alloc_exp, gidx, pref, avail, slate,
             d = charged = _fallback(c, r, pref, avail)
         _place(slate, avail, r, c, d)
         count[gidx[charged]] += 1
-        open_item[:n] = (count < cap)[gidx]
         pos += 1
     width = acc.shape[1] - 1
     count = count[:n_groups]
@@ -400,7 +443,9 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     id_rank = _id_ranks(rel.item_ids)
     gidx = groups.indices(rel)
     n_groups = len(groups.group_ids)
-    pref = _preferences(scores, id_rank, n)  # row c = c's items, best first
+    # row c = c's items, best first; with no allocation phase only the
+    # appending phase reads them, and only the first k
+    pref = _preferences(scores, id_rank, n if alpha > 0 else k)
 
     slate = np.full((m, k), -1, dtype=int)
     phase = np.zeros((m, k), dtype=np.int8)  # 1 allocation, 2 appending

@@ -18,7 +18,7 @@ import verfair.allocator as allocator
 from helpers import random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, find_anchor,
                      identity_groups, synth_relevance)
-from verfair.allocator import _deadlines, _resort
+from verfair.allocator import ALLOCATION, _deadlines, _resort
 
 FIELDS = ("order", "slates", "provenance", "pre_ranks", "fallback_used",
           "allocation_exposure")
@@ -31,6 +31,7 @@ def assert_same(rel, groups, model, alpha, seed, shuffle=True):
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), \
             (name, rel.m, rel.n, model.k, alpha, seed)
+    return want
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,10 +135,12 @@ def skewed_groups(m, seed):
                                          (0.0, (0.55, 1.0))])
 def test_large_grouped_instance_commits_runs_between_events(
         monkeypatch, eta, alphas):
-    # ranks are committed in runs of many consumers, and the exchange and
-    # fallback events between two runs of a rank still take one consumer
-    # at a time
+    # ranks are committed in runs of many consumers, exchanges between two
+    # runs of a rank still take one consumer at a time, and once no group
+    # has headroom the rest of the rank falls back in one batch, each slot
+    # filled as the reference fills it
     log = []
+    tails = []
 
     def counting_place(slate, avail, r, consumers, items):
         if np.size(consumers):
@@ -145,31 +148,72 @@ def test_large_grouped_instance_commits_runs_between_events(
                         int(np.size(consumers))))
         return real_place(slate, avail, r, consumers, items)
 
-    def counting(kind, real):
-        def counted(c, r, *args):
-            log.append((kind, r, int(c), 1))
-            return real(c, r, *args)
-        return counted
+    def counting_exchange(c, r, *args):
+        log.append(("_exchange", r, int(c), 1))
+        return real_exchange(c, r, *args)
+
+    def recording_fallback(c, r, pref, avail):
+        d = real_fallback(c, r, pref, avail)
+        if np.ndim(c):
+            tails.append((r, np.array(c), np.array(d)))
+        else:
+            log.append(("_fallback", r, int(c), 1))
+        return d
 
     real_place = allocator._place
+    real_exchange = allocator._exchange
+    real_fallback = allocator._fallback
     monkeypatch.setattr(allocator, "_place", counting_place)
-    for kind in ("_exchange", "_fallback"):
-        monkeypatch.setattr(allocator, kind,
-                            counting(kind, getattr(allocator, kind)))
+    monkeypatch.setattr(allocator, "_exchange", counting_exchange)
+    monkeypatch.setattr(allocator, "_fallback", recording_fallback)
     rel, groups = skewed_groups(1000, seed=0)
     model = ExposureModel.pbm(eta, 10)
     # the first alpha's anchor falls mid-rank
     assert find_anchor(model, rel.m, alphas[0]).consumer > 1
     for alpha in alphas:
-        assert_same(rel, groups, model, alpha, seed=0)
+        tails.clear()
+        want = assert_same(rel, groups, model, alpha, seed=0)
+        assert tails, alpha
+        for r, consumers, items in tails:
+            assert consumers.size > 1
+            for c, d in zip(consumers.tolist(), items.tolist()):
+                cid, item = want.order[c], rel.item_ids[d]
+                assert want.pre_ranks[cid][item] == r + 1, (alpha, r, c)
+                assert want.provenance[cid][item] == ALLOCATION
     assert max(size for kind, _, _, size in log if kind == "run") >= rel.m // 2
     mid_rank = {
         kind for i, (kind, r, c, _) in enumerate(log) if kind != "run"
         and any(e[0] == "run" and e[1] == r and e[3] > 1 for e in log[:i])
         and any(e[0] == "run" and e[1] == r and e[2] > c for e in log[i:])}
-    assert "_fallback" in mid_rank
     if eta == 2.0:
         assert "_exchange" in mid_rank
+
+
+def test_closing_positions_take_few_passes(monkeypatch):
+    # each pass re-picks every consumer past its group's closing position,
+    # not only the consumers of the groups its run closed (63 passes on
+    # this instance), and the fallbacks after the last group closes take
+    # one step, not one pass each: the walk takes 23 passes
+    passes = []
+
+    def counting_closing(*args):
+        passes.append(1)
+        return real_closing(*args)
+
+    real_closing = allocator._closing
+    monkeypatch.setattr(allocator, "_closing", counting_closing)
+    rel = synth_relevance(2000, 100, seed=1)
+    assert_same(rel, identity_groups(rel), ExposureModel.pbm(1.0, 10), 1.0,
+                seed=7)
+    assert len(passes) <= 40
+
+
+@pytest.mark.parametrize("m", [1000, 10_000])
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_wide_instances_match_reference(m, alpha):
+    rel = synth_relevance(m, 1000, seed=1)
+    assert_same(rel, identity_groups(rel), ExposureModel.pbm(1.0, 10), alpha,
+                seed=7)
 
 
 @settings(max_examples=200, deadline=None)
