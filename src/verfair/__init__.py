@@ -9,14 +9,14 @@ from .data import (DataError, GroupMap, RelevanceMatrix, identity_groups,
                    synth_relevance)
 from .exposure import ExposureLedger, ExposureModel, accumulate, total_exposure
 from .metrics import EvalReport, evaluate, jsd_fairness, ndcg
-from .quota import AnchorPoint, QuotaTable, compute_quotas, find_anchor
+from .quota import AnchorPoint, compute_quotas, find_anchor
 
 __all__ = [
     "AnchorPoint", "DataError", "EvalReport", "ExposureLedger",
-    "ExposureModel", "GroupMap", "QuotaTable", "RelevanceMatrix", "SlateSet",
-    "accumulate", "allocate", "allocate_individual", "compute_quotas",
-    "evaluate", "fairco", "find_anchor", "identity_groups", "jsd_fairness",
-    "load_groups", "load_relevance", "ndcg", "oracle_exact", "pr_k",
-    "random_k", "save_groups", "save_relevance", "synth_relevance", "top_k",
+    "ExposureModel", "GroupMap", "RelevanceMatrix", "SlateSet", "accumulate",
+    "allocate", "allocate_individual", "compute_quotas", "evaluate",
+    "fairco", "find_anchor", "identity_groups", "jsd_fairness", "load_groups",
+    "load_relevance", "ndcg", "oracle_exact", "pr_k", "random_k",
+    "save_groups", "save_relevance", "synth_relevance", "top_k",
     "total_exposure",
 ]

@@ -40,7 +40,7 @@ bit-identical to the slot-by-slot walk kept in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,9 @@ class SlateSet:
     `fallback_used` means some allocation slot was filled beyond its
     group's quota. A same-rank exchange is not a fallback: it charges the
     needy group within its headroom and moves the handed item's charge
-    unchanged.
+    unchanged. `allocation_exposure` is the exposure the allocation phase
+    granted each group, ordered like the group map's group_ids; the
+    horizontal baselines leave it None.
     """
 
     consumer_ids: tuple           # every consumer id of the dataset
@@ -88,7 +90,7 @@ class SlateSet:
     phase: np.ndarray             # (m, k) int8 phase code of items
     pre_rank: np.ndarray          # (m, k) rank of items before re-sort
     fallback_used: bool = False
-    allocation_exposure: dict = field(default_factory=dict)  # group -> exposure
+    allocation_exposure: np.ndarray = None  # (n_groups,) or None
 
     @property
     def order(self):
@@ -454,7 +456,7 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     fallback_used = False
 
     if alpha > 0:
-        quota = compute_quotas(rel, groups, model, alpha).vector(groups)
+        quota = compute_quotas(rel, groups, model, alpha)
         anchor = find_anchor(model, m, alpha)
         for r in range(anchor.rank - 1, k):
             first = anchor.consumer - 1 if r == anchor.rank - 1 else 0
@@ -491,7 +493,7 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
         items=np.take_along_axis(slate, perm, axis=1),
         phase=np.take_along_axis(phase, perm, axis=1), pre_rank=perm + 1,
         fallback_used=fallback_used,
-        allocation_exposure=dict(zip(groups.group_ids, alloc_exp.tolist())),
+        allocation_exposure=alloc_exp,
     )
 
 

@@ -31,7 +31,7 @@ def _horizontal(rel: RelevanceMatrix, slate_idx) -> SlateSet:
                     pre_rank=np.broadcast_to(np.arange(1, k + 1), (m, k)))
 
 
-def top_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
+def top_k(rel: RelevanceMatrix, k) -> SlateSet:
     """Each consumer's k highest-relevance items, descending."""
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
@@ -78,8 +78,7 @@ def pr_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
     id_rank = _id_ranks(rel.item_ids)
-    quota = compute_quotas(rel, identity_groups(rel), model, 1.0)
-    quota_vec = np.array([quota.per_group[d] for d in rel.item_ids])
+    quota_vec = compute_quotas(rel, identity_groups(rel), model, 1.0)
     probs = model.probs[:k]
     if k > 16 or rel.n < 16 * k:
         exposure = np.zeros(rel.n)
@@ -155,7 +154,7 @@ def oracle_exact(rel: RelevanceMatrix, groups: GroupMap,
     gidx = groups.indices(rel)
     n_groups = len(groups.group_ids)
     probs = model.probs
-    quota = compute_quotas(rel, groups, model, alpha).vector(groups)
+    quota = compute_quotas(rel, groups, model, alpha)
     slack = probs[k - 1] + 1e-9
 
     choices = list(permutations(range(n), k))

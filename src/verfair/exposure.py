@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupMap, RelevanceMatrix
+from .data import GroupMap
 
 
 @dataclass(frozen=True)
@@ -30,16 +30,10 @@ class ExposureModel:
         return cls(float(eta), int(k), probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExposureLedger:
-    per_item: dict   # item_id -> accumulated exposure
-    per_group: dict  # group_id -> accumulated exposure
-
-    def item_vector(self, rel: RelevanceMatrix):
-        return np.array([self.per_item[d] for d in rel.item_ids])
-
-    def group_vector(self, groups: GroupMap):
-        return np.array([self.per_group[g] for g in groups.group_ids])
+    per_item: np.ndarray   # ordered like the group map's items
+    per_group: np.ndarray  # ordered like group_ids
 
 
 def total_exposure(model: ExposureModel, m) -> float:
@@ -53,8 +47,9 @@ def accumulate(slates, model: ExposureModel, groups: GroupMap) -> ExposureLedger
     """Sum each item's examination probability over all slates it appears in.
 
     Items never shown get an explicit 0 entry; group totals aggregate the
-    item totals under `groups`. Both sums run consumer by consumer, rank by
-    rank, in the slate set's row order.
+    item totals under `groups`. Items are ordered like
+    `groups.assignment`, groups like `groups.group_ids`. Both sums run
+    consumer by consumer, rank by rank, in the slate set's row order.
     """
     ids = list(groups.assignment)
     pos = {d: i for i, d in enumerate(ids)}
@@ -72,5 +67,4 @@ def accumulate(slates, model: ExposureModel, groups: GroupMap) -> ExposureLedger
     group_of = np.array([gpos[groups.assignment[d]] for d in ids], dtype=int)
     per_group = np.bincount(group_of, weights=per_item,
                             minlength=len(groups.group_ids))
-    return ExposureLedger(dict(zip(ids, per_item.tolist())),
-                          dict(zip(groups.group_ids, per_group.tolist())))
+    return ExposureLedger(per_item, per_group)

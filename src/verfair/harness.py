@@ -21,7 +21,7 @@ from .allocator import PHASE_TAG, allocate, allocate_individual
 from .baselines import fairco, pr_k, random_k, top_k
 from .data import GroupMap, RelevanceMatrix, identity_groups
 from .exposure import ExposureModel, accumulate
-from .metrics import evaluate
+from .metrics import _positions, evaluate
 from .quota import compute_quotas
 
 METHODS = ("top-k", "random-k", "pr-k", "fairco", "verfair-ind", "verfair-group")
@@ -62,7 +62,7 @@ def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
     """Dispatch a method name to its allocator. `fairco` and
     `verfair-group` work at the level of `groups`."""
     if method == "top-k":
-        return top_k(rel, model, model.k)
+        return top_k(rel, model.k)
     if method == "random-k":
         return random_k(rel, model.k, seed)
     if method == "pr-k":
@@ -244,9 +244,9 @@ def dump_distributions(slates, rel: RelevanceMatrix, groups: GroupMap,
         w.writerow(["item_id", "avg_relevance", "exposure", "quota_at_alpha"])
         if not len(slates.items):
             return
-        ledger = accumulate(slates, model, groups)
+        exposure = accumulate(slates, model, groups).per_item[
+            _positions(rel.item_ids, tuple(groups.assignment))]
         quota = compute_quotas(rel, identity_groups(rel), model, alpha)
-        avg = dict(zip(rel.item_ids, rel.avg_relevance()))
-        for d in rel.item_ids:
-            w.writerow([d, repr(float(avg[d])), repr(float(ledger.per_item[d])),
-                        repr(float(quota.per_group[d]))])
+        for d, avg, exp, q in zip(rel.item_ids, rel.avg_relevance().tolist(),
+                                  exposure.tolist(), quota.tolist()):
+            w.writerow([d, repr(avg), repr(exp), repr(q)])

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import GroupMap, RelevanceMatrix
 from .exposure import ExposureLedger, ExposureModel, accumulate
+from .quota import group_relevance
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,11 @@ def jsd_fairness(ledger: ExposureLedger, rel: RelevanceMatrix,
     to probability vectors first, so the metric is scale-invariant.
     """
     if level == "individual":
-        e = ledger.item_vector(rel)
+        e = ledger.per_item[_positions(rel.item_ids, tuple(groups.assignment))]
         r = rel.avg_relevance()
     elif level == "group":
-        e = ledger.group_vector(groups)
-        gidx = groups.indices(rel)
-        r = np.bincount(gidx, weights=rel.avg_relevance(),
-                        minlength=len(groups.group_ids))
+        e = ledger.per_group
+        r = group_relevance(rel, groups)
     else:
         raise ValueError(f"unknown level {level!r}")
     if e.sum() <= 0:

@@ -19,16 +19,6 @@ _REL_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class QuotaTable:
-    alpha: float
-    per_group: dict  # group_id -> exposure quota
-    e_total: float
-
-    def vector(self, groups: GroupMap):
-        return np.array([self.per_group[g] for g in groups.group_ids])
-
-
-@dataclass(frozen=True)
 class AnchorPoint:
     consumer: int  # 1-based index in the (shuffled) consumer order
     rank: int      # 1-based rank
@@ -42,18 +32,15 @@ def group_relevance(rel: RelevanceMatrix, groups: GroupMap):
 
 
 def compute_quotas(rel: RelevanceMatrix, groups: GroupMap,
-                   model: ExposureModel, alpha) -> QuotaTable:
+                   model: ExposureModel, alpha):
+    """Each group's exposure quota, ordered like group_ids."""
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must be in [0,1]")
     rg = group_relevance(rel, groups)
     total_rel = rg.sum()
     if total_rel <= 0:
         raise ValueError("total relevance is zero; quotas undefined")
-    e_total = total_exposure(model, rel.m)
-    quotas = rg * (alpha * e_total / total_rel)
-    return QuotaTable(float(alpha),
-                      dict(zip(groups.group_ids, quotas.tolist())),
-                      e_total)
+    return rg * (alpha * total_exposure(model, rel.m) / total_rel)
 
 
 def find_anchor(model: ExposureModel, m, alpha) -> AnchorPoint:

@@ -63,7 +63,7 @@ def bound_unsatisfiable(rel, groups, model, alpha):
     reach when some a_g > m * min(|g|, k) or when sum(a_g) > m * k. The
     check never looks at an allocator's output."""
     m, k, probs = rel.m, model.k, model.probs
-    quota = compute_quotas(rel, groups, model, alpha).vector(groups)
+    quota = compute_quotas(rel, groups, model, alpha)
     slack = probs[k - 1] + 1e-9
     # the 1e-9 keeps float noise from rounding a_g up: a smaller a_g is
     # still a lower bound, so the check stays sound

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from reference_quota import compute_quotas
 from verfair.allocator import ALLOCATION, APPENDING
 from verfair.data import GroupMap, RelevanceMatrix
 from verfair.exposure import ExposureModel
-from verfair.quota import compute_quotas, find_anchor
+from verfair.quota import find_anchor
 
 _QUOTA_EPS = 1e-9
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference_quota import compute_quotas
 from verfair.allocator import SlateSet
 from verfair.baselines import _horizontal
 from verfair.data import GroupMap, RelevanceMatrix, identity_groups
 from verfair.exposure import ExposureModel
-from verfair.quota import compute_quotas, group_relevance
+from verfair.quota import group_relevance
 
 
 def _id_ranks(ids):

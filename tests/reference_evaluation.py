@@ -15,14 +15,16 @@ deliberately slow and exist only to pin behaviour.
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
 from reference_allocator import SlateSet
+from reference_quota import compute_quotas
 from verfair.allocator import APPENDING
 from verfair.data import GroupMap, RelevanceMatrix, identity_groups
-from verfair.exposure import ExposureLedger, ExposureModel
-from verfair.quota import compute_quotas
+from verfair.exposure import ExposureModel
+from verfair.metrics import _jsd_base2
 
 METRICS_HEADER = ("method,param,eta,k,ndcg@1,ndcg@3,ndcg@10,"
                   "fairness_ind,fairness_group,wall_ms_per_1k")
@@ -118,3 +120,45 @@ def dump_distributions(slates, rel: RelevanceMatrix, groups: GroupMap,
         for d in rel.item_ids:
             w.writerow([d, repr(float(avg[d])), repr(float(ledger.per_item[d])),
                         repr(float(quota.per_group[d]))])
+
+
+# Frozen copy of the dict-shaped `verfair.exposure.ExposureLedger` and of
+# the `verfair.metrics.jsd_fairness` that read it, as they were before
+# ledgers became arrays. `accumulate` above builds this ledger. Do not
+# edit the bodies below.
+
+
+@dataclass(frozen=True)
+class ExposureLedger:
+    per_item: dict   # item_id -> accumulated exposure
+    per_group: dict  # group_id -> accumulated exposure
+
+    def item_vector(self, rel: RelevanceMatrix):
+        return np.array([self.per_item[d] for d in rel.item_ids])
+
+    def group_vector(self, groups: GroupMap):
+        return np.array([self.per_group[g] for g in groups.group_ids])
+
+
+def jsd_fairness(ledger: ExposureLedger, rel: RelevanceMatrix,
+                 groups: GroupMap, level="individual") -> float:
+    """1 - JSD between the exposure and relevance distributions.
+
+    `level` selects per-item or per-group distributions; both are normalized
+    to probability vectors first, so the metric is scale-invariant.
+    """
+    if level == "individual":
+        e = ledger.item_vector(rel)
+        r = rel.avg_relevance()
+    elif level == "group":
+        e = ledger.group_vector(groups)
+        gidx = groups.indices(rel)
+        r = np.bincount(gidx, weights=rel.avg_relevance(),
+                        minlength=len(groups.group_ids))
+    else:
+        raise ValueError(f"unknown level {level!r}")
+    if e.sum() <= 0:
+        raise ValueError("all-zero exposure vector")
+    if r.sum() <= 0:
+        raise ValueError("all-zero relevance vector")
+    return 1.0 - _jsd_base2(e / e.sum(), r / r.sum())

@@ -7,8 +7,13 @@ the body below; it is deliberately slow and exists only to pin behaviour.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
+from verfair.data import GroupMap, RelevanceMatrix
 from verfair.exposure import ExposureModel, total_exposure
-from verfair.quota import AnchorPoint
+from verfair.quota import AnchorPoint, group_relevance
 
 _REL_EPS = 1e-9
 
@@ -29,3 +34,34 @@ def find_anchor(model: ExposureModel, m, alpha) -> AnchorPoint:
                 return AnchorPoint(i, j)
     # alpha <= 1 guarantees the accumulated total reaches the target
     return AnchorPoint(1, 1)
+
+
+# Frozen copy of the dict-shaped `verfair.quota.QuotaTable` and
+# `compute_quotas` as they were before quotas became an array ordered like
+# `group_ids`. `reference_allocator`, `reference_baselines` and
+# `reference_evaluation` read them. Do not edit the bodies below.
+
+
+@dataclass(frozen=True)
+class QuotaTable:
+    alpha: float
+    per_group: dict  # group_id -> exposure quota
+    e_total: float
+
+    def vector(self, groups: GroupMap):
+        return np.array([self.per_group[g] for g in groups.group_ids])
+
+
+def compute_quotas(rel: RelevanceMatrix, groups: GroupMap,
+                   model: ExposureModel, alpha) -> QuotaTable:
+    if not 0 <= alpha <= 1:
+        raise ValueError("alpha must be in [0,1]")
+    rg = group_relevance(rel, groups)
+    total_rel = rg.sum()
+    if total_rel <= 0:
+        raise ValueError("total relevance is zero; quotas undefined")
+    e_total = total_exposure(model, rel.m)
+    quotas = rg * (alpha * e_total / total_rel)
+    return QuotaTable(float(alpha),
+                      dict(zip(groups.group_ids, quotas.tolist())),
+                      e_total)

@@ -18,7 +18,7 @@ import reference_evaluation as ref
 import verfair.harness as harness
 from helpers import make_slateset, random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
-                     evaluate, identity_groups, jsd_fairness, load_groups,
+                     evaluate, identity_groups, load_groups,
                      load_relevance, ndcg, save_groups, save_relevance,
                      synth_relevance)
 from verfair.cli import main
@@ -29,8 +29,8 @@ from verfair.metrics import EvalReport
 def assert_same_evaluation(slates, rel, groups, model, k):
     got = accumulate(slates, model, groups)
     want = ref.accumulate(slates, model, groups)
-    assert list(got.per_item.items()) == list(want.per_item.items())
-    assert list(got.per_group.items()) == list(want.per_group.items())
+    assert got.per_item.tolist() == list(want.per_item.values())
+    assert got.per_group.tolist() == list(want.per_group.values())
     cutoffs = range(1, k + 1)
     shared = evaluate(slates, rel, groups, model, cutoffs).ndcg_at
     for kc in cutoffs:
@@ -83,6 +83,32 @@ def test_every_baseline_on_a_wide_instance():
         slates = make_slates(method, rel, groups, model, alpha=0.7, lam=2.0,
                              seed=5)
         assert_same_evaluation(slates, rel, groups, model, 10)
+
+
+def test_group_map_out_of_item_order(tmp_path):
+    # the map lists its items and group ids in reverse order of the
+    # matrix's, so the ledger's item order is not rel.item_ids': both
+    # fairness values and the dump must map it back
+    rel = instance(20, 12, 4, tied=False, zero_row=False)
+    groups = GroupMap({d: f"g{rel.item_ids.index(d) % 3}"
+                       for d in reversed(rel.item_ids)}, ("g2", "g1", "g0"))
+    assert tuple(groups.assignment) == rel.item_ids[::-1]
+    model = ExposureModel.pbm(1.0, 5)
+    for method in METHODS:
+        slates = make_slates(method, rel, groups, model, alpha=0.7, lam=1.0,
+                             seed=3)
+        report = evaluate(slates, rel, groups, model, (5,))
+        ledger = ref.accumulate(slates, model, groups)
+        assert report.fairness_individual == \
+            ref.jsd_fairness(ledger, rel, groups, "individual"), method
+        assert report.fairness_group == \
+            ref.jsd_fairness(ledger, rel, groups, "group"), method
+        harness.dump_distributions(slates, rel, groups, model, 0.7,
+                                   tmp_path / "got.csv")
+        ref.dump_distributions(slates, rel, groups, model, 0.7,
+                               tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes(), method
 
 
 # ids that csv.writer must quote, or that look as if it might
@@ -254,8 +280,9 @@ def old_row(method, param, rel, groups, model, slates):
     ledger = ref.accumulate(slates, model, groups)
     report = EvalReport(
         ndcg_at={kc: ref.ndcg(slates, rel, model, kc) for kc in (1, 3, 10)},
-        fairness_individual=jsd_fairness(ledger, rel, groups, "individual"),
-        fairness_group=jsd_fairness(ledger, rel, groups, "group"))
+        fairness_individual=ref.jsd_fairness(ledger, rel, groups,
+                                             "individual"),
+        fairness_group=ref.jsd_fairness(ledger, rel, groups, "group"))
     return ref._metrics_row(method, param, model.eta, model.k, report, 0.0)
 
 

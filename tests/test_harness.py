@@ -116,7 +116,7 @@ class TestDumpDistributions:
 
     def test_top_k_concentrates_exposure(self, rel, tmp_path):
         model = ExposureModel.pbm(1.0, 5)
-        slates = top_k(rel, model, 5)
+        slates = top_k(rel, 5)
         path = tmp_path / "dist.csv"
         dump_distributions(slates, rel, identity_groups(rel), model, 1.0, path)
         with open(path) as fh:
