@@ -381,44 +381,32 @@ def _deadlines(probs):
                      for r in range(len(probs))])
 
 
-def _resort(plain_rank, phases, deadline):
+def _resort(plain_rank, last):
     """Relevance-descending permutations that never demote allocation
     items, one per row of `plain_rank`, the 0-based rank of each slot in
-    its row's plain sort by (score descending, item id ascending).
+    its row's plain sort by (score descending, item id ascending); slot j
+    may end no lower than rank `last[:, j]`.
 
     A plain sort can push an allocation-phase item below the rank whose
     examination probability was charged against its group's quota, silently
-    shrinking the exposure the quota mechanism just granted. Each
-    allocation item placed at rank r therefore may end no lower than
-    `deadline[r]` (see `_deadlines`). Ranks are filled top-down with the
-    most relevant remaining item, restricted to the deadline-critical items
-    whenever deferring them any further would force one past its deadline.
-    Whenever the plain sort already meets every deadline, the result is
-    identical to it: the critical items pending at rank r must then fill
-    ranks r..d exactly, so the plain sort's item at rank r is among them.
-
-    All rows fill rank r together. Items in a row are distinct, so the most
-    relevant candidate (ties by item id) is the one the plain sort ranks
-    first.
+    shrinking the exposure the quota mechanism just granted, so an
+    allocation item placed at rank r gets `last` = `deadline[r]` (see
+    `_deadlines`) and every other slot k - 1. Ranks are filled bottom-up
+    (Lawler's backward rule): rank t takes the least relevant slot not yet
+    placed whose `last` is at least t. Some slot always qualifies, as the
+    order before the re-sort meets every `last`. Of the permutations that
+    meet every `last`, the result ranks the most relevant items first,
+    compared rank by rank from the top, so where the plain sort meets
+    every `last`, it is the result.
     """
     rows, k = plain_rank.shape
     at = np.arange(rows)
-    placed = np.zeros((rows, k), dtype=bool)
+    rank = plain_rank.copy()   # -1 once placed
     out = np.empty((rows, k), dtype=int)
-    for r in range(k):
-        pending = (phases == 1) & ~placed
-        # critical: the smallest d by which d - r + 1 pending items are
-        # due, so they must fill ranks r..d; the (i+1)-th earliest due
-        # rank d qualifies once i + 1 >= d - r + 1 (k marks no item)
-        due = np.sort(np.where(pending, deadline, k), axis=1)
-        hit = (due < k) & (np.arange(k) >= due - r)
-        i = hit.argmax(axis=1)
-        critical = np.where(hit[at, i], due[at, i], -1)[:, None]
-        cands = np.where(critical >= 0, pending & (deadline <= critical),
-                         ~placed)
-        best = np.where(cands, plain_rank, k).argmin(axis=1)
-        placed[at, best] = True
-        out[:, r] = best
+    for t in range(k - 1, -1, -1):
+        best = np.where(last >= t, rank, -1).argmax(axis=1)
+        rank[at, best] = -1
+        out[:, t] = best
     return out
 
 
@@ -429,6 +417,8 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     The consumer order is a seeded shuffle; `shuffle=False` keeps dataset
     order, which pins the order for golden tests. alpha=0 skips the
     allocation phase entirely and degenerates to pure relevance ranking.
+    Every slate is then re-sorted by `_resort`, which keeps each allocation
+    item at or above its deadline rank.
     """
     k = model.k
     m, n = rel.m, rel.n
@@ -479,15 +469,13 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     slate[rows, into[fill]] = np.take_along_axis(head, take, axis=1)[fill]
     phase[empty] = 2
 
-    # Re-sort: the plain relevance sort, except on the rows where it would
-    # demote an allocation item past its deadline.
+    # Re-sort: by relevance, no allocation item below its deadline
     row_scores = np.take_along_axis(scores, slate, axis=1)
-    perm = np.lexsort((id_rank[slate], -row_scores), axis=1)
-    deadline = _deadlines(model.probs)
-    new_rank = np.empty_like(perm)
-    np.put_along_axis(new_rank, perm, np.arange(k)[None, :], axis=1)
-    late = np.flatnonzero(((phase == 1) & (new_rank > deadline)).any(axis=1))
-    perm[late] = _resort(new_rank[late], phase[late], deadline)
+    plain = np.lexsort((id_rank[slate], -row_scores), axis=1)
+    plain_rank = np.empty_like(plain)
+    np.put_along_axis(plain_rank, plain, np.arange(k)[None, :], axis=1)
+    perm = _resort(plain_rank,
+                   np.where(phase == 1, _deadlines(model.probs), k - 1))
     return SlateSet(
         consumer_ids=rel.consumer_ids, item_ids=rel.item_ids, rows=order,
         items=np.take_along_axis(slate, perm, axis=1),

@@ -64,7 +64,7 @@ def _top_k(neg, id_rank, k):
     return cand[np.lexsort((id_rank[cand], neg[cand]))[:k]]
 
 
-def pr_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
+def pr_k(rel: RelevanceMatrix, model: ExposureModel) -> SlateSet:
     """Pure-fairness baseline: give each consumer the k most under-exposed
     items relative to their full fair share (alpha=1), largest deficit at
     the top rank, updating the running ledger after each slate.
@@ -75,11 +75,12 @@ def pr_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
     keys, the (deficit desc, item id asc) order, and pushes those k back
     with their new exposure. Otherwise the heap's 2k Python-level calls
     per consumer cost more than sorting all n deficits by `_top_k`."""
+    k = model.k
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
     id_rank = _id_ranks(rel.item_ids)
     quota_vec = compute_quotas(rel, identity_groups(rel), model, 1.0)
-    probs = model.probs[:k]
+    probs = model.probs
     if k > 16 or rel.n < 16 * k:
         exposure = np.zeros(rel.n)
         slate_idx = np.empty((rel.m, k), dtype=int)
@@ -96,8 +97,7 @@ def pr_k(rel: RelevanceMatrix, model: ExposureModel, k) -> SlateSet:
     picked = []
     for _ in range(rel.m):
         top = [heapq.heappop(heap) for _ in range(k)]
-        # strict: a k beyond model.k raises instead of losing popped items
-        for (_, r, j), p in zip(top, probs.tolist(), strict=True):
+        for (_, r, j), p in zip(top, probs.tolist()):
             exposure[j] += p
             heapq.heappush(heap, (-(quotas[j] - exposure[j]), r, j))
             picked.append(j)

@@ -92,6 +92,9 @@ def build_parser():
 
 def _load(args):
     rel = load_relevance(args.relevance)
+    # before any k-long array is built
+    if args.k > rel.n:
+        raise ValueError(f"need n >= k (n={rel.n}, k={args.k})")
     groups = load_groups(args.groups, rel) if args.groups else identity_groups(rel)
     return rel, groups
 

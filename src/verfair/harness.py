@@ -66,7 +66,7 @@ def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
     if method == "random-k":
         return random_k(rel, model.k, seed)
     if method == "pr-k":
-        return pr_k(rel, model, model.k)
+        return pr_k(rel, model)
     if method == "fairco":
         return fairco(rel, groups, model, lam)
     if method == "verfair-ind":

@@ -213,7 +213,8 @@ class TestResorting:
             phases = rng.choice(np.array([1, 2], dtype=np.int8), size=k)
             plain = np.lexsort((id_rank[items], -scores_row[items]))
             new_rank = np.argsort(plain)
-            out = _resort(new_rank[None], phases[None], deadline)[0]
+            last = np.where(phases == 1, deadline, k - 1)
+            out = _resort(new_rank[None], last[None])[0]
             assert sorted(out.tolist()) == list(range(k))
             assert all(np.flatnonzero(out == j)[0] <= deadline[j]
                        for j in range(k) if phases[j] == 1)
@@ -233,7 +234,8 @@ class TestResorting:
         assert deadline.tolist() == [0, 1, 2]
         plain = np.lexsort((items, -scores_row[items]))
         assert plain.tolist() == [0, 2, 1]
-        out = _resort(np.argsort(plain)[None], phases[None], deadline)[0]
+        last = np.where(phases == 1, deadline, 2)
+        out = _resort(np.argsort(plain)[None], last[None])[0]
         assert out.tolist() == [0, 1, 2]
 
 

@@ -101,12 +101,12 @@ def test_tiny_family_with_exchanges(monkeypatch):
     assert sum(exchanged) > 0
 
 
-def test_large_instance_takes_the_slow_resort_on_few_rows(monkeypatch):
+def test_large_instance_resorts_every_row_once(monkeypatch):
     resorted = []
 
-    def counting_resort(items, *args):
-        resorted.append(len(items))
-        return real_resort(items, *args)
+    def counting_resort(plain_rank, *args):
+        resorted.append(len(plain_rank))
+        return real_resort(plain_rank, *args)
 
     real_resort = allocator._resort
     monkeypatch.setattr(allocator, "_resort", counting_resort)
@@ -114,7 +114,7 @@ def test_large_instance_takes_the_slow_resort_on_few_rows(monkeypatch):
     model = ExposureModel.pbm(1.0, 10)
     for alpha in (0.7, 1.0):
         assert_same(rel, identity_groups(rel), model, alpha, seed=7)
-    assert 0 < sum(resorted) < rel.m
+    assert resorted == [rel.m, rel.m]
 
 
 def skewed_groups(m, seed):
@@ -220,17 +220,24 @@ def test_wide_instances_match_reference(m, alpha):
 
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(1, 6), extra=st.integers(0, 4),
-       eta=st.sampled_from([0.0, 1.0, 2.0]), seed=st.integers(0, 10_000))
-def test_resort_matches_reference(k, extra, eta, seed):
+       eta=st.sampled_from([0.0, 1.0, 2.0]), plateaus=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_resort_matches_reference(k, extra, eta, plateaus, seed):
     rng = np.random.default_rng(seed)
     n = k + extra
     scores_row = rng.choice([0.1, 0.4, 0.7, 1.0], size=n)  # ties on purpose
     id_rank = rng.permutation(n)
     items = rng.permutation(n)[:k]
     phases = rng.choice(np.array([1, 2], dtype=np.int8), size=k)
-    probs = ExposureModel.pbm(eta, k).probs
+    if plateaus:
+        # such as [1, .6, .6, .3]: deadlines neither each rank's own (pbm
+        # at eta > 0) nor all k - 1 (pbm at eta 0)
+        probs = np.sort(rng.choice([1.0, 0.6, 0.3], size=k))[::-1]
+    else:
+        probs = ExposureModel.pbm(eta, k).probs
     plain = np.lexsort((id_rank[items], -scores_row[items]))
-    got = _resort(np.argsort(plain)[None], phases[None], _deadlines(probs))[0]
+    last = np.where(phases == 1, _deadlines(probs), k - 1)
+    got = _resort(np.argsort(plain)[None], last[None])[0]
     want = reference_allocator._resort(items, phases, scores_row, id_rank,
                                        probs)
     assert got.tolist() == want.tolist()
@@ -239,8 +246,8 @@ def test_resort_matches_reference(k, extra, eta, seed):
 @pytest.mark.parametrize("alpha", [0.7, 1.0])
 def test_batched_resort_matches_reference_on_every_late_row(monkeypatch,
                                                             alpha):
-    # every row whose plain sort breaks a deadline, on a wide input where
-    # hundreds of them do
+    # every row, on a wide input where hundreds of plain sorts demote an
+    # allocation item past its deadline
     calls = []
 
     def recording_resort(*args):
@@ -253,10 +260,9 @@ def test_batched_resort_matches_reference_on_every_late_row(monkeypatch,
     rel = synth_relevance(1000, 1000, seed=1)
     model = ExposureModel.pbm(1.0, 10)
     s = allocator.allocate(rel, identity_groups(rel), model, alpha, seed=1)
-    [((plain_rank, phases, _), out)] = calls
-    # the slates as they were before the re-sort, and the rows it was
-    # given: those whose plain sort demotes an allocation item past its
-    # deadline
+    [((plain_rank, last), out)] = calls
+    # the slates as they were before the re-sort, and what it was given:
+    # each slot's plain-sort rank, and its deadline if an allocation item
     pre = s.pre_rank - 1
     items = np.empty_like(s.items)
     np.put_along_axis(items, pre, s.items, axis=1)
@@ -270,12 +276,13 @@ def test_batched_resort_matches_reference_on_every_late_row(monkeypatch,
     deadline = _deadlines(model.probs)
     late = np.flatnonzero(((phase == 1) & (want_rank > deadline)).any(axis=1))
     assert len(late) >= 300
-    assert plain_rank.tolist() == want_rank[late].tolist()
-    assert phases.tolist() == phase[late].tolist()
-    for i, row in enumerate(late):
+    assert plain_rank.tolist() == want_rank.tolist()
+    assert last.tolist() == np.where(phase == 1, deadline,
+                                     model.k - 1).tolist()
+    for row in range(rel.m):
         want = reference_allocator._resort(items[row], phase[row],
                                            scores[row], id_rank, model.probs)
-        assert out[i].tolist() == want.tolist()
+        assert out[row].tolist() == want.tolist()
 
 
 def lexsort_preferences(scores, id_rank):

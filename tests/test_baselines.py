@@ -54,7 +54,7 @@ class TestRandomK:
         model = ExposureModel.pbm(1.0, 10)
         groups = identity_groups(rel)
         rand = random_k(rel, 10, seed=0)
-        fair = pr_k(rel, model, 10)
+        fair = pr_k(rel, model)
         f_rand = jsd_fairness(accumulate(rand, model, groups), rel, groups)
         f_fair = jsd_fairness(accumulate(fair, model, groups), rel, groups)
         assert f_rand < f_fair
@@ -69,21 +69,21 @@ class TestPrK:
                                         [0.25, 0.5, 0.75],
                                         [0.5, 0.5, 0.5]]))
         model = ExposureModel.pbm(0.0, 2)
-        s = pr_k(rel, model, 2)
+        s = pr_k(rel, model)
         assert s.slates["c1"] == ["A", "B"]
 
     def test_near_perfect_fairness_at_scale(self):
         rel = synth_relevance(1000, 50, seed=17)
         model = ExposureModel.pbm(1.0, 10)
         groups = identity_groups(rel)
-        s = pr_k(rel, model, 10)
+        s = pr_k(rel, model)
         fair = jsd_fairness(accumulate(s, model, groups), rel, groups)
         assert fair >= 0.99
 
     def test_single_consumer_uniform_relevance(self):
         rel = RelevanceMatrix(("c1",), ("B", "A", "C"),
                               np.array([[0.4, 0.4, 0.4]]))
-        s = pr_k(rel, ExposureModel.pbm(0.0, 2), 2)
+        s = pr_k(rel, ExposureModel.pbm(0.0, 2))
         assert s.slates["c1"] == ["A", "B"]
 
     def test_greedy_deficit_local_optimality(self):
@@ -93,7 +93,7 @@ class TestPrK:
             rel = synth_relevance(4, 4, seed=seed)
             model = ExposureModel.pbm(1.0, 2)
             groups = identity_groups(rel)
-            s = pr_k(rel, model, 2)
+            s = pr_k(rel, model)
             quota = dict(zip(rel.item_ids,
                              compute_quotas(rel, groups, model, 1.0).tolist()))
             ledger = accumulate(s, model, groups)
@@ -137,7 +137,7 @@ class TestFairco:
         model = ExposureModel.pbm(1.0, 8)
         groups = identity_groups(rel)
         strong = fairco(rel, groups, model, 1000.0)
-        reference = pr_k(rel, model, 8)
+        reference = pr_k(rel, model)
         f_strong = jsd_fairness(accumulate(strong, model, groups), rel, groups)
         f_ref = jsd_fairness(accumulate(reference, model, groups), rel, groups)
         assert f_strong >= f_ref - 0.02

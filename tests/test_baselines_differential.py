@@ -30,10 +30,10 @@ def assert_pr_k_same(rel, model):
         want = reference_baselines.pr_k(rel, model, model.k).items
     except ValueError as err:
         with pytest.raises(ValueError) as got:
-            pr_k(rel, model, model.k)
+            pr_k(rel, model)
         assert str(got.value) == str(err)
         return
-    assert np.array_equal(pr_k(rel, model, model.k).items, want), \
+    assert np.array_equal(pr_k(rel, model).items, want), \
         (rel.m, rel.n, model.k, model.eta)
 
 
@@ -91,7 +91,7 @@ def test_all_zero_matrix():
     model = ExposureModel.pbm(1.0, 2)
     assert_pr_k_same(rel, model)
     with pytest.raises(ValueError, match="total relevance is zero"):
-        pr_k(rel, model, 2)
+        pr_k(rel, model)
     for lam in LAMBDAS:
         assert_fairco_same(rel, identity_groups(rel), model, lam)
 

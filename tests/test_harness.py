@@ -240,11 +240,19 @@ class TestCli:
                      "--method", "top-k", "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
-    def test_bad_k_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("k", [99, 10**15])
+    @pytest.mark.parametrize("command", ["run", "sweep", "bench", "dump"])
+    def test_bad_k_exits_2(self, tmp_path, capsys, command, k):
+        # k is checked against n before any k-long array is built: a huge
+        # k must not reach numpy's allocator
         rel_path = self._gen(tmp_path)
-        code = main(["run", "--relevance", rel_path, "--method", "top-k",
-                     "--k", "99", "--out", str(tmp_path / "o.csv")])
+        out = ["--out", str(tmp_path / "o.csv")]
+        extra = {"run": out, "sweep": ["--grid", "0,1", *out], "bench": [],
+                 "dump": out}[command]
+        code = main([command, "--relevance", rel_path, "--method", "top-k",
+                     "--k", str(k), *extra])
         assert code == 2
+        assert f"need n >= k (n=8, k={k})" in capsys.readouterr().err
 
     def test_nan_eta_exits_2(self, tmp_path):
         rel_path = self._gen(tmp_path)
