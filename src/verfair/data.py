@@ -101,7 +101,7 @@ class GroupMap:
 # of 2**15 fields read up to 1.5 MB more peak RSS than 2**14 on seeds of
 # the benchmark's 1000 x 100 input.
 _CHUNK_FIELDS = 2 ** 14
-_BLOCK_FIELDS = 2 ** 12
+_BLOCK_FIELDS = 2 ** 13
 # The second pass of the kernel costs about what float() does on a few
 # hundred fields; fewer fields than this go straight to float().
 _FEW_FIELDS = 64
@@ -137,7 +137,7 @@ def _parse_relevance_numpy(path):
 
     Without quotes, csv rows are the file's lines, split at each comma.
     The file is read in chunks of whole lines, of about 2**14 fields if
-    the lines are like the first, and `_parse_rows` reads each chunk.
+    the lines are like the first, and `_parse_rows` reads each into scores.
     """
     limit = csv.field_size_limit()
     consumer_ids = []
@@ -160,24 +160,17 @@ def _parse_relevance_numpy(path):
         # are never touched
         scores = np.empty((os.fstat(fh.fileno()).st_size
                            // max(len(line), 2 * n + 1) + 1, n))
-        m = 0
         while line:
-            parsed = _parse_rows(
-                b"".join([line, fh.read(size), fh.readline(), _PAD]), n, limit)
+            chunk = b"".join([line, fh.read(size), fh.readline(), _PAD])
+            parsed = _parse_rows(chunk, n, limit, scores, len(consumer_ids))
             if parsed is None:
                 return None
             consumer_ids += parsed[0]
-            block = parsed[1]
-            if m + len(block) > len(scores):
-                grown = np.empty((2 * (m + len(block)), n))
-                grown[:m] = scores[:m]
-                scores = grown
-            scores[m:m + len(block)] = block
-            m += len(block)
+            scores = parsed[1]
             line = fh.readline()
-    if not m:
+    if not consumer_ids:
         return None
-    return tuple(consumer_ids), tuple(fields[1:]), scores[:m]
+    return tuple(consumer_ids), tuple(fields[1:]), scores[:len(consumer_ids)]
 
 
 def _plain(data):
@@ -186,10 +179,11 @@ def _plain(data):
     return not any(c in data for c in _CSV_PARSER_ONLY)
 
 
-def _parse_rows(data, n, limit):
-    """(consumer_ids, (rows, n) scores) of the whole lines that start the
-    bytes `data`, each a consumer id and n numbers, then _PAD; or None when
-    the csv parser could read the lines otherwise.
+def _parse_rows(data, n, limit, scores, m):
+    """(consumer_ids, scores) once the whole lines that start the bytes
+    `data`, each a consumer id and n numbers, then _PAD, are written from
+    row m on of the (_, n) matrix `scores` or of a grown copy of it; or
+    None when the csv parser could read the lines otherwise.
 
     The lines are split at commas and newlines in one pass over their
     bytes. `_decimals` converts the scores, and every field it does not
@@ -226,13 +220,17 @@ def _parse_rows(data, n, limit):
     consumer_ids = _ids(buf, line_starts, sep[:, 0])
     starts = (sep[:, :-1] + 1).ravel()
     ends = sep[:, 1:].ravel()
-    scores = np.empty(rows * n)
+    if m + rows > len(scores):
+        grown = np.empty((2 * (m + rows), n))
+        grown[:m] = scores[:m]
+        scores = grown
+    out = scores[m:m + rows].reshape(-1)  # a view: rows are contiguous
     exact = np.empty(rows * n, dtype=bool)
     blocks = [slice(i, i + _BLOCK_FIELDS)
               for i in range(0, rows * n, _BLOCK_FIELDS)]
     for general in (False, True):
         for block in blocks:
-            scores[block], exact[block] = _decimals(
+            out[block], exact[block] = _decimals(
                 data, starts[block], ends[block], general)
         rest = np.flatnonzero(~exact)
         if rest.size < _FEW_FIELDS:
@@ -244,8 +242,8 @@ def _parse_rows(data, n, limit):
         fallback = _float_fields(data, starts[rest], ends[rest])
         if fallback is None:
             return None
-        scores[rest] = fallback
-    return consumer_ids, scores.reshape(rows, n)
+        out[rest] = fallback
+    return consumer_ids, scores
 
 
 def _ids(buf, starts, ends):
@@ -297,7 +295,7 @@ def _pow10_table():
 
 
 _POW10 = _pow10_table()
-_POW10_INT = 10 ** np.arange(17, dtype=np.uint64)
+_POW10_INT = 10 ** np.arange(19, dtype=np.uint64)
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
@@ -309,16 +307,13 @@ def _read(data, at, words):
     return np.ascontiguousarray(view[at].view("<u8").reshape(-1, words).T)
 
 
-def _ctz_bytes(x):
-    """Index of the lowest non-zero byte of each word, 8 for a zero word."""
-    return (np.bitwise_count((x - 1) & ~x) >> 3).astype(np.int64)
-
-
 def _find(words, byte):
     """Offset of the first byte equal to `byte` in each column of three
     consecutive words, 24 if none is."""
     x = words ^ np.uint64(byte * _BYTES)
-    i = _ctz_bytes((x - _BYTES) & ~x & np.uint64(0x80 * _BYTES))
+    x = (x - _BYTES) & ~x & np.uint64(0x80 * _BYTES)
+    # the index of the lowest non-zero byte of each word, 8 for a zero word
+    i = (np.bitwise_count((x - 1) & ~x) >> 3).astype(np.int64)
     i = np.where(i < 8, i + _WORD_AT, 24)
     return np.minimum(np.minimum(i[0], i[1]), i[2])
 
@@ -343,27 +338,29 @@ def _decimals(data, starts, ends, general):
     """(values, exact) for the fields [starts, ends) of the bytes `data`:
     values[i] is float() of field i wherever exact[i] is true.
 
-    Unless `general`, only fields that start with "0." are read, from the
-    first byte after it that is not "0". With `general`, every field is
-    read from its start, and may hold one decimal point anywhere and end in
-    `e` or `E`, a sign and 1 to 7 digits. A field is kept when it has at
-    most 18 digits where it is read and the rounding of w * 10**q is
-    certified (see `_round`).
+    Unless `general`, only fields of at most 24 bytes that start with "0."
+    are read, as digits with the "." read as "0". With `general`, fields
+    of at most 18 digits are read from their start, and may hold one
+    decimal point anywhere and end in `e` or `E`, a sign and 1 to 7
+    digits. A field is kept when w, the integer of its digits, is below
+    10**18 and the rounding of w * 10**q is certified (see `_round`).
     """
     if general:
         words, count, q, valid = _mantissa(data, starts, ends)
+        valid &= count <= _MAX_DIGITS
     else:
-        head = _read(data, starts, 2)
-        valid = (head[0] & np.uint64(0xFFFF)) == np.uint64(0x2E30)
-        zeros = _ctz_bytes(((head[0] >> 16) | (head[1] << 48)) ^ _ZEROS)
-        first = starts + 2 + zeros
-        words = _read(data, first, 3)
-        count = ends - first
-        q = starts + 2 - ends  # -(zeros + count), at least -26 if valid
+        words = _read(data, starts, 3)
+        count = ends - starts
+        valid = ((words[0] & np.uint64(0xFFFF)) == 0x2E30) & (count <= 24)
+        words[0] ^= np.uint64(0x1E00)  # "0." read as "00"
+        q = 2 - count
     n = np.minimum(np.maximum(count - _WORD_AT, 0), 8)
     value, bad = _digits(words, n)
-    valid &= ((bad[0] | bad[1] | bad[2]) == 0) & (count <= _MAX_DIGITS)
-    w = (value[0] * _POW10_INT[n[1] + n[2]] + value[1] * _POW10_INT[n[2]]
+    later = n[1] + n[2]
+    # so w < 10**18 < 2**60: no product below wraps where valid holds
+    valid &= (((bad[0] | bad[1] | bad[2]) == 0)
+              & (value[0] < _POW10_INT[_MAX_DIGITS - later]))
+    w = (value[0] * _POW10_INT[later] + value[1] * _POW10_INT[n[2]]
          + value[2])
     values, certified = _round(w * valid, (q - _Q_MIN) * valid)
     return values, valid & certified
@@ -533,14 +530,17 @@ def synth_relevance(m, n, distribution="uniform", seed=0) -> RelevanceMatrix:
     if m < 1 or n < 1:
         raise DataError("m and n must be >= 1")
     rng = np.random.default_rng(seed)
-    if distribution == "uniform":
-        scores = rng.random((m, n))
-    else:
-        match = _BETA_RE.match(distribution)
-        if not match:
-            raise DataError(f"unknown distribution {distribution!r}")
-        a, b = float(match.group(1)), float(match.group(2))
-        scores = rng.beta(a, b, size=(m, n))
+    match = _BETA_RE.match(distribution)
+    if distribution != "uniform" and not match:
+        raise DataError(f"unknown distribution {distribution!r}")
+    try:
+        if distribution == "uniform":
+            scores = rng.random((m, n))
+        else:
+            scores = rng.beta(float(match.group(1)), float(match.group(2)),
+                              size=(m, n))
+    except MemoryError:
+        raise DataError(f"cannot allocate a {m}x{n} matrix") from None
     width = max(len(str(m)), len(str(n)))
     consumer_ids = tuple(f"c{i:0{width}d}" for i in range(1, m + 1))
     item_ids = tuple(f"i{j:0{width}d}" for j in range(1, n + 1))

@@ -536,6 +536,48 @@ def test_kernel_converts_all_but_a_few_repr_scores(dist, tmp_path,
     assert sum(fallback) < 0.01 * scores.size
 
 
+def test_zero_led_fields_of_every_length(tmp_path, monkeypatch):
+    # "0.", z zeros and d digits, the first of them not 0: a field of
+    # 2 + z + d bytes with d significant digits, 20 of each z + d <= 24
+    rng = np.random.default_rng(24)
+    fields = []
+    for size in range(25):
+        for z in range(size + 1):
+            for _ in range(20):
+                digits = [*rng.integers(1, 10, 1), *rng.integers(0, 10, 23)]
+                fields.append("0." + "0" * z
+                              + "".join(map(str, digits[:size - z])))
+    reached = []
+    float_fields = data_module._float_fields
+
+    def counted(data, starts, ends):
+        reached.extend(data[a:b].decode()
+                       for a, b in zip(starts.tolist(), ends.tolist()))
+        return float_fields(data, starts, ends)
+
+    def certified(field):
+        w = np.array([int(field[2:] or "0")], dtype=np.uint64)
+        k = np.array([2 - len(field) - data_module._Q_MIN])
+        return bool(data_module._round(w, k)[1][0])
+
+    monkeypatch.setattr(data_module, "_float_fields", counted)
+    path = tmp_path / "rel.csv"
+    write_rows(path, fields, 20)
+    parsed = _parse_relevance_numpy(path)
+    assert parsed is not None
+    want = np.array([float(f) for f in fields])
+    assert np.array_equal(parsed[2].ravel().view(np.int64),
+                          want.view(np.int64))
+    # the zero-led pass takes every field of at most 24 bytes and 18
+    # significant digits; of those, only the uncertified reach float()
+    taken = {f for f in fields if len(f) <= 24 and len(f.lstrip("0.")) <= 18}
+    assert set(fields) - taken <= set(reached)
+    assert not [f for f in reached if f in taken and certified(f)]
+    assert {len(f) for f in taken} == set(range(2, 25))
+    assert {len(f.lstrip("0.")) for f in set(fields) - taken} \
+        >= {19, 20, 21, 22}
+
+
 @pytest.mark.parametrize("m, n, parent_mib", [(500, 1000, 23.5),
                                               (1000, 100, 5.0)])
 def test_loader_peak_memory_not_above_the_loadtxt_loader(m, n, parent_mib,

@@ -227,6 +227,16 @@ class TestCli:
         assert lines[0] == metrics_header((1, 3))
         assert len(lines) == 4
 
+    def test_gen_of_a_shape_too_large_to_allocate_exits_2(self, tmp_path,
+                                                          capsys):
+        # 10**15 x 3 doubles: numpy refuses before anything is allocated
+        out = tmp_path / "rel.csv"
+        code = main(["gen", "--m", str(10**15), "--n", "3",
+                     "--out", str(out)])
+        assert code == 2
+        assert "1000000000000000x3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dump_subcommand(self, tmp_path):
         rel_path = self._gen(tmp_path)
         out = tmp_path / "dist.csv"
