@@ -127,20 +127,32 @@ def _id_ranks(ids):
     return ranks
 
 
+def _partitions(n, depth):
+    """Whether a row of n entries, of which only the first `depth` in
+    sorted order are read, is cut to its leading entries by a partition
+    before they are sorted: when n >= 256 and n >= 4 * depth. Below that
+    a full sort of the row is faster. `_preferences`, the baselines'
+    `_top_k` and the ideal rows of `metrics` all follow this rule."""
+    return n >= max(256, 4 * depth)
+
+
 def _preferences(scores, id_rank, depth):
     """(m, depth) item indices per row by descending score, ties by
     ascending item id: the first `depth` columns of each row's
     `np.lexsort((id_rank, -scores))`.
 
     Distinct scores have one descending order, so an unstable argsort finds
-    it. A row is sorted again only where two of its first depth + 1 sorted
-    scores are equal (0.0 and -0.0 included): with no such tie, its first
-    depth items each score strictly above every item after them. The
-    repair is a stable sort of the row's scores laid out in item-id order,
-    so equal scores keep ascending ids. Once most rows of a block tie, as
-    rated or rounded relevance does, the unstable pass is wasted work and
-    every later block goes to the stable sort outright. Rows go a block of
-    `_SORT_BLOCK` scores at a time, so no temporary grows to (m, n).
+    it. Where `_partitions(n, depth)` holds, only the depth + 1 largest
+    scores of a row, found by `np.argpartition`, are sorted. A row is
+    sorted again only where two of its first depth + 1 sorted scores are
+    equal (0.0 and -0.0 included): with no such tie, its first depth items
+    each score strictly above every item after them, partitioned out or
+    not. The repair is a stable sort of the whole row's scores laid out in
+    item-id order, so equal scores keep ascending ids. Once most rows of a
+    block tie, as rated or rounded relevance does, the unstable pass is
+    wasted work and every later block goes to the stable sort outright.
+    Rows go a block of `_SORT_BLOCK` scores at a time, so no temporary
+    grows to (m, n).
     """
     m, n = scores.shape
     by_id = np.argsort(id_rank)
@@ -151,14 +163,21 @@ def _preferences(scores, id_rank, depth):
 
     out = np.empty((m, depth), dtype=np.intp)
     step = max(1, _SORT_BLOCK // n)
+    wide = _partitions(n, depth)
     mostly_tied = False
     for lo in range(0, m, step):
         block = scores[lo:lo + step]
         if mostly_tied:
             out[lo:lo + step] = stable(block)
             continue
-        order = np.argsort(-block, axis=1)
-        lead = np.take_along_axis(block, order[:, :depth + 1], axis=1)
+        neg = -block
+        if wide:
+            cand = np.argpartition(neg, depth, axis=1)[:, :depth + 1]
+            order = np.take_along_axis(cand, np.argsort(
+                np.take_along_axis(neg, cand, axis=1), axis=1), axis=1)
+        else:
+            order = np.argsort(neg, axis=1)[:, :depth + 1]
+        lead = np.take_along_axis(block, order, axis=1)
         out[lo:lo + step] = order[:, :depth]
         tied = np.flatnonzero((lead[:, 1:] == lead[:, :-1]).any(axis=1))
         if tied.size:

@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from .allocator import (APPENDING, PHASE_TAG, SlateSet, _id_ranks,
-                        _preferences)
+                        _partitions, _preferences)
 from .data import GroupMap, RelevanceMatrix, identity_groups
 from .exposure import ExposureModel
 from .quota import compute_quotas, group_relevance
@@ -53,11 +53,11 @@ def _top_k(neg, id_rank, k):
     """The first k of `np.lexsort((id_rank, neg))`: positions of the k
     smallest `neg`, ties by ascending id rank, nan last.
 
-    When n is large against k (n >= 256 and n >= 4k) it keeps only the
+    When n is large against k (`_partitions(n, k)`) it keeps only the
     entries not above the k-th smallest value, found by `np.partition`,
     and sorts those. That is faster when few entries tie at the k-th
     value; when most do, it sorts nearly all n after the partition."""
-    if neg.size < max(256, 4 * k):
+    if not _partitions(neg.size, k):
         return np.lexsort((id_rank, neg))[:k]
     kth = np.partition(neg, k - 1)[k - 1]
     cand = np.flatnonzero(~(neg > kth))  # nan is never above: kept, sorts last

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allocator import _SORT_BLOCK, _partitions
 from .data import GroupMap, RelevanceMatrix
 from .exposure import ExposureLedger, ExposureModel, accumulate
 from .quota import group_relevance
@@ -33,32 +34,60 @@ def _positions(ids, dataset_ids):
     return np.array([pos[d] for d in ids], dtype=int)
 
 
-def _ideal_rows(rel: RelevanceMatrix):
-    """Each consumer's relevance row sorted in descending order."""
-    return -np.sort(-rel.scores, axis=1)
+def _ideal_rows(scores, depth):
+    """The `depth` largest scores of each row, in descending order.
+
+    Rows go a block of `_SORT_BLOCK` scores at a time, so no temporary
+    grows to (m, n). Where `_partitions(n, depth)` holds, a block is cut to
+    the depth largest scores of each row by `np.partition` before the
+    sort. Either way each row holds the same values as the first depth
+    columns of `-np.sort(-scores, axis=1)`."""
+    m, n = scores.shape
+    out = np.empty((m, depth))
+    step = max(1, _SORT_BLOCK // n)
+    wide = _partitions(n, depth)
+    for lo in range(0, m, step):
+        neg = -scores[lo:lo + step]
+        if wide:
+            neg = np.partition(neg, depth - 1, axis=1)[:, :depth]
+        np.negative(np.sort(neg, axis=1)[:, :depth], out=out[lo:lo + step])
+    return out
+
+
+def _check_cutoff(k_c, model: ExposureModel):
+    if not 1 <= k_c <= model.k:
+        raise ValueError(f"cutoff {k_c} out of range 1..{model.k}")
+
+
+def _gather(slates, rel: RelevanceMatrix, depth):
+    """(rows, gains, ideal) for NDCG at every cutoff up to `depth`: each
+    slate's consumer row, the relevance of its first `depth` items, and
+    the (m, depth) ideal scores of `_ideal_rows`."""
+    rows = _positions(slates.consumer_ids, rel.consumer_ids)[slates.rows]
+    cols = _positions(slates.item_ids, rel.item_ids)[slates.items[:, :depth]]
+    return rows, rel.scores[rows[:, None], cols], _ideal_rows(rel.scores,
+                                                             depth)
 
 
 def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c,
-         ideal=None) -> float:
+         gathered=None) -> float:
     """Mean over consumers of DCG@k_c / IDCG@k_c.
 
     DCG@k_c = sum_{j<=k_c} R(slate[j], u) * p_j; the ideal ranking sorts the
     consumer's own relevance row. Consumers with zero ideal DCG contribute 1.
-    `ideal` is `_ideal_rows(rel)`, passed by callers that evaluate several
-    cutoffs so the matrix is sorted once; it is computed when omitted.
+    `gathered` is `_gather(slates, rel, depth)` for some depth >= k_c,
+    passed by `evaluate` so all its cutoffs read one gather; it is made
+    for depth k_c when omitted, which sorts only each row's k_c largest
+    scores.
     """
-    if not 1 <= k_c <= model.k:
-        raise ValueError(f"cutoff {k_c} out of range 1..{model.k}")
+    _check_cutoff(k_c, model)
+    if gathered is None:
+        gathered = _gather(slates, rel, k_c)
+    rows, gains, ideal = gathered
     discounts = model.probs[:k_c]
-    if ideal is None:
-        ideal = _ideal_rows(rel)
-    ideal_scores = ideal[:, :k_c]
-    rows = _positions(slates.consumer_ids, rel.consumer_ids)[slates.rows]
-    cols = _positions(slates.item_ids, rel.item_ids)[slates.items[:, :k_c]]
-    gains = rel.scores[rows[:, None], cols]
     # vecdot takes the same per-row dot product as `gains[c] @ discounts`
-    dcg = np.vecdot(gains, discounts)
-    idcg = (ideal_scores @ discounts)[rows]
+    dcg = np.vecdot(gains[:, :k_c], discounts)
+    idcg = (ideal[:, :k_c] @ discounts)[rows]
     vals = np.ones(len(rows))
     np.divide(dcg, idcg, out=vals, where=idcg > 0)
     return float(np.mean(vals))
@@ -99,11 +128,16 @@ def jsd_fairness(ledger: ExposureLedger, rel: RelevanceMatrix,
 
 def evaluate(slates, rel: RelevanceMatrix, groups: GroupMap,
              model: ExposureModel, cutoffs) -> EvalReport:
-    """Bundle NDCG at each cutoff with both fairness levels from one ledger."""
+    """Bundle NDCG at each cutoff with both fairness levels from one ledger.
+
+    Every cutoff is checked before anything is gathered; all of them then
+    read one `_gather` to the largest cutoff."""
     ledger = accumulate(slates, model, groups)
-    ideal = _ideal_rows(rel)
+    for kc in cutoffs:
+        _check_cutoff(kc, model)
+    gathered = _gather(slates, rel, max(cutoffs)) if cutoffs else None
     return EvalReport(
-        ndcg_at={kc: ndcg(slates, rel, model, kc, ideal) for kc in cutoffs},
+        ndcg_at={kc: ndcg(slates, rel, model, kc, gathered) for kc in cutoffs},
         fairness_individual=jsd_fairness(ledger, rel, groups, "individual"),
         fairness_group=jsd_fairness(ledger, rel, groups, "group"),
     )

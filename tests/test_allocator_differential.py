@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import reference_allocator
 import verfair.allocator as allocator
+import verfair.metrics as metrics
 from helpers import random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, find_anchor,
                      identity_groups, synth_relevance)
@@ -318,6 +319,47 @@ def test_preferences_match_lexsort(m, n, block_rows, rounded, equal_rows,
         for depth in range(1, n + 1):
             got = allocator._preferences(scores, id_rank, depth)
             assert got.tolist() == want[:, :depth].tolist(), depth
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 12), n=st.sampled_from([255, 256, 257, 300, 1000]),
+       block_rows=st.integers(1, 13), rounded=st.booleans(),
+       signed_zeros=st.booleans(), seed=st.integers(0, 10_000))
+def test_wide_preferences_match_lexsort(m, n, block_rows, rounded,
+                                        signed_zeros, seed):
+    # Rows on both sides of 256 items, read to depths on both sides of
+    # n = 4 * depth, so both the partition and the full sort are taken.
+    # In about half the rows two scores are made equal at sorted positions
+    # (depth - 1, depth), (depth, depth + 1) or (depth + 1, depth + 2):
+    # the middle tie is the one the partition's depth + 1 candidates must
+    # expose. The ideal rows of `metrics` follow the same rule.
+    rng = np.random.default_rng(seed)
+    base = rng.random((m, n))
+    if rounded:  # a thousand levels: sparse ties, some at any position
+        base = np.ceil(base * 1000) / 1000
+    if signed_zeros:
+        zero = rng.random((m, n)) < 0.4
+        base[zero] = rng.choice([0.0, -0.0], size=zero.sum())
+    id_rank = rng.permutation(n)
+    tied_rows = np.flatnonzero(rng.random(m) < 0.5)
+    order = lexsort_preferences(base, id_rank)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocator, "_SORT_BLOCK", block_rows * n)
+        mp.setattr(metrics, "_SORT_BLOCK", block_rows * n)
+        for depth in (1, 2, n // 4, n // 4 + 1, n):
+            for at in (depth - 1, depth, depth + 1):  # 1-based position
+                if not 1 <= at < n:
+                    continue
+                scores = base.copy()
+                rows = tied_rows[:, None]
+                scores[rows, order[rows, at]] = \
+                    scores[rows, order[rows, at - 1]]
+                want = lexsort_preferences(scores, id_rank)[:, :depth]
+                got = allocator._preferences(scores, id_rank, depth)
+                assert got.tolist() == want.tolist(), (depth, at)
+                ideal = -np.sort(-scores, axis=1)[:, :depth]
+                assert metrics._ideal_rows(scores, depth).tolist() == \
+                    ideal.tolist(), (depth, at)
 
 
 @pytest.mark.parametrize("rounded", [False, True])

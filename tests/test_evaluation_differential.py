@@ -7,6 +7,7 @@ group, NDCG equal at every cutoff, and every CSV byte-identical.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from helpers import make_slateset, random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
                      evaluate, identity_groups, load_groups,
                      load_relevance, ndcg, save_groups, save_relevance,
-                     synth_relevance)
+                     synth_relevance, top_k)
+from verfair.allocator import _id_ranks
 from verfair.cli import main
 from verfair.harness import METHODS, PARAM_OF, RunConfig, make_slates
 from verfair.metrics import EvalReport
@@ -83,6 +85,52 @@ def test_every_baseline_on_a_wide_instance():
         slates = make_slates(method, rel, groups, model, alpha=0.7, lam=2.0,
                              seed=5)
         assert_same_evaluation(slates, rel, groups, model, 10)
+
+
+@pytest.mark.parametrize("n, k, tied", [(300, 10, True), (300, 10, False),
+                                        (1000, 250, False)])
+def test_every_baseline_on_an_instance_of_256_items_or_more(n, k, tied):
+    # n >= 256 and n >= 4k: top-k's preferences, the ideal rows and the
+    # baselines' selection all partition before they sort. Three score
+    # levels tie every row at the top. In every other row the (k+1)-th
+    # score is raised to the k-th, a tie that only the partition's k + 1
+    # candidates show, and item ids sort in another order than the
+    # columns. Untied rows test the order of the partitioned ideal scores,
+    # which a partition to depth 10 may leave sorted by chance; one to
+    # depth 250 leaves most rows unsorted.
+    rel = instance(40, n, 3, tied=tied, zero_row=True)
+    scores = rel.scores.copy()
+    order = np.argsort(-scores, axis=1)
+    rows = np.arange(0, rel.m, 2)[:, None]
+    scores[rows, order[rows, k]] = scores[rows, order[rows, k - 1]]
+    rng = np.random.default_rng(3)
+    rel = RelevanceMatrix(rel.consumer_ids,
+                          tuple(rel.item_ids[j] for j in rng.permutation(n)),
+                          scores)
+    groups = random_groups(rel, rng)
+    model = ExposureModel.pbm(1.0, k)
+    for method in METHODS:
+        slates = make_slates(method, rel, groups, model, alpha=0.7, lam=2.0,
+                             seed=5)
+        assert_same_evaluation(slates, rel, groups, model, k)
+    id_rank = np.broadcast_to(_id_ranks(rel.item_ids), rel.scores.shape)
+    want = np.lexsort((id_rank, -rel.scores), axis=1)[:, :k]
+    assert top_k(rel, k).items.tolist() == want.tolist()
+
+
+def test_evaluate_holds_no_matrix_sized_temporary():
+    rel = synth_relevance(2000, 1000, seed=4)
+    groups = random_groups(rel, np.random.default_rng(4))
+    model = ExposureModel.pbm(1.0, 10)
+    slates = top_k(rel, 10)
+    tracemalloc.start()
+    try:
+        report = evaluate(slates, rel, groups, model, (1, 3, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ndcg_at == pytest.approx({1: 1.0, 3: 1.0, 10: 1.0})
+    assert peak < rel.scores.nbytes / 8
 
 
 def test_group_map_out_of_item_order(tmp_path):
