@@ -3,7 +3,7 @@ comparison baselines, and a two-sided (relevance vs. fairness) evaluation
 stack."""
 
 from .allocator import SlateSet, allocate, allocate_individual
-from .baselines import fairco, oracle_exact, pr_k, random_k, top_k
+from .baselines import fairco, pr_k, random_k, top_k
 from .data import (DataError, GroupMap, RelevanceMatrix, identity_groups,
                    load_groups, load_relevance, save_groups, save_relevance,
                    synth_relevance)
@@ -16,7 +16,6 @@ __all__ = [
     "ExposureModel", "GroupMap", "RelevanceMatrix", "SlateSet", "accumulate",
     "allocate", "allocate_individual", "compute_quotas", "evaluate",
     "fairco", "find_anchor", "identity_groups", "jsd_fairness", "load_groups",
-    "load_relevance", "ndcg", "oracle_exact", "pr_k", "random_k",
-    "save_groups", "save_relevance", "synth_relevance", "top_k",
-    "total_exposure",
+    "load_relevance", "ndcg", "pr_k", "random_k", "save_groups",
+    "save_relevance", "synth_relevance", "top_k", "total_exposure",
 ]

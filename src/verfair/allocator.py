@@ -401,7 +401,7 @@ def _deadlines(probs):
 
 
 def _resort(plain_rank, last):
-    """Relevance-descending permutations that never demote allocation
+    """Relevance-descending slot orders that never demote allocation
     items, one per row of `plain_rank`, the 0-based rank of each slot in
     its row's plain sort by (score descending, item id ascending); slot j
     may end no lower than rank `last[:, j]`.
@@ -413,7 +413,7 @@ def _resort(plain_rank, last):
     `_deadlines`) and every other slot k - 1. Ranks are filled bottom-up
     (Lawler's backward rule): rank t takes the least relevant slot not yet
     placed whose `last` is at least t. Some slot always qualifies, as the
-    order before the re-sort meets every `last`. Of the permutations that
+    order before the re-sort meets every `last`. Of the orders that
     meet every `last`, the result ranks the most relevant items first,
     compared rank by rank from the top, so where the plain sort meets
     every `last`, it is the result.

@@ -1,4 +1,4 @@
-"""Comparison allocators and an exhaustive oracle for tiny instances.
+"""Comparison allocators.
 
 All baselines build slates horizontally (one consumer's full list at a
 time) and return their (m, k) item index array as the same SlateSet the
@@ -6,9 +6,6 @@ vertical allocator returns, so the evaluation stack treats them uniformly.
 """
 
 from __future__ import annotations
-
-import heapq
-from itertools import permutations
 
 import numpy as np
 
@@ -67,41 +64,22 @@ def _top_k(neg, id_rank, k):
 def pr_k(rel: RelevanceMatrix, model: ExposureModel) -> SlateSet:
     """Pure-fairness baseline: give each consumer the k most under-exposed
     items relative to their full fair share (alpha=1), largest deficit at
-    the top rank, updating the running ledger after each slate.
-
-    A slate changes only its own k items' deficits. So when k is small
-    against n (k <= 16 and n >= 16k) every item sits in one heap keyed
-    (-(quota - exposure), id rank): each consumer pops the k smallest
-    keys, the (deficit desc, item id asc) order, and pushes those k back
-    with their new exposure. Otherwise the heap's 2k Python-level calls
-    per consumer cost more than sorting all n deficits by `_top_k`."""
+    the top rank, ties by item id (`_top_k`), updating the running ledger
+    after each slate."""
     k = model.k
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
     id_rank = _id_ranks(rel.item_ids)
     quota_vec = compute_quotas(rel, identity_groups(rel), model, 1.0)
     probs = model.probs
-    if k > 16 or rel.n < 16 * k:
-        exposure = np.zeros(rel.n)
-        slate_idx = np.empty((rel.m, k), dtype=int)
-        for c in range(rel.m):
-            # exposure - quota is -(quota - exposure) up to the sign of 0
-            picks = _top_k(exposure - quota_vec, id_rank, k)
-            slate_idx[c] = picks
-            exposure[picks] += probs
-        return _horizontal(rel, slate_idx)
-    quotas = quota_vec.tolist()
-    exposure = [0.0] * rel.n
-    heap = [(-q, r, j) for j, (q, r) in enumerate(zip(quotas, id_rank.tolist()))]
-    heapq.heapify(heap)
-    picked = []
-    for _ in range(rel.m):
-        top = [heapq.heappop(heap) for _ in range(k)]
-        for (_, r, j), p in zip(top, probs.tolist()):
-            exposure[j] += p
-            heapq.heappush(heap, (-(quotas[j] - exposure[j]), r, j))
-            picked.append(j)
-    return _horizontal(rel, np.array(picked, dtype=int).reshape(rel.m, k))
+    exposure = np.zeros(rel.n)
+    slate_idx = np.empty((rel.m, k), dtype=int)
+    for c in range(rel.m):
+        # exposure - quota is -(quota - exposure) up to the sign of 0
+        picks = _top_k(exposure - quota_vec, id_rank, k)
+        slate_idx[c] = picks
+        exposure[picks] += probs
+    return _horizontal(rel, slate_idx)
 
 
 def fairco(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
@@ -136,65 +114,3 @@ def fairco(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
             slate_idx[c] = picks
             np.add.at(exposure, gidx[picks], probs)
     return _horizontal(rel, slate_idx)
-
-
-_ORACLE_LIMIT = 4_000_000  # max enumerated combinations held in memory at once
-
-
-def oracle_exact(rel: RelevanceMatrix, groups: GroupMap,
-                 model: ExposureModel, alpha):
-    """Exhaustively enumerate every assignment of length-k permutations to
-    consumers; return (best mean NDCG@k among assignments whose group
-    exposures meet every quota within a probs[k] slack, feasible flag).
-
-    Only for tiny instances (m <= 4, n <= 6, k <= 3)."""
-    m, n, k = rel.m, rel.n, model.k
-    if m > 4 or n > 6 or k > 3:
-        raise ValueError("instance too large for exhaustive enumeration")
-    gidx = groups.indices(rel)
-    n_groups = len(groups.group_ids)
-    probs = model.probs
-    quota = compute_quotas(rel, groups, model, alpha)
-    slack = probs[k - 1] + 1e-9
-
-    choices = list(permutations(range(n), k))
-    ideal = -np.sort(-rel.scores, axis=1)[:, :k] @ probs
-    per_cons_exp = []   # (n_choices, n_groups) group exposure of each choice
-    per_cons_ndcg = []  # (n_choices,) this consumer's NDCG contribution
-    for c in range(m):
-        exp = np.zeros((len(choices), n_groups))
-        dcg = np.empty(len(choices))
-        for i, ch in enumerate(choices):
-            np.add.at(exp[i], gidx[list(ch)], probs)
-            dcg[i] = rel.scores[c, list(ch)] @ probs
-        nd = dcg / ideal[c] if ideal[c] > 0 else np.ones(len(choices))
-        per_cons_exp.append(exp)
-        per_cons_ndcg.append(nd)
-
-    # Fold consumers 2..m into one cross-product table, then stream over
-    # consumer 1's choices to bound memory.
-    exp_rest = per_cons_exp[-1]
-    nd_rest = per_cons_ndcg[-1]
-    for c in range(m - 2, 0, -1):
-        size = exp_rest.shape[0] * len(choices)
-        if size > _ORACLE_LIMIT:
-            raise ValueError("instance too large for exhaustive enumeration")
-        exp_rest = (per_cons_exp[c][:, None, :] + exp_rest[None, :, :]
-                    ).reshape(-1, n_groups)
-        nd_rest = (per_cons_ndcg[c][:, None] + nd_rest[None, :]).ravel()
-
-    best = -np.inf
-    feasible = False
-    if m == 1:
-        exp_rest = np.zeros((1, n_groups))
-        nd_rest = np.zeros(1)
-    for i in range(len(choices)):
-        total_exp = exp_rest + per_cons_exp[0][i]
-        ok = (total_exp >= quota - slack).all(axis=1)
-        if ok.any():
-            feasible = True
-            cand = (nd_rest[ok] + per_cons_ndcg[0][i]).max()
-            best = max(best, cand)
-    if not feasible:
-        return float("nan"), False
-    return float(best / m), True

@@ -82,9 +82,6 @@ def metrics_header(cutoffs):
                      "fairness_ind,fairness_group,wall_ms_per_1k"])
 
 
-METRICS_HEADER = metrics_header(DEFAULT_CUTOFFS)
-
-
 def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap):
     """Make, time and evaluate one slate set: (slates, report, record)."""
     groups = groups or identity_groups(rel)

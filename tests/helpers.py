@@ -1,10 +1,11 @@
 """Shared test utilities, including independent brute-force oracles."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 
-from verfair import GroupMap, compute_quotas
+from verfair import ExposureModel, GroupMap, RelevanceMatrix, compute_quotas
 from verfair.allocator import SlateSet
 
 
@@ -71,3 +72,65 @@ def bound_unsatisfiable(rel, groups, model, alpha):
     size = np.bincount(groups.indices(rel), minlength=len(groups.group_ids))
     return bool((owed > m * np.minimum(size, k)).any()
                 or owed.sum() > m * k)
+
+
+_ORACLE_LIMIT = 4_000_000  # max enumerated combinations held in memory at once
+
+
+def oracle_exact(rel: RelevanceMatrix, groups: GroupMap,
+                 model: ExposureModel, alpha):
+    """Exhaustively enumerate every assignment of length-k permutations to
+    consumers; return (best mean NDCG@k among assignments whose group
+    exposures meet every quota within a probs[k] slack, feasible flag).
+
+    Only for tiny instances (m <= 4, n <= 6, k <= 3)."""
+    m, n, k = rel.m, rel.n, model.k
+    if m > 4 or n > 6 or k > 3:
+        raise ValueError("instance too large for exhaustive enumeration")
+    gidx = groups.indices(rel)
+    n_groups = len(groups.group_ids)
+    probs = model.probs
+    quota = compute_quotas(rel, groups, model, alpha)
+    slack = probs[k - 1] + 1e-9
+
+    choices = list(permutations(range(n), k))
+    ideal = -np.sort(-rel.scores, axis=1)[:, :k] @ probs
+    per_cons_exp = []   # (n_choices, n_groups) group exposure of each choice
+    per_cons_ndcg = []  # (n_choices,) this consumer's NDCG contribution
+    for c in range(m):
+        exp = np.zeros((len(choices), n_groups))
+        dcg = np.empty(len(choices))
+        for i, ch in enumerate(choices):
+            np.add.at(exp[i], gidx[list(ch)], probs)
+            dcg[i] = rel.scores[c, list(ch)] @ probs
+        nd = dcg / ideal[c] if ideal[c] > 0 else np.ones(len(choices))
+        per_cons_exp.append(exp)
+        per_cons_ndcg.append(nd)
+
+    # Fold consumers 2..m into one cross-product table, then stream over
+    # consumer 1's choices to bound memory.
+    exp_rest = per_cons_exp[-1]
+    nd_rest = per_cons_ndcg[-1]
+    for c in range(m - 2, 0, -1):
+        size = exp_rest.shape[0] * len(choices)
+        if size > _ORACLE_LIMIT:
+            raise ValueError("instance too large for exhaustive enumeration")
+        exp_rest = (per_cons_exp[c][:, None, :] + exp_rest[None, :, :]
+                    ).reshape(-1, n_groups)
+        nd_rest = (per_cons_ndcg[c][:, None] + nd_rest[None, :]).ravel()
+
+    best = -np.inf
+    feasible = False
+    if m == 1:
+        exp_rest = np.zeros((1, n_groups))
+        nd_rest = np.zeros(1)
+    for i in range(len(choices)):
+        total_exp = exp_rest + per_cons_exp[0][i]
+        ok = (total_exp >= quota - slack).all(axis=1)
+        if ok.any():
+            feasible = True
+            cand = (nd_rest[ok] + per_cons_ndcg[0][i]).max()
+            best = max(best, cand)
+    if not feasible:
+        return float("nan"), False
+    return float(best / m), True

@@ -7,10 +7,9 @@ import pytest
 
 from verfair import (ExposureModel, accumulate, allocate, allocate_individual,
                      compute_quotas, fairco, find_anchor, identity_groups,
-                     jsd_fairness, ndcg, oracle_exact, pr_k, synth_relevance,
-                     top_k)
+                     jsd_fairness, ndcg, pr_k, synth_relevance, top_k)
 from verfair.harness import bench
-from helpers import bound_unsatisfiable, make_slateset
+from helpers import bound_unsatisfiable, make_slateset, oracle_exact
 
 
 def _report(name, ok=True):

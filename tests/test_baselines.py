@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bound_unsatisfiable
+from helpers import bound_unsatisfiable, oracle_exact
 from verfair.harness import make_slates
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
                      allocate_individual, compute_quotas, fairco,
-                     identity_groups, jsd_fairness, ndcg, oracle_exact, pr_k,
-                     random_k, synth_relevance, top_k)
+                     identity_groups, jsd_fairness, ndcg, pr_k, random_k,
+                     synth_relevance, top_k)
 
 
 class TestTopK:

@@ -1,11 +1,10 @@
 """pr_k and fairco must return exactly what their frozen references return.
 
 `reference_baselines.py` holds the full-`lexsort` selections that the
-deficit heap (`pr_k`) and the partition select (`_top_k`) replaced. The
-(m, k) item arrays are compared with `np.array_equal`, so every slate,
-every rank and every tie-break must match. Item counts are drawn near k
-(full `lexsort`), at 16k and more (`pr_k`'s heap) and at 256 and more
-(`_top_k`'s partition), so every path is compared.
+partition select (`_top_k`) replaced. The (m, k) item arrays are compared
+with `np.array_equal`, so every slate, every rank and every tie-break must
+match. Item counts are drawn near k (full `lexsort`), at 16k and more,
+and at 256 and more (`_top_k`'s partition), so every path is compared.
 """
 
 import warnings
@@ -164,6 +163,16 @@ def test_benchmark_shape(lam):
     assert_fairco_same(rel, twenty, model, lam)
     if lam == 1.0:
         assert_pr_k_same(rel, model)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("m, n, k", [(200, 30, 30), (100, 1000, 50),
+                                     (1000, 160, 10), (1000, 1000, 5),
+                                     (1000, 1000, 16)])
+def test_pr_k_wide_and_full_slates(m, n, k, eta):
+    # k = n, k > 16, and the corners of n >= 16k with k <= 16
+    rel = synth_relevance(m, n, seed=m + n + k)
+    assert_pr_k_same(rel, ExposureModel.pbm(eta, k))
 
 
 @settings(max_examples=300, deadline=None)
