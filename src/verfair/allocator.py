@@ -41,6 +41,7 @@ bit-identical to the slot-by-slot walk kept in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -429,8 +430,54 @@ def _resort(plain_rank, last):
     return out
 
 
+class Preferences:
+    """What `allocate` computes before it reads alpha, for one `rel`,
+    `seed` and `shuffle`: the consumer order (a seeded shuffle, or dataset
+    order when `shuffle` is False), the scores in that order, the items'
+    id ranks, and each consumer's items, best first, to `depth` columns.
+
+    Each array is built on first use and is read-only. A sweep builds one
+    and hands it to every grid point, so the consumers are shuffled and
+    their preferences sorted once per sweep, inside the first point that
+    reads them; `depth` must then cover every point: n when some alpha of
+    the grid is above 0, k when none is.
+    """
+
+    def __init__(self, rel: RelevanceMatrix, seed, shuffle, depth):
+        self.rel, self.seed, self.shuffle = rel, seed, shuffle
+        self.depth = depth
+
+    @staticmethod
+    def _frozen(a):
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def order(self):
+        m = self.rel.m
+        return self._frozen(np.random.default_rng(self.seed).permutation(m)
+                            if self.shuffle else np.arange(m))
+
+    @cached_property
+    def scores(self):
+        # row c = consumer at order position c
+        return self._frozen(self.rel.scores[self.order])
+
+    @cached_property
+    def id_rank(self):
+        return self._frozen(_id_ranks(self.rel.item_ids))
+
+    @cached_property
+    def items(self):
+        """(m, depth) item indices per row by descending score, ties by
+        ascending item id (`_preferences`)."""
+        return self._frozen(_preferences(self.scores, self.id_rank,
+                                         self.depth))
+
+
 def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
-             alpha, seed, shuffle=True) -> SlateSet:
+             alpha, seed, shuffle=True, *, prefs: Preferences = None
+             ) -> SlateSet:
     """Run the full three-phase allocation and return the slate set.
 
     The consumer order is a seeded shuffle; `shuffle=False` keeps dataset
@@ -438,6 +485,12 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     allocation phase entirely and degenerates to pure relevance ranking.
     Every slate is then re-sorted by `_resort`, which keeps each allocation
     item at or above its deadline rank.
+
+    The shuffle and the preference sort do not depend on alpha. `prefs`,
+    built for this `rel`, `seed` and `shuffle`, lends them to every call of
+    a sweep, which so shuffles and sorts once, in its first grid point,
+    whose `wall_ms_per_1k` carries the sort. Without `prefs` the call
+    builds its own.
     """
     k = model.k
     m, n = rel.m, rel.n
@@ -445,18 +498,22 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
         raise ValueError(f"need n >= k to fill distinct slates (n={n}, k={k})")
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must be in [0,1]")
+    # with no allocation phase only the appending phase reads the
+    # preferences, and only the first k
+    depth = n if alpha > 0 else k
+    if prefs is None:
+        prefs = Preferences(rel, seed, shuffle, depth)
+    elif (prefs.rel is not rel or prefs.seed != seed
+          or prefs.shuffle != shuffle):
+        raise ValueError("prefs were built for another rel, seed or shuffle")
+    elif prefs.depth < depth:
+        raise ValueError(f"prefs sorted to depth {prefs.depth}, "
+                         f"alpha={alpha} needs {depth}")
 
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(m)
-    else:
-        order = np.arange(m)
-    scores = rel.scores[order]            # row c = consumer at order position c
-    id_rank = _id_ranks(rel.item_ids)
+    order, scores, id_rank = prefs.order, prefs.scores, prefs.id_rank
     gidx = groups.indices(rel)
     n_groups = len(groups.group_ids)
-    # row c = c's items, best first; with no allocation phase only the
-    # appending phase reads them, and only the first k
-    pref = _preferences(scores, id_rank, n if alpha > 0 else k)
+    pref = prefs.items  # row c = c's items, best first
 
     slate = np.full((m, k), -1, dtype=int)
     phase = np.zeros((m, k), dtype=np.int8)  # 1 allocation, 2 appending
@@ -505,6 +562,8 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
 
 
 def allocate_individual(rel: RelevanceMatrix, model: ExposureModel,
-                        alpha, seed, shuffle=True) -> SlateSet:
+                        alpha, seed, shuffle=True, *,
+                        prefs: Preferences = None) -> SlateSet:
     """Individual-level allocation: every item is its own group."""
-    return allocate(rel, identity_groups(rel), model, alpha, seed, shuffle)
+    return allocate(rel, identity_groups(rel), model, alpha, seed, shuffle,
+                    prefs=prefs)

@@ -4,7 +4,9 @@ distribution dumps, all emitting diffable CSV.
 A run is a one-point sweep: both make, time and evaluate a slate set
 through `_point` and write metrics through `write_sweep`. Timing covers slate
 generation only (no loading, no metric evaluation) and is normalized to
-milliseconds per 1000 slates.
+milliseconds per 1000 slates. A verfair sweep shuffles the consumers and
+sorts their preferences once (`allocator.Preferences`), in its first grid
+point, whose `wall_ms_per_1k` therefore carries the sort.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .allocator import PHASE_TAG, allocate, allocate_individual
+from .allocator import PHASE_TAG, Preferences, allocate, allocate_individual
 from .baselines import fairco, pr_k, random_k, top_k
 from .data import GroupMap, RelevanceMatrix, identity_groups
 from .exposure import ExposureModel, accumulate
@@ -58,9 +60,10 @@ class TradeoffRecord:
 
 def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
                 model: ExposureModel, *, alpha=1.0, lam=0.0, seed=0,
-                shuffle=True):
+                shuffle=True, prefs=None):
     """Dispatch a method name to its allocator. `fairco` and
-    `verfair-group` work at the level of `groups`."""
+    `verfair-group` work at the level of `groups`. `prefs` goes to the
+    verfair allocators (see `allocate`)."""
     if method == "top-k":
         return top_k(rel, model.k)
     if method == "random-k":
@@ -70,9 +73,11 @@ def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
     if method == "fairco":
         return fairco(rel, groups, model, lam)
     if method == "verfair-ind":
-        return allocate_individual(rel, model, alpha, seed, shuffle)
+        return allocate_individual(rel, model, alpha, seed, shuffle,
+                                   prefs=prefs)
     if method == "verfair-group":
-        return allocate(rel, groups, model, alpha, seed, shuffle)
+        return allocate(rel, groups, model, alpha, seed, shuffle,
+                        prefs=prefs)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -82,14 +87,16 @@ def metrics_header(cutoffs):
                      "fairness_ind,fairness_group,wall_ms_per_1k"])
 
 
-def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap):
+def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap,
+           prefs=None):
     """Make, time and evaluate one slate set: (slates, report, record)."""
     groups = groups or identity_groups(rel)
     model = ExposureModel.pbm(config.eta, config.k)
     t0 = time.perf_counter()
     slates = make_slates(config.method, rel, groups, model,
                          alpha=config.alpha, lam=config.lam,
-                         seed=config.seed, shuffle=config.shuffle)
+                         seed=config.seed, shuffle=config.shuffle,
+                         prefs=prefs)
     wall = time.perf_counter() - t0
     report = evaluate(slates, rel, groups, model, config.cutoffs)
     return slates, report, TradeoffRecord(
@@ -120,7 +127,10 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     """One TradeoffRecord per grid value, in ascending order.
 
     Each value replaces `config.lam` for fairco and `config.alpha` for
-    every other method, and is the record's param.
+    every other method, and is the record's param. The verfair methods
+    share one `Preferences` across the grid: the consumers are shuffled and
+    their preferences sorted once, in the first point, whose
+    `wall_ms_per_1k` carries the sort.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -130,7 +140,11 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     if kind == "alpha" and max(grid) > 1:
         raise ValueError("alpha values must be in [0,1]")
     field = "lam" if kind == "lambda" else "alpha"
-    return [_point(replace(config, **{field: v}), v, rel, groups)[2]
+    prefs = None
+    if kind == "alpha":
+        prefs = Preferences(rel, config.seed, config.shuffle,
+                            rel.n if max(grid) > 0 else config.k)
+    return [_point(replace(config, **{field: v}), v, rel, groups, prefs)[2]
             for v in sorted(grid)]
 
 

@@ -7,6 +7,7 @@ flag and the granted exposure must all be bit-identical.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference_allocator
 import verfair.allocator as allocator
+import verfair.harness as harness
 import verfair.metrics as metrics
 from helpers import random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, find_anchor,
@@ -383,3 +385,85 @@ def test_preferences_at_10k_by_1k_match_lexsort_within_its_memory(rounded):
     assert peak <= lexsort_peak
     assert np.array_equal(allocator._preferences(scores, id_rank, 10),
                           want[:, :10])
+
+
+def shared_instance(shape):
+    """A wide instance (n >= 256, so `_preferences` partitions) or a tied
+    one (scores rounded to 5 levels, so the item-id tie-breaks decide),
+    each with a group map."""
+    if shape == "wide":
+        rel = synth_relevance(40, 300, seed=3)
+    else:
+        rel = synth_relevance(120, 30, seed=4)
+        rel = RelevanceMatrix(rel.consumer_ids, rel.item_ids,
+                              np.round(rel.scores * 4) / 4)
+    return rel, random_groups(rel, np.random.default_rng(5))
+
+
+SLATE_ARRAYS = ("rows", "items", "phase", "pre_rank", "allocation_exposure")
+
+
+@pytest.mark.parametrize("shape", ["wide", "tied"])
+@pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("method", ["verfair-ind", "verfair-group"])
+@pytest.mark.parametrize("grid", [(1.0, 0.0, 0.5, 0.5, 0.25), (0.0, 0.0)])
+def test_sweep_shares_preferences_without_changing_a_point(
+        monkeypatch, shape, eta, method, grid):
+    # a sweep shuffles and sorts once and lends the result to every grid
+    # point: each point must equal the same alpha run alone, and no point
+    # may write into what the next one reads
+    rel, groups = shared_instance(shape)
+    config = harness.RunConfig(method, eta=eta, k=10, seed=9)
+    built = []
+
+    class Recording(allocator.Preferences):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "Preferences", Recording)
+    records = harness.sweep(config, grid, rel, groups)
+    [prefs] = built
+    alone = [harness._point(replace(config, alpha=a), a, rel, groups)[2]
+             for a in sorted(grid)]
+    assert [replace(r, wall_ms_per_1k=0.0) for r in records] == \
+        [replace(r, wall_ms_per_1k=0.0) for r in alone]
+
+    model = ExposureModel.pbm(eta, 10)
+    group_map = groups if method == "verfair-group" else identity_groups(rel)
+    for alpha in grid:
+        got = allocator.allocate(rel, group_map, model, alpha, 9,
+                                 prefs=prefs)
+        want = allocator.allocate(rel, group_map, model, alpha, 9)
+        for name in SLATE_ARRAYS:
+            assert getattr(got, name).tolist() == \
+                getattr(want, name).tolist(), (name, alpha)
+        assert got.fallback_used == want.fallback_used, alpha
+
+    order = np.random.default_rng(9).permutation(rel.m)
+    scores = rel.scores[order]
+    depth = rel.n if max(grid) > 0 else 10
+    assert prefs.depth == depth
+    assert prefs.order.tolist() == order.tolist()
+    assert prefs.scores.tolist() == scores.tolist()
+    id_rank = allocator._id_ranks(rel.item_ids)
+    assert prefs.items.tolist() == \
+        lexsort_preferences(scores, id_rank)[:, :depth].tolist()
+
+
+def test_preferences_rejected_for_another_input():
+    rel, groups = shared_instance("tied")
+    model = ExposureModel.pbm(1.0, 10)
+    prefs = allocator.Preferences(rel, 9, True, rel.n)
+    other = RelevanceMatrix(rel.consumer_ids, rel.item_ids, rel.scores)
+    for args in ((other, 9, True), (rel, 8, True), (rel, 9, False)):
+        with pytest.raises(ValueError, match="another rel, seed or shuffle"):
+            allocator.allocate(args[0], groups, model, 1.0, args[1], args[2],
+                               prefs=prefs)
+    # sorted for alpha 0 only: too shallow for an allocation phase
+    shallow = allocator.Preferences(rel, 9, True, 10)
+    with pytest.raises(ValueError, match="depth 10"):
+        allocator.allocate_individual(rel, model, 0.5, 9, prefs=shallow)
+    assert allocator.allocate(rel, groups, model, 0.0, 9,
+                              prefs=shallow).items.tolist() == \
+        allocator.allocate(rel, groups, model, 0.0, 9).items.tolist()

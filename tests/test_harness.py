@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import verfair.allocator as allocator
 from verfair import (ExposureModel, GroupMap, identity_groups, save_groups,
                      save_relevance, synth_relevance, top_k)
 from verfair.allocator import SlateSet
@@ -77,6 +78,31 @@ class TestSweep:
     def test_alpha_above_one_rejected(self, rel):
         with pytest.raises(ValueError):
             sweep(RunConfig(method="verfair-ind"), (0.5, 1.5), rel)
+
+    @pytest.mark.parametrize("method", ["verfair-ind", "verfair-group"])
+    @pytest.mark.parametrize("grid, depth", [
+        ((0.5,), 15), ((0.0, 0.25, 0.5, 0.75, 1.0), 15),
+        ((1.0, 0.0, 0.5, 0.5), 15), ((0.0, 0.0), 5)])
+    def test_verfair_sorts_preferences_once(self, rel, monkeypatch, method,
+                                            grid, depth):
+        # one sort per sweep, whatever the grid length, to depth n when
+        # some alpha is above 0 and to k when none is; one per run
+        depths = []
+
+        def counting_preferences(scores, id_rank, d):
+            depths.append(d)
+            return real_preferences(scores, id_rank, d)
+
+        real_preferences = allocator._preferences
+        monkeypatch.setattr(allocator, "_preferences", counting_preferences)
+        groups = GroupMap({d: f"g{j % 3}" for j, d in enumerate(rel.item_ids)},
+                          ("g0", "g1", "g2"))
+        config = RunConfig(method=method, eta=1.0, k=5, cutoffs=(1, 3))
+        sweep(config, grid, rel, groups)
+        assert depths == [depth]
+        depths.clear()
+        run(config, rel, groups)
+        assert depths == [rel.n]
 
     def test_reproducible(self, rel):
         config = RunConfig(method="verfair-ind", eta=1.0, k=5, seed=4,
@@ -292,15 +318,19 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("method,flag,value,groups", [
+    @pytest.mark.parametrize("method,flag,grid,groups", [
         ("verfair-ind", "--alpha", "0.5", False),
+        ("verfair-ind", "--alpha", "1,0,0.5", False),
         ("verfair-group", "--alpha", "0.5", True),
+        ("verfair-group", "--alpha", "1,0,0.5", True),
         ("fairco", "--lambda", "1.0", False),
         ("fairco", "--lambda", "1.0", True),
         ("top-k", None, "0.25", False),
     ])
-    def test_run_row_equals_sweep_row(self, tmp_path, method, flag, value,
+    def test_run_row_equals_sweep_row(self, tmp_path, method, flag, grid,
                                       groups):
+        # every row of a sweep, whose verfair grid points share one
+        # shuffle and sort, is the row of a run at its value
         rel_path = self._gen(tmp_path)
         common = ["--relevance", rel_path, "--method", method, "--k", "4"]
         if groups:
@@ -310,18 +340,22 @@ class TestCli:
                                  ("g0", "g1", "g2")), tmp_path / "groups.csv")
             common += ["--groups", str(tmp_path / "groups.csv")]
         run_metrics, sweep_out = tmp_path / "run.csv", tmp_path / "sweep.csv"
-        assert main(["run", *common, *([flag, value] if flag else []),
-                     "--out", str(tmp_path / "slates.csv"),
-                     "--metrics-out", str(run_metrics)]) == 0
-        assert main(["sweep", *common, "--grid", value,
+        assert main(["sweep", *common, "--grid", grid,
                      "--out", str(sweep_out)]) == 0
-        run_lines = run_metrics.read_text().splitlines()
         sweep_lines = sweep_out.read_text().splitlines()
-        assert run_lines[0] == sweep_lines[0]
-        run_row = run_lines[1].split(",")
-        sweep_row = sweep_lines[1].split(",")
-        if flag is None:
-            # a method without a parameter: nan in run, the grid value in sweep
-            assert (run_row[1], sweep_row[1]) == ("nan", value)
-            run_row[1] = sweep_row[1]
-        assert run_row[:-1] == sweep_row[:-1]
+        values = sorted(grid.split(","), key=float)
+        assert len(sweep_lines) == 1 + len(values)
+        for value, sweep_line in zip(values, sweep_lines[1:]):
+            assert main(["run", *common, *([flag, value] if flag else []),
+                         "--out", str(tmp_path / "slates.csv"),
+                         "--metrics-out", str(run_metrics)]) == 0
+            run_lines = run_metrics.read_text().splitlines()
+            assert run_lines[0] == sweep_lines[0]
+            run_row = run_lines[1].split(",")
+            sweep_row = sweep_line.split(",")
+            if flag is None:
+                # a method without a parameter: nan in run, the grid value
+                # in sweep
+                assert (run_row[1], sweep_row[1]) == ("nan", value)
+                run_row[1] = sweep_row[1]
+            assert run_row[:-1] == sweep_row[:-1], value
