@@ -10,8 +10,12 @@ Canonical on-disk formats:
 from __future__ import annotations
 
 import csv
+import itertools
+import mmap
 import os
 import re
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +115,28 @@ _CSV_PARSER_ONLY = (b'"', b"\x00")
 # Ends each chunk, so that every read of the kernel stays inside it:
 # spaces are neither separators nor digits.
 _PAD = b" " * 32
+# Data bytes a part must hold for a file to be cut into parts: a part takes
+# at least twice as long to parse (about 6 reference ns a byte) as the fork
+# and hand-off of the child that parses it (about 4 ms from a process that
+# holds 150 MB).
+_MIN_PART_BYTES = 2 ** 20
+# Bytes read at a time when counting the lines of a part: numpy counts the
+# newlines of 8 MB read this way in about 2 ms, bytes.count in about 7.
+_COUNT_BYTES = 2 ** 18
 
 
 def load_relevance(path) -> RelevanceMatrix:
     """Read a relevance CSV, validating shape, ids and score values.
 
     The scores are converted by an exact numpy decimal kernel, in chunks of
-    lines. A file that parse cannot read exactly as `csv.reader` and
+    lines. Where `os.fork` and `os.sched_getaffinity` exist (Linux), the
+    data lines are cut into P = min(usable CPUs, data bytes // 1 MiB)
+    parts, and this process and P - 1 forked children parse one each at
+    once; a file of less than 2 MiB of data, or any file elsewhere, is one
+    part. A file that parse cannot read exactly as `csv.reader` and
     `float()` would is read again by the csv parser, which returns the same
-    matrix or raises the error that names the line and item.
+    matrix or raises the error that names the line and item. So the result
+    is bit-identical however the file is cut.
     """
     parsed = _parse_relevance_numpy(path)
     if parsed is None:
@@ -136,13 +153,18 @@ def _parse_relevance_numpy(path):
     every file that parser rejects.
 
     Without quotes, csv rows are the file's lines, split at each comma.
-    The file is read in chunks of whole lines, of about 2**14 fields if
-    the lines are like the first, and `_parse_rows` reads each into scores.
+    The data lines are cut at line starts into P = min(`_usable_cpus()`,
+    data bytes // _MIN_PART_BYTES) parts, or one part where that is below
+    2. One part is read by `_parse_part` into a private matrix with room
+    for as many rows as lines like the first would fill, grown as needed;
+    more parts are read at once by `_parse_parts`. Both return the same
+    ids and score bits.
     """
     limit = csv.field_size_limit()
-    consumer_ids = []
     with open(path, "rb") as fh:
-        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        header = fh.readline()
+        start = len(header)
+        header = header.removesuffix(b"\n").removesuffix(b"\r")
         if not _plain(header) or b"\r" in header:
             return None
         try:
@@ -155,22 +177,176 @@ def _parse_relevance_numpy(path):
         n = len(fields) - 1
         line = fh.readline()
         size = len(line) * max(1, _CHUNK_FIELDS // n)
-        # room for the rows of a file of lines like the first (a line of n
-        # numbers is at least 2n + 1 bytes); pages of rows never written
-        # are never touched
-        scores = np.empty((os.fstat(fh.fileno()).st_size
-                           // max(len(line), 2 * n + 1) + 1, n))
-        while line:
-            chunk = b"".join([line, fh.read(size), fh.readline(), _PAD])
-            parsed = _parse_rows(chunk, n, limit, scores, len(consumer_ids))
-            if parsed is None:
-                return None
-            consumer_ids += parsed[0]
-            scores = parsed[1]
-            line = fh.readline()
-    if not consumer_ids:
+        stat = os.fstat(fh.fileno())
+        cuts = _cuts(fh, start, stat.st_size)
+        if len(cuts) > 2:
+            parsed = _parse_parts(path, stat, fh, cuts, n, limit, size)
+        else:
+            # room for the rows of a file of lines like the first (a line
+            # of n numbers is at least 2n + 1 bytes); pages of rows never
+            # written are never touched
+            scores = np.empty((stat.st_size
+                               // max(len(line), 2 * n + 1) + 1, n))
+            # read to the end, which a pipe's st_size of 0 does not give
+            parsed = _parse_part(fh, line, sys.maxsize, 0, scores, n, limit,
+                                 size)
+    if not parsed or not parsed[0]:
         return None
+    consumer_ids, scores = parsed
     return tuple(consumer_ids), tuple(fields[1:]), scores[:len(consumer_ids)]
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _cuts(fh, start, end):
+    """The first bytes of the parts that the data bytes [start, end) of the
+    file `fh` are cut into, each the start of a line, then `end`. The file
+    is left where it stood."""
+    parts = min(_usable_cpus(), (end - start) // _MIN_PART_BYTES)
+    if parts < 2:
+        return [start, end]
+    stood = fh.tell()
+    cuts = [start]
+    for i in range(1, parts):
+        fh.seek(start + i * (end - start) // parts - 1)
+        fh.readline()
+        if cuts[-1] < fh.tell() < end:  # a long line may span a cut
+            cuts.append(fh.tell())
+    fh.seek(stood)
+    return cuts + [end]
+
+
+def _parse_part(fh, line, left, row, scores, n, limit, size):
+    """(consumer_ids, scores) once `line`, the line just read from the file
+    `fh`, and the lines in its next `left` bytes (to its end if fewer),
+    each a consumer id and n numbers, are written from row `row` on of the
+    (_, n) matrix `scores` or of a grown copy of it; or None when the csv
+    parser could read them otherwise.
+
+    Each chunk is a line, the next `size` bytes and the rest of the line
+    they end in, and `_parse_rows` reads it.
+    """
+    consumer_ids = []
+    while line:
+        # no part of a chunk outlives the join, and the chunk lives until
+        # the next is joined: holding the parts instead faulted about 500
+        # more pages a load of a 2 MB file
+        chunk = b"".join([line, fh.read(min(size, left)),
+                          fh.readline() if size < left else b"", _PAD])
+        left -= len(chunk) - len(line) - len(_PAD)
+        parsed = _parse_rows(chunk, n, limit, scores, row + len(consumer_ids))
+        if parsed is None:
+            return None
+        consumer_ids += parsed[0]
+        scores = parsed[1]
+        line = fh.readline() if left > 0 else b""
+        left -= len(line)
+    return consumer_ids, scores
+
+
+def _parse_range(fh, start, end, row, scores, n, limit, size):
+    """`_parse_part` of the lines in bytes [start, end) of the file `fh`."""
+    fh.seek(start)
+    line = fh.readline()
+    return _parse_part(fh, line, end - start - len(line), row, scores, n,
+                       limit, size)
+
+
+def _count_lines(fh, start, end):
+    """The newlines in bytes [start, end) of the file `fh`."""
+    fh.seek(start)
+    return sum(np.count_nonzero(np.frombuffer(
+        fh.read(min(_COUNT_BYTES, end - at)), dtype=np.uint8) == ord("\n"))
+        for at in range(start, end, _COUNT_BYTES))
+
+
+def _parse_parts(path, stat, fh, cuts, n, limit, size):
+    """(consumer_ids, scores) of the lines of the open relevance CSV `fh`
+    at `path`, whose os.fstat is `stat`, cut into parts [cuts[i],
+    cuts[i + 1]); or None where a part is inexact or its child fails.
+
+    The row each part starts at is fixed first from the newlines of the
+    parts before it, and one anonymous shared mapping holds every row, with
+    room for the last part as a line of n numbers is at least 2n + 1 bytes.
+    A forked child parses each part but the first into it and sends its
+    consumer ids, while this process parses the first. Every child is
+    reaped before this returns or raises.
+    """
+    rows = [0]
+    for start, end in zip(cuts[:-2], cuts[1:-1]):
+        rows.append(rows[-1] + _count_lines(fh, start, end))
+    room = rows[-1] + (cuts[-1] - cuts[-2]) // (2 * n + 1) + 1
+    scores = np.frombuffer(mmap.mmap(-1, room * n * 8)).reshape(room, n)
+    reads, pids, messages = [], [], []
+    try:
+        for i in range(1, len(rows)):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = _fork()
+            except OSError:
+                os.close(write)
+                return None
+            if pid == 0:  # the child, which leaves only by os._exit
+                try:
+                    for fd in reads:
+                        os.close(fd)
+                    _parse_child(write, path, stat, cuts[i], cuts[i + 1],
+                                 rows[i], scores, n, limit, size)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            pids.append(pid)
+        parsed = _parse_range(fh, cuts[0], cuts[1], 0, scores, n, limit,
+                              size)
+        if not parsed:
+            return None
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                messages.append(pipe.read())
+    finally:
+        for read in reads:
+            os.close(read)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses) or not all(m.endswith(b"\n") for m in messages):
+        return None
+    ids = [parsed[0], *(m[:-1].decode().split("\n") for m in messages)]
+    if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
+        return None
+    return list(itertools.chain(*ids)), scores
+
+
+def _fork():
+    """os.fork(), without the DeprecationWarning of Python 3.12 and later
+    that a child forked from a process with threads, such as numpy's BLAS
+    pool, may deadlock. The child of `_parse_parts` is safe: it calls no
+    BLAS and leaves by os._exit."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded",
+            DeprecationWarning)
+        return os.fork()
+
+
+def _parse_child(write, path, stat, start, end, row, scores, n, limit, size):
+    """The body of a forked child of `_parse_parts`: `_parse_range` of bytes
+    [start, end) of the file at `path` into `scores`, then each consumer id
+    followed by a newline, sent to the pipe `write`. Nothing is sent when
+    the path no longer names the file `stat` describes or the part is
+    inexact."""
+    with open(path, "rb") as fh:
+        if not os.path.samestat(os.fstat(fh.fileno()), stat):
+            return
+        parsed = _parse_range(fh, start, end, row, scores, n, limit, size)
+    if parsed:
+        with open(write, "wb") as pipe:
+            pipe.write("".join(f"{c}\n" for c in parsed[0]).encode())
 
 
 def _plain(data):

@@ -1,7 +1,10 @@
 import csv
 import decimal
+import errno
 import io
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -660,3 +663,258 @@ def test_cli_validation_error_names_the_file(body, message, tmp_path, capsys):
             "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+# The loader cuts the data lines into parts, each parsed by a forked child
+# but the first. These tests cut small files by lowering the part size and
+# setting the CPU count: the result must be the one-part result, bit for
+# bit, and no child may outlive a load.
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_parts(cpus, loader, path, part_bytes=64):
+    """loader(path) with the data lines cut into up to `cpus` parts of
+    `part_bytes` or more, and the number of children it forked."""
+    forks = []
+    fork = data_module._fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_MIN_PART_BYTES", part_bytes)
+        mp.setattr(data_module, "_usable_cpus", lambda: cpus)
+        mp.setattr(data_module, "_fork", counted)
+        got = loader(path)
+    assert_no_child_left()
+    return got, len(forks)
+
+
+def loaded(path):
+    return outcome(load_relevance, path)
+
+
+def bits(scores):
+    return scores.view(np.int64).tolist()
+
+
+def repr_file(path, rel, terminator="\n", last_newline=True):
+    rows = [["consumer_id", *rel.item_ids]]
+    rows += [[cid, *map(repr, row)]
+             for cid, row in zip(rel.consumer_ids, rel.scores.tolist())]
+    text = csv_text(rows, terminator)
+    if not last_newline:
+        text = text.removesuffix(terminator)
+    path.write_bytes(text.encode())
+    return path
+
+
+@pytest.mark.parametrize("last_newline", [True, False])
+@pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+@pytest.mark.parametrize("m, n, cpus", [(7, 2, 2), (60, 3, 2), (60, 3, 3),
+                                        (200, 1, 3)])
+def test_parts_give_the_one_part_result(m, n, cpus, terminator, last_newline,
+                                        tmp_path):
+    rel = plain_matrix(m, n, seed=m + n)
+    path = repr_file(tmp_path / "rel.csv", rel, terminator, last_newline)
+    (ids, items, scores), forked = in_parts(cpus, _parse_relevance_numpy,
+                                            path)
+    assert forked == cpus - 1
+    one = _parse_relevance_numpy(path)
+    exact = data_module._parse_relevance_csv(path)
+    assert ids == one[0] == exact[0] == rel.consumer_ids
+    assert items == one[1] == exact[1] == rel.item_ids
+    assert bits(scores) == bits(one[2]) == bits(exact[2]) == bits(rel.scores)
+    assert in_parts(cpus, loaded, path)[0] == assert_same_as_reference(path)
+
+
+@pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_parts_of_many_chunks(cpus, terminator, tmp_path, monkeypatch):
+    # chunks of about three lines of varied length, so that each part ends
+    # in a chunk cut short by the part's end
+    monkeypatch.setattr(data_module, "_CHUNK_FIELDS", 6)
+    rel = plain_matrix(300, 3, seed=300)
+    path = repr_file(tmp_path / "rel.csv", rel, terminator)
+    (ids, _, scores), forked = in_parts(cpus, _parse_relevance_numpy, path)
+    assert forked == cpus - 1
+    assert ids == rel.consumer_ids and bits(scores) == bits(rel.scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=relevance_files())
+def test_loader_in_parts_matches_reference(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("rel") / "rel.csv"
+    path.write_bytes(data)
+    assert in_parts(3, loaded, path, part_bytes=8)[0] == \
+        assert_same_as_reference(path)
+
+
+@pytest.mark.parametrize("at, length, children", [
+    (0, 600, 2), (40, 600, 2), (99, 600, 2),
+    (50, 1500, 1),  # spans both cuts, which fall together
+    (99, 5000, 0),  # the last line spans both: one part
+])
+def test_parts_cut_next_to_a_long_line(at, length, children, tmp_path):
+    rows = [["consumer_id", "A", "B"]]
+    rows += [[f"c{i:02d}", "0.5", repr(i / 7)] for i in range(100)]
+    rows[1 + at][0] = rows[1 + at][0].ljust(length, "_")
+    path = tmp_path / "rel.csv"
+    path.write_text(csv_text(rows, "\n"), encoding="utf-8")
+    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    assert forked == children
+    assert parsed[0] == _parse_relevance_numpy(path)[0]
+    assert bits(parsed[2]) == bits(_parse_relevance_numpy(path)[2])
+    assert in_parts(3, loaded, path)[0] == assert_same_as_reference(path)
+
+
+# what a line of a later part is made to hold; no part but that one holds it
+LATER_PART = {
+    "quote": lambda line: b'"' + line.replace(b",", b'",', 1),
+    "nul": lambda line: line.replace(b",", b",\x00", 1),
+    "non_utf8": lambda line: line.replace(b",", b"\xff,", 1),
+    "lone_cr": lambda line: line.replace(b",", b"\r,", 1),
+    "malformed": lambda line: line.replace(b",", b",0.5x", 1),
+    "repeated_id": lambda line: b"c000" + line[line.index(b","):],
+}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("at", [60, 99])
+@pytest.mark.parametrize("defect", sorted(LATER_PART))
+def test_a_later_part_sends_the_file_to_the_csv_parser(defect, at, cpus,
+                                                       tmp_path):
+    rel = plain_matrix(100, 3, seed=at)
+    rel = RelevanceMatrix(tuple(f"c{i:03d}" for i in range(100)),
+                          rel.item_ids, rel.scores)
+    path = repr_file(tmp_path / "rel.csv", rel)
+    header, *lines = path.read_bytes().splitlines(keepends=True)
+    lines[at] = LATER_PART[defect](lines[at])
+    path.write_bytes(b"".join([header, *lines]))
+    parsed, forked = in_parts(cpus, _parse_relevance_numpy, path)
+    assert forked == cpus - 1
+    assert (parsed is None) == (defect != "repeated_id")
+    got, _ = in_parts(cpus, loaded, path)
+    assert got == assert_same_as_reference(path)
+    assert got[0] == ("ok" if defect == "quote" else "error")
+
+
+def test_a_pipe_is_read_as_one_part(tmp_path):
+    path = repr_file(tmp_path / "rel.csv", plain_matrix(60, 3, seed=60))
+    fifo = tmp_path / "rel.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    got, forked = in_parts(2, loaded, fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert forked == 0 and got[0] == "ok" and got[1:] == loaded(path)[1:]
+
+
+def split_file(tmp_path):
+    return repr_file(tmp_path / "rel.csv", plain_matrix(90, 3, seed=90))
+
+
+def test_no_child_left_when_the_parent_part_raises(tmp_path, monkeypatch):
+    # the children's ids overflow a pipe's 64 KiB: they block on sending
+    # them until the parent closes the pipes
+    rel = plain_matrix(3000, 2, seed=3000)
+    rel = RelevanceMatrix(tuple(f"{i:0100d}" for i in range(3000)),
+                          rel.item_ids, rel.scores)
+    path = repr_file(tmp_path / "rel.csv", rel)
+    parse_range = data_module._parse_range
+
+    def parent_part_raises(fh, start, end, row, *args):
+        if row == 0:
+            raise RuntimeError("the first part")
+        return parse_range(fh, start, end, row, *args)
+
+    monkeypatch.setattr(data_module, "_parse_range", parent_part_raises)
+    with pytest.raises(RuntimeError, match="the first part"):
+        in_parts(3, load_relevance, path)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_fork_loads_in_one_process(failing, tmp_path, monkeypatch):
+    path = split_file(tmp_path)
+    calls = []
+    fork = os.fork
+
+    def fork_fails():
+        calls.append(1)
+        if len(calls) == failing:
+            raise OSError(errno.EAGAIN, "no more processes")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_fails)
+    parsed, _ = in_parts(3, _parse_relevance_numpy, path)
+    assert parsed is None and len(calls) == failing
+    got, _ = in_parts(3, loaded, path)
+    assert got[0] == "ok" and got == assert_same_as_reference(path)
+
+
+@pytest.mark.parametrize("child", ["returns", "exits_0", "exits_3",
+                                   "sends_then_exits_3"])
+def test_a_failed_child_sends_the_file_to_the_csv_parser(child, tmp_path,
+                                                          monkeypatch):
+    path = split_file(tmp_path)
+    parse_child = data_module._parse_child
+    monkeypatch.setattr(data_module, "_parse_child", {
+        "returns": lambda *args: None,
+        "exits_0": lambda *args: os._exit(0),
+        "exits_3": lambda *args: os._exit(3),
+        "sends_then_exits_3": lambda *args: (parse_child(*args), os._exit(3)),
+    }[child])
+    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    assert parsed is None and forked == 2
+    got, _ = in_parts(3, loaded, path)
+    assert got[0] == "ok" and got == assert_same_as_reference(path)
+
+
+def test_line_counts_that_miss_a_part_send_the_file_to_the_csv_parser(
+        tmp_path, monkeypatch):
+    # as if the file changed between counting a part's lines and parsing it
+    path = split_file(tmp_path)
+    count_lines = data_module._count_lines
+    monkeypatch.setattr(data_module, "_count_lines",
+                        lambda *args: count_lines(*args) + 1)
+    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    assert parsed is None and forked == 2
+    got, _ = in_parts(3, loaded, path)
+    assert got[0] == "ok" and got == assert_same_as_reference(path)
+
+
+def test_a_child_reads_only_the_file_the_load_opened(tmp_path, monkeypatch):
+    path = split_file(tmp_path)
+    other = tmp_path / "other.csv"
+    other.write_bytes(path.read_bytes().replace(b"5", b"6"))
+    fork = data_module._fork
+
+    def replace_then_fork():
+        if other.exists():  # children open the path after this
+            os.replace(other, path)
+        return fork()
+
+    monkeypatch.setattr(data_module, "_fork", replace_then_fork)
+    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    assert parsed is None and forked == 2
+
+
+@pytest.mark.parametrize("lines, cpus, parts", [
+    (32767, 4, 1),  # 64 bytes short of two parts of 1 MiB
+    (32768, 4, 2), (3 * 16384, 2, 2), (3 * 16384, 4, 3)])
+def test_each_part_holds_the_minimum_part_bytes(lines, cpus, parts,
+                                                monkeypatch):
+    monkeypatch.setattr(data_module, "_usable_cpus", lambda: cpus)
+    header = b"consumer_id,A\n"
+    fh = io.BytesIO(header + (b"c" * 59 + b",0.5\n") * lines)
+    cuts = data_module._cuts(fh, len(header), len(fh.getvalue()))
+    assert len(cuts) == parts + 1
+    assert np.diff(cuts).min() >= data_module._MIN_PART_BYTES
+    assert all((cut - len(header)) % 64 == 0 for cut in cuts)
