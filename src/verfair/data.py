@@ -14,6 +14,7 @@ import itertools
 import mmap
 import os
 import re
+import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -132,11 +133,12 @@ def load_relevance(path) -> RelevanceMatrix:
     lines. Where `os.fork` and `os.sched_getaffinity` exist (Linux), the
     data lines are cut into P = min(usable CPUs, data bytes // 1 MiB)
     parts, and this process and P - 1 forked children parse one each at
-    once; a file of less than 2 MiB of data, or any file elsewhere, is one
-    part. A file that parse cannot read exactly as `csv.reader` and
-    `float()` would is read again by the csv parser, which returns the same
-    matrix or raises the error that names the line and item. So the result
-    is bit-identical however the file is cut.
+    once, the children's scores and consumer ids coming back through
+    shared memory; a file of less than 2 MiB of data, or any file
+    elsewhere, is one part. A file that parse cannot read exactly as
+    `csv.reader` and `float()` would is read again by the csv parser, which
+    returns the same matrix or raises the error that names the line and
+    item. So the result is bit-identical however the file is cut.
     """
     parsed = _parse_relevance_numpy(path)
     if parsed is None:
@@ -160,7 +162,6 @@ def _parse_relevance_numpy(path):
     more parts are read at once by `_parse_parts`. Both return the same
     ids and score bits.
     """
-    limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         header = fh.readline()
         start = len(header)
@@ -172,15 +173,14 @@ def _parse_relevance_numpy(path):
         except UnicodeDecodeError:
             return None
         if (len(fields) < 2 or fields[0] != "consumer_id"
-                or max(map(len, fields)) > limit):
+                or max(map(len, fields)) > csv.field_size_limit()):
             return None
         n = len(fields) - 1
         line = fh.readline()
-        size = len(line) * max(1, _CHUNK_FIELDS // n)
         stat = os.fstat(fh.fileno())
         cuts = _cuts(fh, start, stat.st_size)
         if len(cuts) > 2:
-            parsed = _parse_parts(path, stat, fh, cuts, n, limit, size)
+            parsed = _parse_parts(path, stat, fh, cuts, n)
         else:
             # room for the rows of a file of lines like the first (a line
             # of n numbers is at least 2n + 1 bytes); pages of rows never
@@ -188,8 +188,7 @@ def _parse_relevance_numpy(path):
             scores = np.empty((stat.st_size
                                // max(len(line), 2 * n + 1) + 1, n))
             # read to the end, which a pipe's st_size of 0 does not give
-            parsed = _parse_part(fh, line, sys.maxsize, 0, scores, n, limit,
-                                 size)
+            parsed = _parse_part(fh, line, sys.maxsize, 0, scores)
     if not parsed or not parsed[0]:
         return None
     consumer_ids, scores = parsed
@@ -221,16 +220,18 @@ def _cuts(fh, start, end):
     return cuts + [end]
 
 
-def _parse_part(fh, line, left, row, scores, n, limit, size):
+def _parse_part(fh, line, left, row, scores):
     """(consumer_ids, scores) once `line`, the line just read from the file
     `fh`, and the lines in its next `left` bytes (to its end if fewer),
     each a consumer id and n numbers, are written from row `row` on of the
     (_, n) matrix `scores` or of a grown copy of it; or None when the csv
     parser could read them otherwise.
 
-    Each chunk is a line, the next `size` bytes and the rest of the line
-    they end in, and `_parse_rows` reads it.
+    Each chunk is a line, the next bytes of about _CHUNK_FIELDS fields of
+    lines like `line`, and the rest of the line they end in, and
+    `_parse_rows` reads it.
     """
+    size = len(line) * max(1, _CHUNK_FIELDS // scores.shape[1])
     consumer_ids = []
     while line:
         # no part of a chunk outlives the join, and the chunk lives until
@@ -239,7 +240,7 @@ def _parse_part(fh, line, left, row, scores, n, limit, size):
         chunk = b"".join([line, fh.read(min(size, left)),
                           fh.readline() if size < left else b"", _PAD])
         left -= len(chunk) - len(line) - len(_PAD)
-        parsed = _parse_rows(chunk, n, limit, scores, row + len(consumer_ids))
+        parsed = _parse_rows(chunk, scores, row + len(consumer_ids))
         if parsed is None:
             return None
         consumer_ids += parsed[0]
@@ -249,12 +250,11 @@ def _parse_part(fh, line, left, row, scores, n, limit, size):
     return consumer_ids, scores
 
 
-def _parse_range(fh, start, end, row, scores, n, limit, size):
+def _parse_range(fh, start, end, row, scores):
     """`_parse_part` of the lines in bytes [start, end) of the file `fh`."""
     fh.seek(start)
     line = fh.readline()
-    return _parse_part(fh, line, end - start - len(line), row, scores, n,
-                       limit, size)
+    return _parse_part(fh, line, end - start - len(line), row, scores)
 
 
 def _count_lines(fh, start, end):
@@ -265,56 +265,52 @@ def _count_lines(fh, start, end):
         for at in range(start, end, _COUNT_BYTES))
 
 
-def _parse_parts(path, stat, fh, cuts, n, limit, size):
+def _parse_parts(path, stat, fh, cuts, n):
     """(consumer_ids, scores) of the lines of the open relevance CSV `fh`
-    at `path`, whose os.fstat is `stat`, cut into parts [cuts[i],
-    cuts[i + 1]); or None where a part is inexact or its child fails.
+    at `path`, whose os.fstat is `stat`, each a consumer id and n numbers,
+    cut into parts [cuts[i], cuts[i + 1]); or None where a part is inexact
+    or its child fails.
 
     The row each part starts at is fixed first from the newlines of the
     parts before it, and one anonymous shared mapping holds every row, with
     room for the last part as a line of n numbers is at least 2n + 1 bytes.
-    A forked child parses each part but the first into it and sends its
-    consumer ids, while this process parses the first. Every child is
-    reaped before this returns or raises.
+    A forked child parses each part but the first into it and writes its
+    consumer ids into a shared mapping of the part's size, while this
+    process parses the first. Children whose parts can no longer be used
+    are killed, and every child is reaped before this returns or raises.
     """
     rows = [0]
     for start, end in zip(cuts[:-2], cuts[1:-1]):
         rows.append(rows[-1] + _count_lines(fh, start, end))
     room = rows[-1] + (cuts[-1] - cuts[-2]) // (2 * n + 1) + 1
     scores = np.frombuffer(mmap.mmap(-1, room * n * 8)).reshape(room, n)
-    reads, pids, messages = [], [], []
+    pids, messages, parsed = [], [], None
     try:
         for i in range(1, len(rows)):
-            read, write = os.pipe()
-            reads.append(read)
+            messages.append(mmap.mmap(-1, cuts[i + 1] - cuts[i]))
             try:
                 pid = _fork()
             except OSError:
-                os.close(write)
                 return None
             if pid == 0:  # the child, which leaves only by os._exit
                 try:
-                    for fd in reads:
-                        os.close(fd)
-                    _parse_child(write, path, stat, cuts[i], cuts[i + 1],
-                                 rows[i], scores, n, limit, size)
+                    _parse_child(path, stat, cuts[i], cuts[i + 1], rows[i],
+                                 scores, messages[-1])
                     os._exit(0)
                 finally:
                     os._exit(1)
-            os.close(write)
             pids.append(pid)
-        parsed = _parse_range(fh, cuts[0], cuts[1], 0, scores, n, limit,
-                              size)
-        if not parsed:
-            return None
-        for read in reads:
-            with open(read, "rb", closefd=False) as pipe:
-                messages.append(pipe.read())
+        parsed = _parse_range(fh, cuts[0], cuts[1], 0, scores)
     finally:
-        for read in reads:
-            os.close(read)
+        if not parsed:  # no child's part can be used
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    if any(statuses) or not all(m.endswith(b"\n") for m in messages):
+    # a part's ids and newlines take fewer bytes than its lines, and hold
+    # no NUL, so a NUL ends each message
+    messages = [m[:m.find(b"\x00")] for m in messages]
+    if (not parsed or any(statuses)
+            or not all(m.endswith(b"\n") for m in messages)):
         return None
     ids = [parsed[0], *(m[:-1].decode().split("\n") for m in messages)]
     if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
@@ -334,19 +330,18 @@ def _fork():
         return os.fork()
 
 
-def _parse_child(write, path, stat, start, end, row, scores, n, limit, size):
+def _parse_child(path, stat, start, end, row, scores, message):
     """The body of a forked child of `_parse_parts`: `_parse_range` of bytes
     [start, end) of the file at `path` into `scores`, then each consumer id
-    followed by a newline, sent to the pipe `write`. Nothing is sent when
-    the path no longer names the file `stat` describes or the part is
-    inexact."""
+    followed by a newline, written to the start of the shared mapping
+    `message`. Nothing is written when the path no longer names the file
+    `stat` describes or the part is inexact."""
     with open(path, "rb") as fh:
         if not os.path.samestat(os.fstat(fh.fileno()), stat):
             return
-        parsed = _parse_range(fh, start, end, row, scores, n, limit, size)
+        parsed = _parse_range(fh, start, end, row, scores)
     if parsed:
-        with open(write, "wb") as pipe:
-            pipe.write("".join(f"{c}\n" for c in parsed[0]).encode())
+        message.write("".join(f"{c}\n" for c in parsed[0]).encode())
 
 
 def _plain(data):
@@ -355,7 +350,7 @@ def _plain(data):
     return not any(c in data for c in _CSV_PARSER_ONLY)
 
 
-def _parse_rows(data, n, limit, scores, m):
+def _parse_rows(data, scores, m):
     """(consumer_ids, scores) once the whole lines that start the bytes
     `data`, each a consumer id and n numbers, then _PAD, are written from
     row m on of the (_, n) matrix `scores` or of a grown copy of it; or
@@ -379,6 +374,7 @@ def _parse_rows(data, n, limit, scores, m):
             return None
     if not data.endswith(b"\n" + _PAD):  # the file's last line
         data = data.removesuffix(_PAD) + b"\n" + _PAD
+    n = scores.shape[1]
     buf = np.frombuffer(data, dtype=np.uint8)
     sep = buf == ord(",")
     sep |= buf == ord("\n")
@@ -389,6 +385,7 @@ def _parse_rows(data, n, limit, scores, m):
         return None
     # a field's bytes are never fewer than the csv parser's characters
     line_starts = np.r_[0, sep[n:-1:n + 1] + 1]
+    limit = csv.field_size_limit()
     if ((sep[n::n + 1] - line_starts).max() > limit
             and np.diff(sep, prepend=-1).max() > limit + 1):
         return None

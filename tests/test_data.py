@@ -5,6 +5,7 @@ import io
 import os
 import re
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -821,8 +822,8 @@ def split_file(tmp_path):
 
 
 def test_no_child_left_when_the_parent_part_raises(tmp_path, monkeypatch):
-    # the children's ids overflow a pipe's 64 KiB: they block on sending
-    # them until the parent closes the pipes
+    # 100-byte ids make the children's parts long, so that they are still
+    # being parsed when the first part raises
     rel = plain_matrix(3000, 2, seed=3000)
     rel = RelevanceMatrix(tuple(f"{i:0100d}" for i in range(3000)),
                           rel.item_ids, rel.scores)
@@ -857,6 +858,44 @@ def test_a_failed_fork_loads_in_one_process(failing, tmp_path, monkeypatch):
     assert parsed is None and len(calls) == failing
     got, _ = in_parts(3, loaded, path)
     assert got[0] == "ok" and got == assert_same_as_reference(path)
+
+
+@pytest.mark.parametrize("unusable", ["first_part_inexact",
+                                      "second_fork_fails"])
+def test_children_of_an_unusable_load_are_stopped(unusable, tmp_path,
+                                                  monkeypatch):
+    # children that take 20 s: once the parts cannot all be used, the load
+    # must stop them rather than wait for them
+    path = split_file(tmp_path)
+    if unusable == "first_part_inexact":
+        header, first, rest = path.read_bytes().split(b"\n", 2)
+        first = b'"' + first.replace(b",", b'",', 1)
+        path.write_bytes(b"\n".join([header, first, rest]))
+    else:
+        calls = []
+        fork = os.fork
+
+        def every_second_fork_fails():
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise OSError(errno.EAGAIN, "no more processes")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", every_second_fork_fails)
+    parse_child = data_module._parse_child
+    monkeypatch.setattr(data_module, "_parse_child",
+                        lambda *args: (time.sleep(20), parse_child(*args)))
+    began = time.perf_counter()
+    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    assert time.perf_counter() - began < 5
+    assert parsed is None and forked == 2
+    began = time.perf_counter()
+    got, _ = in_parts(3, loaded, path)
+    assert time.perf_counter() - began < 5
+    csv_parsed = outcome(
+        lambda p: RelevanceMatrix(*data_module._parse_relevance_csv(p)), path)
+    assert got[0] == "ok"
+    assert got == csv_parsed == assert_same_as_reference(path)
 
 
 @pytest.mark.parametrize("child", ["returns", "exits_0", "exits_3",
