@@ -511,17 +511,16 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
                          f"alpha={alpha} needs {depth}")
 
     order, scores, id_rank = prefs.order, prefs.scores, prefs.id_rank
-    gidx = groups.indices(rel)
-    n_groups = len(groups.group_ids)
     pref = prefs.items  # row c = c's items, best first
-
     slate = np.full((m, k), -1, dtype=int)
-    phase = np.zeros((m, k), dtype=np.int8)  # 1 allocation, 2 appending
-    avail = np.ones((m, n), dtype=bool)
-    alloc_exp = np.zeros(n_groups)
+    alloc_exp = np.zeros(len(groups.group_ids))
     fallback_used = False
 
     if alpha > 0:
+        # only this phase reads the group codes and the (m, n) mask of
+        # the items each row does not show yet
+        gidx = groups.indices(rel)
+        avail = np.ones((m, n), dtype=bool)
         quota = compute_quotas(rel, groups, model, alpha)
         anchor = find_anchor(model, m, alpha)
         for r in range(anchor.rank - 1, k):
@@ -529,28 +528,24 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
             fallback_used |= _allocate_rank(
                 r, first, model.probs[r], quota, alloc_exp, gidx, pref,
                 avail, slate, scores, id_rank)
-        phase[slate >= 0] = 1
 
     # Appending: each consumer's empty slots, in rank order, take its best
-    # items not yet shown. A row shows at most k - e items before this
-    # phase, where e is its number of empty slots, so its first k
-    # preferences hold at least e unshown ones.
+    # items its slate does not show. The allocation phase fills whole ranks
+    # from the anchor down, so a row's e empty slots are its first e ranks,
+    # and its first k preferences hold at least e unshown ones.
     head = pref[:, :k]
-    unused = avail[np.arange(m)[:, None], head]
     empty = slate < 0
+    unused = np.ones((m, k), dtype=bool)
+    for shown in slate.T:  # by rank: `.all` over an (m, k, k) is 2x slower
+        unused &= head != shown[:, None]
     take = np.argsort(~unused, axis=1, kind="stable")
-    into = np.argsort(~empty, axis=1, kind="stable")
-    fill = np.arange(k) < empty.sum(axis=1)[:, None]
-    rows = np.nonzero(fill)[0]
-    slate[rows, into[fill]] = np.take_along_axis(head, take, axis=1)[fill]
-    phase[empty] = 2
+    slate[empty] = np.take_along_axis(head, take, axis=1)[empty]
+    phase = np.where(empty, 2, 1).astype(np.int8)  # 2 appending
 
     # Re-sort: by relevance, no allocation item below its deadline
     row_scores = np.take_along_axis(scores, slate, axis=1)
     plain = np.lexsort((id_rank[slate], -row_scores), axis=1)
-    plain_rank = np.empty_like(plain)
-    np.put_along_axis(plain_rank, plain, np.arange(k)[None, :], axis=1)
-    perm = _resort(plain_rank,
+    perm = _resort(np.argsort(plain, axis=1),
                    np.where(phase == 1, _deadlines(model.probs), k - 1))
     return SlateSet(
         consumer_ids=rel.consumer_ids, item_ids=rel.item_ids, rows=order,

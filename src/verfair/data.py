@@ -10,6 +10,7 @@ Canonical on-disk formats:
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import mmap
 import os
@@ -18,6 +19,7 @@ import signal
 import sys
 import warnings
 from dataclasses import dataclass
+from stat import S_ISREG
 
 import numpy as np
 
@@ -135,60 +137,71 @@ def load_relevance(path) -> RelevanceMatrix:
     parts, and this process and P - 1 forked children parse one each at
     once, the children's scores and consumer ids coming back through
     shared memory; a file of less than 2 MiB of data, or any file
-    elsewhere, is one part. A file that parse cannot read exactly as
-    `csv.reader` and `float()` would is read again by the csv parser, which
-    returns the same matrix or raises the error that names the line and
-    item. So the result is bit-identical however the file is cut.
+    elsewhere, is one part; so is a pipe or other input that is not a
+    regular file, read whole into memory as it can be read only once. A
+    file that parse cannot read exactly as `csv.reader` and `float()` would
+    is read again from the same open file by the csv parser, which returns
+    the same matrix or raises the error that names the line and item. So
+    the result is bit-identical however the file is cut.
     """
-    parsed = _parse_relevance_numpy(path)
-    if parsed is None:
-        parsed = _parse_relevance_csv(path)
+    with open(path, "rb") as fh:
+        if not S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh = io.BytesIO(fh.read())
+        parsed = _parse_relevance_numpy(path, fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_relevance_csv(path, fh)
     try:
         return RelevanceMatrix(*parsed)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _parse_relevance_numpy(path):
-    """(consumer_ids, item_ids, scores) of a relevance CSV, or None where
-    the result could differ from `_parse_relevance_csv`'s, which includes
+def _parse_relevance_numpy(path, fh):
+    """(consumer_ids, item_ids, scores) of the relevance CSV `fh`, opened
+    in binary at `path` or read into an io.BytesIO, or None where the
+    result could differ from `_parse_relevance_csv`'s, which includes
     every file that parser rejects.
 
     Without quotes, csv rows are the file's lines, split at each comma.
-    The data lines are cut at line starts into P = min(`_usable_cpus()`,
-    data bytes // _MIN_PART_BYTES) parts, or one part where that is below
-    2. One part is read by `_parse_part` into a private matrix with room
-    for as many rows as lines like the first would fill, grown as needed;
-    more parts are read at once by `_parse_parts`. Both return the same
-    ids and score bits.
+    The data lines of a file are cut at line starts into P =
+    min(`_usable_cpus()`, data bytes // _MIN_PART_BYTES) parts, or one
+    part where that is below 2; bytes in memory are one part. One part is
+    read by `_parse_part` into a private matrix with room for as many rows
+    as lines like the first would fill, grown as needed; more parts are
+    read at once by `_parse_parts`. Both return the same ids and score
+    bits.
     """
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        start = len(header)
-        header = header.removesuffix(b"\n").removesuffix(b"\r")
-        if not _plain(header) or b"\r" in header:
-            return None
-        try:
-            fields = header.decode().split(",")
-        except UnicodeDecodeError:
-            return None
-        if (len(fields) < 2 or fields[0] != "consumer_id"
-                or max(map(len, fields)) > csv.field_size_limit()):
-            return None
-        n = len(fields) - 1
-        line = fh.readline()
+    header = fh.readline()
+    start = len(header)
+    header = header.removesuffix(b"\n").removesuffix(b"\r")
+    if not _plain(header) or b"\r" in header:
+        return None
+    try:
+        fields = header.decode().split(",")
+    except UnicodeDecodeError:
+        return None
+    if (len(fields) < 2 or fields[0] != "consumer_id"
+            or max(map(len, fields)) > csv.field_size_limit()):
+        return None
+    n = len(fields) - 1
+    line = fh.readline()
+    if isinstance(fh, io.BytesIO):  # a pipe's bytes, read whole
+        size = len(fh.getbuffer())
+        cuts = [start, size]
+    else:
         stat = os.fstat(fh.fileno())
-        cuts = _cuts(fh, start, stat.st_size)
-        if len(cuts) > 2:
-            parsed = _parse_parts(path, stat, fh, cuts, n)
-        else:
-            # room for the rows of a file of lines like the first (a line
-            # of n numbers is at least 2n + 1 bytes); pages of rows never
-            # written are never touched
-            scores = np.empty((stat.st_size
-                               // max(len(line), 2 * n + 1) + 1, n))
-            # read to the end, which a pipe's st_size of 0 does not give
-            parsed = _parse_part(fh, line, sys.maxsize, 0, scores)
+        size = stat.st_size
+        cuts = _cuts(fh, start, size)
+    if len(cuts) > 2:
+        parsed = _parse_parts(path, stat, fh, cuts, n)
+    else:
+        # room for the rows of a file of lines like the first (a line of n
+        # numbers is at least 2n + 1 bytes); pages of rows never written
+        # are never touched
+        scores = np.empty((size // max(len(line), 2 * n + 1) + 1, n))
+        # read to the end, should the file have grown since its stat
+        parsed = _parse_part(fh, line, sys.maxsize, 0, scores)
     if not parsed or not parsed[0]:
         return None
     consumer_ids, scores = parsed
@@ -603,21 +616,26 @@ def _round(w, k):
     return r, certified | (w == 0)
 
 
-def _read_csv(path):
-    """Every row of a CSV file; csv and decoding errors name the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            return list(reader)
-        except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from None
+def _read_csv(path, fh):
+    """Every row of the CSV file `fh`, opened in binary at `path`; csv and
+    decoding errors name the file. The bytes are read whole, so that they
+    are decoded in a fresh file's chunks, whatever `fh` holds buffered,
+    and a decoding error names the same position."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(fh.read()),
+                                         encoding="utf-8", newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def _parse_relevance_csv(path):
-    """The exact parse: csv rows and one float() per cell."""
-    rows = _read_csv(path)
+def _parse_relevance_csv(path, fh):
+    """The exact parse of the relevance CSV `fh`, opened in binary at
+    `path` or read into an io.BytesIO: csv rows and one float() per
+    cell."""
+    rows = _read_csv(path, fh)
     if not rows:
         raise DataError(f"{path}: empty file")
     header = rows[0]
@@ -658,7 +676,8 @@ def save_relevance(rel: RelevanceMatrix, path):
 
 def load_groups(path, items: RelevanceMatrix) -> GroupMap:
     """Read an item -> group CSV covering every item of `items` exactly once."""
-    rows = _read_csv(path)
+    with open(path, "rb") as fh:
+        rows = _read_csv(path, fh)
     if not rows or rows[0] != ["item_id", "group_id"]:
         raise DataError(f"{path}: expected header 'item_id,group_id'")
     known = set(items.item_ids)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
                      allocate, allocate_individual, compute_quotas,
-                     identity_groups, synth_relevance, top_k)
+                     find_anchor, identity_groups, synth_relevance, top_k)
 from verfair.allocator import ALLOCATION, _deadlines, _resort
 
 
@@ -107,6 +108,33 @@ class TestStructure:
         a = allocate_individual(rel, model, 1.0, seed=0)
         b = allocate_individual(rel, model, 1.0, seed=1)
         assert a.order != b.order  # overwhelmingly likely at m=50
+
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
+    def test_appending_slots_are_the_first_ranks(self, eta, alpha):
+        # the allocation phase fills whole ranks from the anchor down, so
+        # the appending phase's slots are a prefix of each row: pre-ranks
+        # 1..e, every allocation pre-rank above e, and all k at alpha 0
+        k = 8
+        model = ExposureModel.pbm(eta, k)
+        mid_rank = set()
+        for seed in range(40):
+            m = 40 + seed
+            if alpha > 0:
+                anchor = find_anchor(model, m, alpha)
+                if anchor.consumer > 1:
+                    mid_rank.add(anchor.rank)
+            rel = synth_relevance(m, 25, seed=seed)
+            for groups in (identity_groups(rel),
+                           random_groups(rel, np.random.default_rng(seed))):
+                s = allocate(rel, groups, model, alpha, seed=seed)
+                appending = s.phase == 2
+                assert np.isin(s.phase, (1, 2)).all()
+                e = appending.sum(axis=1, keepdims=True)
+                assert ((s.pre_rank <= e) == appending).all()
+                assert appending.all() or alpha > 0
+        assert mid_rank or alpha in (0.0, 1.0)
 
 
 class TestMinimumExposure:

@@ -36,6 +36,17 @@ class TestTopK:
             top_k(rel, 3)
 
 
+@pytest.mark.parametrize("method", ["random-k", "pr-k", "fairco"])
+def test_n_less_than_k_rejected(method):
+    rel = synth_relevance(2, 2, seed=0)
+    model = ExposureModel.pbm(1.0, 3)
+    slates = {"random-k": lambda: random_k(rel, 3, seed=0),
+              "pr-k": lambda: pr_k(rel, model),
+              "fairco": lambda: fairco(rel, identity_groups(rel), model, 1.0)}
+    with pytest.raises(ValueError, match=r"^need n >= k \(n=2, k=3\)$"):
+        slates[method]()
+
+
 class TestRandomK:
     def test_deterministic(self):
         rel = synth_relevance(10, 8, seed=2)

@@ -24,6 +24,13 @@ from verfair.cli import main
 from verfair.data import _parse_relevance_numpy
 
 
+def parse_file(path, parser=_parse_relevance_numpy):
+    """`parser`, one of the loader's two parsers, of the file at `path`,
+    opened as `load_relevance` opens a regular file."""
+    with open(path, "rb") as fh:
+        return parser(path, fh)
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -117,6 +124,21 @@ class TestLoadGroups:
         with pytest.raises(DataError, match="duplicate"):
             load_groups(p, three_equal)
 
+    @pytest.mark.parametrize("body, message", [
+        ("item,group\nA,g\n", "expected header 'item_id,group_id'"),
+        ("", "expected header 'item_id,group_id'"),
+        ("item_id,group_id\nA,g\nB,g,x\n", "line 3: expected 2 fields"),
+    ])
+    def test_malformed_file_exits_2_naming_the_problem(self, body, message,
+                                                       tmp_path, capsys):
+        rel = write(tmp_path / "rel.csv", "consumer_id,A,B\nc1,0.5,1\n")
+        p = write(tmp_path / "groups.csv", body)
+        code = main(["run", "--relevance", rel, "--groups", p,
+                     "--method", "verfair-group", "--k", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
     def test_group_ids_in_order_of_first_appearance(self, tmp_path,
                                                     three_equal):
         p = write(tmp_path / "groups.csv",
@@ -193,6 +215,14 @@ class TestSynthRelevance:
         with pytest.raises(DataError):
             synth_relevance(2, 2, "gaussian", seed=0)
 
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0)])
+    def test_empty_shape_exits_2(self, m, n, tmp_path, capsys):
+        out = tmp_path / "rel.csv"
+        code = main(["gen", "--m", str(m), "--n", str(n), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: m and n must be >= 1\n"
+        assert not out.exists()
+
 
 class TestValidation:
     def test_non_finite_rejected(self):
@@ -207,6 +237,30 @@ class TestValidation:
     def test_non_matrix_scores_name_their_shape(self, shape):
         with pytest.raises(DataError, match=rf"2-D.*{re.escape(str(shape))}"):
             RelevanceMatrix(("c1",), ("A", "B"), np.ones(shape))
+
+    @pytest.mark.parametrize("consumers, items", [((), ("A",)),
+                                                  (("c1",), ())])
+    def test_empty_matrix_rejected(self, consumers, items):
+        with pytest.raises(DataError, match="^relevance matrix must be at "
+                                            "least 1x1$"):
+            RelevanceMatrix(consumers, items,
+                            np.zeros((len(consumers), len(items))))
+
+    @pytest.mark.parametrize("consumers, items", [(("c1", "c2"), ("A", "B")),
+                                                  (("c1",), ("A",))])
+    def test_ids_that_miss_the_shape_rejected(self, consumers, items):
+        with pytest.raises(DataError, match="^id lists do not match matrix "
+                                            "shape$"):
+            RelevanceMatrix(consumers, items, np.ones((1, 2)))
+
+    def test_group_ids_that_miss_the_assignment_rejected(self):
+        with pytest.raises(DataError, match="^group_ids does not match "
+                                            "assignment values$"):
+            GroupMap({"A": "g1", "B": "g2"}, ("g1", "g3"))
+
+    def test_duplicate_group_ids_rejected(self):
+        with pytest.raises(DataError, match="^duplicate group ids$"):
+            GroupMap({"A": "g1", "B": "g1"}, ("g1", "g1"))
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,7 +454,7 @@ def count_chunks(rel, writer, tmp_path):
     parse_rows = data_module._parse_rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_module, "_parse_rows", counting_parse_rows)
-        assert _parse_relevance_numpy(path) is not None  # the fast path ran
+        assert parse_file(path) is not None  # the fast path ran
     got = assert_same_as_reference(path)
     assert got[3] == rel.scores.view(np.int64).tolist()
 
@@ -439,7 +493,7 @@ def test_rows_beyond_the_first_lines_estimate(tmp_path):
     rows += [[f"c{i}", "1", "0.5"] for i in range(3000)]
     path = tmp_path / "rel.csv"
     path.write_text(csv_text(rows, "\n"), encoding="utf-8")
-    assert _parse_relevance_numpy(path) is not None
+    assert parse_file(path) is not None
     assert assert_same_as_reference(path)[0] == "ok"
 
 
@@ -448,7 +502,7 @@ def test_quoted_ids_round_trip_through_the_csv_parser(tmp_path):
                           np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
     path = tmp_path / "rel.csv"
     save_relevance(rel, path)
-    assert _parse_relevance_numpy(path) is None
+    assert parse_file(path) is None
     back = load_relevance(path)
     assert back.consumer_ids == rel.consumer_ids
     assert back.item_ids == rel.item_ids
@@ -458,7 +512,7 @@ def test_quoted_ids_round_trip_through_the_csv_parser(tmp_path):
 
     # quoting that changes no field still takes the csv parser
     path.write_text('consumer_id,"A"\n"c1",0.5\n', encoding="utf-8")
-    assert _parse_relevance_numpy(path) is None
+    assert parse_file(path) is None
     assert assert_same_as_reference(path)[1:3] == (("c1",), ("A",))
 
 
@@ -466,7 +520,7 @@ def test_save_load_round_trip_5000_by_50(tmp_path):
     rel = synth_relevance(5000, 50, seed=5)
     path = tmp_path / "rel.csv"
     save_relevance(rel, path)
-    assert _parse_relevance_numpy(path) is not None
+    assert parse_file(path) is not None
     back = load_relevance(path)
     assert back.consumer_ids == rel.consumer_ids
     assert back.item_ids == rel.item_ids
@@ -500,7 +554,7 @@ def test_loader_is_bit_exact_on_240k_hard_fields(tmp_path):
     # rows longer than the csv field size limit, so each field is measured
     path = tmp_path / "rel.csv"
     write_rows(path, fields, 10_000)
-    assert _parse_relevance_numpy(path) is not None
+    assert parse_file(path) is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rel = load_relevance(path)
@@ -534,7 +588,7 @@ def test_kernel_converts_all_but_a_few_repr_scores(dist, tmp_path,
         return float_fields(data, starts, ends)
 
     monkeypatch.setattr(data_module, "_float_fields", counted)
-    parsed = _parse_relevance_numpy(path)
+    parsed = parse_file(path)
     assert parsed is not None
     assert np.array_equal(parsed[2].view(np.int64), scores.view(np.int64))
     assert sum(fallback) < 0.01 * scores.size
@@ -567,7 +621,7 @@ def test_zero_led_fields_of_every_length(tmp_path, monkeypatch):
     monkeypatch.setattr(data_module, "_float_fields", counted)
     path = tmp_path / "rel.csv"
     write_rows(path, fields, 20)
-    parsed = _parse_relevance_numpy(path)
+    parsed = parse_file(path)
     assert parsed is not None
     want = np.array([float(f) for f in fields])
     assert np.array_equal(parsed[2].ravel().view(np.int64),
@@ -722,11 +776,10 @@ def test_parts_give_the_one_part_result(m, n, cpus, terminator, last_newline,
                                         tmp_path):
     rel = plain_matrix(m, n, seed=m + n)
     path = repr_file(tmp_path / "rel.csv", rel, terminator, last_newline)
-    (ids, items, scores), forked = in_parts(cpus, _parse_relevance_numpy,
-                                            path)
+    (ids, items, scores), forked = in_parts(cpus, parse_file, path)
     assert forked == cpus - 1
-    one = _parse_relevance_numpy(path)
-    exact = data_module._parse_relevance_csv(path)
+    one = parse_file(path)
+    exact = parse_file(path, data_module._parse_relevance_csv)
     assert ids == one[0] == exact[0] == rel.consumer_ids
     assert items == one[1] == exact[1] == rel.item_ids
     assert bits(scores) == bits(one[2]) == bits(exact[2]) == bits(rel.scores)
@@ -741,7 +794,7 @@ def test_parts_of_many_chunks(cpus, terminator, tmp_path, monkeypatch):
     monkeypatch.setattr(data_module, "_CHUNK_FIELDS", 6)
     rel = plain_matrix(300, 3, seed=300)
     path = repr_file(tmp_path / "rel.csv", rel, terminator)
-    (ids, _, scores), forked = in_parts(cpus, _parse_relevance_numpy, path)
+    (ids, _, scores), forked = in_parts(cpus, parse_file, path)
     assert forked == cpus - 1
     assert ids == rel.consumer_ids and bits(scores) == bits(rel.scores)
 
@@ -766,10 +819,10 @@ def test_parts_cut_next_to_a_long_line(at, length, children, tmp_path):
     rows[1 + at][0] = rows[1 + at][0].ljust(length, "_")
     path = tmp_path / "rel.csv"
     path.write_text(csv_text(rows, "\n"), encoding="utf-8")
-    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    parsed, forked = in_parts(3, parse_file, path)
     assert forked == children
-    assert parsed[0] == _parse_relevance_numpy(path)[0]
-    assert bits(parsed[2]) == bits(_parse_relevance_numpy(path)[2])
+    assert parsed[0] == parse_file(path)[0]
+    assert bits(parsed[2]) == bits(parse_file(path)[2])
     assert in_parts(3, loaded, path)[0] == assert_same_as_reference(path)
 
 
@@ -796,7 +849,7 @@ def test_a_later_part_sends_the_file_to_the_csv_parser(defect, at, cpus,
     header, *lines = path.read_bytes().splitlines(keepends=True)
     lines[at] = LATER_PART[defect](lines[at])
     path.write_bytes(b"".join([header, *lines]))
-    parsed, forked = in_parts(cpus, _parse_relevance_numpy, path)
+    parsed, forked = in_parts(cpus, parse_file, path)
     assert forked == cpus - 1
     assert (parsed is None) == (defect != "repeated_id")
     got, _ = in_parts(cpus, loaded, path)
@@ -815,6 +868,44 @@ def test_a_pipe_is_read_as_one_part(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert forked == 0 and got[0] == "ok" and got[1:] == loaded(path)[1:]
+
+
+def loaded_from_a_pipe(path):
+    """`loaded` of the bytes of the file at `path`, read through a pipe
+    under its /dev/fd name, as a shell's `<(cat path)` passes them, and
+    that name."""
+    data = path.read_bytes()
+    assert len(data) < 2 ** 16  # a pipe holds them all unread
+    read, write = os.pipe()
+    try:
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)
+        name = f"/dev/fd/{read}"
+        got, forked = in_parts(2, loaded, name)
+    finally:
+        os.close(read)
+    assert forked == 0
+    return got, name
+
+
+def test_a_pipe_with_a_quoted_first_id_loads_as_its_file(tmp_path):
+    # the quote sends the bytes to the csv parser, which must read them
+    # again although the pipe is drained
+    path = repr_file(tmp_path / "rel.csv", plain_matrix(60, 3, seed=61))
+    header, first, rest = path.read_bytes().split(b"\n", 2)
+    first = b'"' + first.replace(b",", b'",', 1)
+    path.write_bytes(b"\n".join([header, first, rest]))
+    got, _ = loaded_from_a_pipe(path)
+    assert got[0] == "ok" and got == loaded(path)
+
+
+def test_a_pipe_with_a_bad_cell_gives_its_files_error(tmp_path):
+    path = tmp_path / "rel.csv"
+    path.write_bytes(b"consumer_id,A,B\nc1,abc,0.5\nc2,0.25,1\n")
+    got, name = loaded_from_a_pipe(path)
+    want = loaded(path)
+    assert want == ("error", f"{path}: line 2, item 'A': cannot parse 'abc'")
+    assert got == ("error", want[1].replace(str(path), name))
 
 
 def split_file(tmp_path):
@@ -854,7 +945,7 @@ def test_a_failed_fork_loads_in_one_process(failing, tmp_path, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", fork_fails)
-    parsed, _ = in_parts(3, _parse_relevance_numpy, path)
+    parsed, _ = in_parts(3, parse_file, path)
     assert parsed is None and len(calls) == failing
     got, _ = in_parts(3, loaded, path)
     assert got[0] == "ok" and got == assert_same_as_reference(path)
@@ -886,14 +977,14 @@ def test_children_of_an_unusable_load_are_stopped(unusable, tmp_path,
     monkeypatch.setattr(data_module, "_parse_child",
                         lambda *args: (time.sleep(20), parse_child(*args)))
     began = time.perf_counter()
-    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    parsed, forked = in_parts(3, parse_file, path)
     assert time.perf_counter() - began < 5
     assert parsed is None and forked == 2
     began = time.perf_counter()
     got, _ = in_parts(3, loaded, path)
     assert time.perf_counter() - began < 5
-    csv_parsed = outcome(
-        lambda p: RelevanceMatrix(*data_module._parse_relevance_csv(p)), path)
+    csv_parsed = outcome(lambda p: RelevanceMatrix(
+        *parse_file(p, data_module._parse_relevance_csv)), path)
     assert got[0] == "ok"
     assert got == csv_parsed == assert_same_as_reference(path)
 
@@ -910,7 +1001,7 @@ def test_a_failed_child_sends_the_file_to_the_csv_parser(child, tmp_path,
         "exits_3": lambda *args: os._exit(3),
         "sends_then_exits_3": lambda *args: (parse_child(*args), os._exit(3)),
     }[child])
-    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    parsed, forked = in_parts(3, parse_file, path)
     assert parsed is None and forked == 2
     got, _ = in_parts(3, loaded, path)
     assert got[0] == "ok" and got == assert_same_as_reference(path)
@@ -923,7 +1014,7 @@ def test_line_counts_that_miss_a_part_send_the_file_to_the_csv_parser(
     count_lines = data_module._count_lines
     monkeypatch.setattr(data_module, "_count_lines",
                         lambda *args: count_lines(*args) + 1)
-    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    parsed, forked = in_parts(3, parse_file, path)
     assert parsed is None and forked == 2
     got, _ = in_parts(3, loaded, path)
     assert got[0] == "ok" and got == assert_same_as_reference(path)
@@ -941,7 +1032,7 @@ def test_a_child_reads_only_the_file_the_load_opened(tmp_path, monkeypatch):
         return fork()
 
     monkeypatch.setattr(data_module, "_fork", replace_then_fork)
-    parsed, forked = in_parts(3, _parse_relevance_numpy, path)
+    parsed, forked = in_parts(3, parse_file, path)
     assert parsed is None and forked == 2
 
 

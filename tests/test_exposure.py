@@ -34,10 +34,18 @@ class TestModel:
         with pytest.raises(ValueError):
             ExposureModel.pbm(-1.0, 3)
 
+    def test_no_slot_rejected(self):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            ExposureModel.pbm(1.0, 0)
+
 
 class TestTotalExposure:
     def test_constant_exposure(self):
         assert total_exposure(ExposureModel.pbm(0.0, 2), 3) == 6.0
+
+    def test_no_consumer_rejected(self):
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            total_exposure(ExposureModel.pbm(0.0, 2), 0)
 
     def test_single_slot(self):
         assert total_exposure(ExposureModel.pbm(2.7, 1), 1) == 1.0

@@ -1,9 +1,11 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 import verfair.allocator as allocator
+import verfair.harness as harness
 from verfair import (ExposureModel, GroupMap, identity_groups, save_groups,
                      save_relevance, synth_relevance, top_k)
 from verfair.allocator import SlateSet
@@ -271,6 +273,33 @@ class TestCli:
                      "--eta", "1", "--k", "4", "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("item_id,")
+
+    def test_bench_prints_the_time_per_1k_slates(self, tmp_path, capsys):
+        rel_path = self._gen(tmp_path)
+        code = main(["bench", "--relevance", rel_path, "--method", "top-k",
+                     "--k", "4"])
+        assert code == 0
+        assert re.fullmatch(r"top-k: \d+\.\d ms per 1k slates\n",
+                            capsys.readouterr().out)
+
+    def test_bench_with_too_few_repeats_exits_2(self, tmp_path, capsys):
+        rel_path = self._gen(tmp_path)
+        code = main(["bench", "--relevance", rel_path, "--method", "top-k",
+                     "--k", "4", "--repeat", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: repeat must be >= 3\n"
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("an invariant broke")
+
+        monkeypatch.setattr(harness, "run", broken)
+        code = main(["run", "--relevance", self._gen(tmp_path),
+                     "--method", "top-k", "--k", "4",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "internal error: an invariant broke\n"
 
     def test_missing_file_exits_2(self, tmp_path):
         code = main(["run", "--relevance", str(tmp_path / "nope.csv"),

@@ -112,6 +112,20 @@ class TestJsdFairness:
             jsd_fairness(ledger, three_equal, identity_groups(three_equal),
                          "individual")
 
+    @pytest.mark.parametrize("level", ["individual", "group"])
+    def test_all_zero_relevance_rejected(self, level):
+        from verfair import RelevanceMatrix
+        rel = RelevanceMatrix(("c1",), ("A", "B"), np.array([[0.0, 0.0]]))
+        ledger = self._ledger(rel, [1.0, 1.0])
+        with pytest.raises(ValueError, match="^all-zero relevance vector$"):
+            jsd_fairness(ledger, rel, identity_groups(rel), level)
+
+    def test_unknown_level_rejected(self, three_equal):
+        ledger = self._ledger(three_equal, [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^unknown level 'item'$"):
+            jsd_fairness(ledger, three_equal, identity_groups(three_equal),
+                         "item")
+
 
 class TestEvaluate:
     def test_top_k_all_cutoffs_one(self):

@@ -33,6 +33,13 @@ class TestComputeQuotas:
         assert q[1] == 0.0
         assert q[0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_rejected(self, three_equal,
+                                                      alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be in \[0,1\]$"):
+            compute_quotas(three_equal, identity_groups(three_equal),
+                           ExposureModel.pbm(0.0, 2), alpha)
+
     def test_all_zero_relevance_rejected(self):
         rel = RelevanceMatrix(("c1",), ("A", "B"), np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError):
