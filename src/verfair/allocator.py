@@ -481,10 +481,11 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     """Run the full three-phase allocation and return the slate set.
 
     The consumer order is a seeded shuffle; `shuffle=False` keeps dataset
-    order, which pins the order for golden tests. alpha=0 skips the
-    allocation phase entirely and degenerates to pure relevance ranking.
-    Every slate is then re-sorted by `_resort`, which keeps each allocation
-    item at or above its deadline rank.
+    order, which pins the order for golden tests. Every slate is re-sorted
+    by `_resort`, which keeps each allocation item at or above its deadline
+    rank. alpha=0 has no allocation phase and degenerates to pure relevance
+    ranking: each slate is the consumer's first k preferences, returned
+    as they are.
 
     The shuffle and the preference sort do not depend on alpha. `prefs`,
     built for this `rel`, `seed` and `shuffle`, lends them to every call of
@@ -512,22 +513,27 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
 
     order, scores, id_rank = prefs.order, prefs.scores, prefs.id_rank
     pref = prefs.items  # row c = c's items, best first
-    slate = np.full((m, k), -1, dtype=int)
     alloc_exp = np.zeros(len(groups.group_ids))
-    fallback_used = False
+    if alpha == 0:
+        # every slot is appended, and each row's first k preferences are
+        # already in its plain sort, which meets every deadline
+        return SlateSet(
+            consumer_ids=rel.consumer_ids, item_ids=rel.item_ids, rows=order,
+            items=pref[:, :k], phase=np.full((m, k), 2, dtype=np.int8),
+            pre_rank=np.tile(np.arange(1, k + 1), (m, 1)),
+            allocation_exposure=alloc_exp)
 
-    if alpha > 0:
-        # only this phase reads the group codes and the (m, n) mask of
-        # the items each row does not show yet
-        gidx = groups.indices(rel)
-        avail = np.ones((m, n), dtype=bool)
-        quota = compute_quotas(rel, groups, model, alpha)
-        anchor = find_anchor(model, m, alpha)
-        for r in range(anchor.rank - 1, k):
-            first = anchor.consumer - 1 if r == anchor.rank - 1 else 0
-            fallback_used |= _allocate_rank(
-                r, first, model.probs[r], quota, alloc_exp, gidx, pref,
-                avail, slate, scores, id_rank)
+    slate = np.full((m, k), -1, dtype=int)
+    fallback_used = False
+    gidx = groups.indices(rel)
+    avail = np.ones((m, n), dtype=bool)  # items each row does not show yet
+    quota = compute_quotas(rel, groups, model, alpha)
+    anchor = find_anchor(model, m, alpha)
+    for r in range(anchor.rank - 1, k):
+        first = anchor.consumer - 1 if r == anchor.rank - 1 else 0
+        fallback_used |= _allocate_rank(
+            r, first, model.probs[r], quota, alloc_exp, gidx, pref,
+            avail, slate, scores, id_rank)
 
     # Appending: each consumer's empty slots, in rank order, take its best
     # items its slate does not show. The allocation phase fills whole ranks

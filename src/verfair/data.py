@@ -19,6 +19,7 @@ import signal
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from stat import S_ISREG
 
 import numpy as np
@@ -287,43 +288,25 @@ def _parse_parts(path, stat, fh, cuts, n):
     The row each part starts at is fixed first from the newlines of the
     parts before it, and one anonymous shared mapping holds every row, with
     room for the last part as a line of n numbers is at least 2n + 1 bytes.
-    A forked child parses each part but the first into it and writes its
-    consumer ids into a shared mapping of the part's size, while this
-    process parses the first. Children whose parts can no longer be used
-    are killed, and every child is reaped before this returns or raises.
+    Through `_forked`, a child parses each part but the first into it and
+    writes its consumer ids into a shared mapping of the part's size, while
+    this process parses the first.
     """
     rows = [0]
     for start, end in zip(cuts[:-2], cuts[1:-1]):
         rows.append(rows[-1] + _count_lines(fh, start, end))
     room = rows[-1] + (cuts[-1] - cuts[-2]) // (2 * n + 1) + 1
     scores = np.frombuffer(mmap.mmap(-1, room * n * 8)).reshape(room, n)
-    pids, messages, parsed = [], [], None
-    try:
-        for i in range(1, len(rows)):
-            messages.append(mmap.mmap(-1, cuts[i + 1] - cuts[i]))
-            try:
-                pid = _fork()
-            except OSError:
-                return None
-            if pid == 0:  # the child, which leaves only by os._exit
-                try:
-                    _parse_child(path, stat, cuts[i], cuts[i + 1], rows[i],
-                                 scores, messages[-1])
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-        parsed = _parse_range(fh, cuts[0], cuts[1], 0, scores)
-    finally:
-        if not parsed:  # no child's part can be used
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    messages = [mmap.mmap(-1, cuts[i + 1] - cuts[i])
+                for i in range(1, len(rows))]
+    parsed, ok = _forked(
+        [partial(_parse_child, path, stat, cuts[i], cuts[i + 1], rows[i],
+                 scores, messages[i - 1]) for i in range(1, len(rows))],
+        partial(_parse_range, fh, cuts[0], cuts[1], 0, scores))
     # a part's ids and newlines take fewer bytes than its lines, and hold
     # no NUL, so a NUL ends each message
     messages = [m[:m.find(b"\x00")] for m in messages]
-    if (not parsed or any(statuses)
-            or not all(m.endswith(b"\n") for m in messages)):
+    if not parsed or not ok or not all(m.endswith(b"\n") for m in messages):
         return None
     ids = [parsed[0], *(m[:-1].decode().split("\n") for m in messages)]
     if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
@@ -331,11 +314,53 @@ def _parse_parts(path, stat, fh, cuts, n):
     return list(itertools.chain(*ids)), scores
 
 
+def _forked(children, own):
+    """(own(), ok): `own()` called in this process while each callable of
+    `children` is called in a forked child of its own, which leaves by
+    os._exit, 0 once its callable returns and 1 otherwise, so that what it
+    makes must come back through shared memory. `ok` is True when every
+    child was forked and exited 0.
+
+    A fork that raises OSError stops the forking: `own` is not called and
+    the result is (None, False). Every child is killed when `own` raises or
+    returns a falsy value, and reaped before this returns or raises.
+    """
+    pids, result = [], None
+    try:
+        for child in children:
+            try:
+                pid = _fork()
+            except OSError:
+                return None, False
+            if pid == 0:  # the child, which leaves only by os._exit
+                try:
+                    child()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        result = own()
+    finally:
+        if not result:  # nothing the children make can be used
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return result, not any(statuses)
+
+
 def _fork():
     """os.fork(), without the DeprecationWarning of Python 3.12 and later
     that a child forked from a process with threads, such as numpy's BLAS
-    pool, may deadlock. The child of `_parse_parts` is safe: it calls no
-    BLAS and leaves by os._exit."""
+    pool, may deadlock. The children of `_forked` leave by os._exit. Those
+    of `_parse_parts` call no BLAS; those of `harness.sweep` do, in the
+    matrix product of `metrics.ndcg`. That is safe with the pthreads
+    OpenBLAS that numpy's wheels ship: its `openblas_fork_handler` registers
+    `blas_thread_shutdown_` with pthread_atfork, which stops the pool before
+    each fork, so no BLAS thread holds a lock the child needs, and a pool
+    starts again at the next product. (An OpenBLAS built on libgomp's
+    OpenMP can still hang after a fork.) `tests/test_harness.py` runs a
+    forked sweep after a BLAS product in a subprocess with a timeout, so a
+    hang fails the test rather than blocking it."""
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded",

@@ -6,21 +6,26 @@ through `_point` and write metrics through `write_sweep`. Timing covers slate
 generation only (no loading, no metric evaluation) and is normalized to
 milliseconds per 1000 slates. A verfair sweep shuffles the consumers and
 sorts their preferences once (`allocator.Preferences`), in its first grid
-point, whose `wall_ms_per_1k` therefore carries the sort.
+point, whose `wall_ms_per_1k` therefore carries the sort. The points after
+the first run across the usable CPUs, so each `wall_ms_per_1k` is timed in
+the process that ran the point, concurrently with the others.
 """
 
 from __future__ import annotations
 
 import csv
+import mmap
 import statistics
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from .allocator import PHASE_TAG, Preferences, allocate, allocate_individual
 from .baselines import fairco, pr_k, random_k, top_k
+from . import data
 from .data import GroupMap, RelevanceMatrix, identity_groups
 from .exposure import ExposureModel, accumulate
 from .metrics import _positions, evaluate
@@ -131,6 +136,16 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     share one `Preferences` across the grid: the consumers are shuffled and
     their preferences sorted once, in the first point, whose
     `wall_ms_per_1k` carries the sort.
+
+    The first point runs in this process. The others are dealt round-robin
+    to this process and to P - 1 children forked by `data._forked`, P being
+    the usable CPUs or the points left, whichever is fewer; each child
+    writes its points' floats into one shared mapping. So each
+    `wall_ms_per_1k` is timed in the process that ran the point,
+    concurrently with the others. When a fork fails, a child exits non-zero
+    or a point raises here, every point with no result is run here in grid
+    order, so the records, and the first error raised, are the serial
+    sweep's.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -144,8 +159,41 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     if kind == "alpha":
         prefs = Preferences(rel, config.seed, config.shuffle,
                             rel.n if max(grid) > 0 else config.k)
-    return [_point(replace(config, **{field: v}), v, rel, groups, prefs)[2]
-            for v in sorted(grid)]
+    values = sorted(grid)
+
+    def record(v):
+        return _point(replace(config, **{field: v}), v, rel, groups, prefs)[2]
+
+    first = record(values[0])
+    cutoffs = tuple(first.ndcg_at)
+    # per point: NDCG at each cutoff, both fairness levels, wall time
+    floats = np.frombuffer(mmap.mmap(-1, len(values) * (len(cutoffs) + 3)
+                                     * 8)).reshape(len(values), -1)
+    done = np.zeros(len(values), dtype=bool)
+    done[0] = True
+
+    def fill(points):
+        for i in points:
+            r = record(values[i])
+            floats[i] = (*r.ndcg_at.values(), r.fairness_individual,
+                         r.fairness_group, r.wall_ms_per_1k)
+            done[i] = True
+        return True
+
+    procs = max(1, min(data._usable_cpus(), len(values) - 1))
+    deals = [range(1 + j, len(values), procs) for j in range(procs)]
+    try:
+        _, ok = data._forked([partial(fill, d) for d in deals[1:]],
+                             partial(fill, deals[0]))
+    except Exception:  # raised again below, unless a point before it fails
+        ok = False
+    if ok:
+        done[:] = True
+    fill(np.flatnonzero(~done))
+    rest = (TradeoffRecord(config.method, float(v), config.eta, config.k,
+                           dict(zip(cutoffs, row[:-3])), *row[-3:])
+            for v, row in zip(values[1:], floats[1:].tolist()))
+    return [first, *rest]
 
 
 def write_sweep(records, path):

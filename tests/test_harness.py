@@ -1,10 +1,18 @@
 import csv
+import errno
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import verfair
 import verfair.allocator as allocator
+import verfair.data as data
 import verfair.harness as harness
 from verfair import (ExposureModel, GroupMap, identity_groups, save_groups,
                      save_relevance, synth_relevance, top_k)
@@ -115,6 +123,181 @@ class TestSweep:
             assert ra.ndcg_at == rb.ndcg_at
             assert ra.fairness_individual == rb.fairness_individual
             assert ra.fairness_group == rb.fairness_group
+
+
+# Points after a sweep's first run on every usable CPU, in forked children.
+# These tests set the CPU count: the records, wall time dropped, must be
+# those of the serial sweep (one CPU), and no child may outlive a sweep.
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def no_wall(records):
+    return [replace(r, wall_ms_per_1k=0.0) for r in records]
+
+
+def three_groups(rel):
+    return GroupMap({d: f"g{j % 3}" for j, d in enumerate(rel.item_ids)},
+                    ("g0", "g1", "g2"))
+
+
+class TestForkedSweep:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert_no_child_left()
+
+    @staticmethod
+    def swept(cpus, config, grid, rel, groups=None):
+        """sweep(...) on `cpus` usable CPUs, wall time dropped, and the
+        number of forks it tried."""
+        forks = []
+        fork = data._fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_usable_cpus", lambda: cpus)
+            mp.setattr(data, "_fork", counted)
+            records = sweep(config, grid, rel, groups)
+        assert_no_child_left()
+        return no_wall(records), len(forks)
+
+    @pytest.mark.parametrize("method", ["verfair-ind", "verfair-group",
+                                        "fairco", "top-k", "random-k"])
+    @pytest.mark.parametrize("grid", [
+        (1.0, 0.0, 0.5, 0.5), (0.75, 0.25, 1.0, 0.0, 0.5), (0.5,),
+        (1.0, 0.0)])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_records_equal_the_serial_sweep(self, rel, method, grid, cpus):
+        config = RunConfig(method=method, eta=1.0, k=5, seed=3,
+                           cutoffs=(1, 3, 5))
+        groups = three_groups(rel)
+        serial, forked = self.swept(1, config, grid, rel, groups)
+        assert forked == 0
+        got, forked = self.swept(cpus, config, grid, rel, groups)
+        assert forked == max(0, min(cpus, len(grid) - 1) - 1)
+        assert [r.param for r in got] == sorted(grid)
+        assert got == serial
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_failed_fork_gives_the_serial_records(self, rel, monkeypatch,
+                                                    failing):
+        config = RunConfig(method="verfair-ind", k=5, cutoffs=(1, 3))
+        grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+        serial, _ = self.swept(1, config, grid, rel)
+        calls = []
+        fork = os.fork
+
+        def fork_fails():
+            calls.append(1)
+            if len(calls) == failing:
+                raise OSError(errno.EAGAIN, "no more processes")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        got, forked = self.swept(3, config, grid, rel)
+        assert got == serial and forked == len(calls) == failing
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_point_raising_in_a_child_gives_the_serial_records(
+            self, rel, monkeypatch, cpus):
+        config = RunConfig(method="verfair-group", k=5, cutoffs=(1, 3))
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        groups = three_groups(rel)
+        serial, _ = self.swept(1, config, grid, rel, groups)
+        parent, point = os.getpid(), harness._point
+
+        def raises_in_a_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a child's point")
+            return point(*args)
+
+        monkeypatch.setattr(harness, "_point", raises_in_a_child)
+        got, forked = self.swept(cpus, config, grid, rel, groups)
+        assert got == serial and forked == cpus - 1
+
+    @pytest.mark.parametrize("cpus, last", [(2, 8.0), (3, 4.0)])
+    def test_a_point_raising_here_gives_the_serial_records(
+            self, rel, monkeypatch, cpus, last):
+        # once, on this process's last point: the children are stopped and
+        # every point with no result runs here
+        config = RunConfig(method="fairco", k=5, cutoffs=(1, 3))
+        grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+        serial, _ = self.swept(1, config, grid, rel)
+        parent, point, raised = os.getpid(), harness._point, []
+
+        def raises_once(config, param, *args):
+            if os.getpid() == parent and param == last and not raised:
+                raised.append(param)
+                raise RuntimeError("this process's point")
+            return point(config, param, *args)
+
+        monkeypatch.setattr(harness, "_point", raises_once)
+        got, _ = self.swept(cpus, config, grid, rel)
+        assert raised == [last] and got == serial
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_first_error_is_the_serial_sweeps(self, rel, monkeypatch,
+                                                  cpus):
+        # 0.4 runs in a child and 0.8 here: the error of 0.4 comes first
+        point = harness._point
+
+        def raises_at(config, param, *args):
+            if param in (0.4, 0.8):
+                raise ValueError(f"bad point {param}")
+            return point(config, param, *args)
+
+        monkeypatch.setattr(harness, "_point", raises_at)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match=r"^bad point 0\.4$"):
+            sweep(RunConfig(method="top-k", k=5, cutoffs=(1,)),
+                  (0.0, 0.2, 0.4, 0.6, 0.8, 1.0), rel)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_an_infinite_lambda_exits_2_with_the_serial_message(
+            self, tmp_path, capsys, monkeypatch, cpus):
+        rel_path = tmp_path / "rel.csv"
+        save_relevance(synth_relevance(10, 8, seed=1), rel_path)
+        out = tmp_path / "sweep.csv"
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        code = main(["sweep", "--relevance", str(rel_path), "--method",
+                     "fairco", "--k", "4", "--grid", "0,1,5,inf",
+                     "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == \
+            "error: lambda must be a finite number >= 0\n"
+
+    def test_a_forked_sweep_after_a_blas_product_finishes(self):
+        # numpy's BLAS runs a thread pool; a child forked after a product
+        # must not hang in the product of its own points' NDCG
+        script = """if True:
+            import numpy as np
+            import verfair.data as data
+            from verfair import synth_relevance
+            from verfair.harness import RunConfig, sweep
+            data._usable_cpus = lambda: 2
+            fork, forks = data._fork, []
+            data._fork = lambda: forks.append(1) or fork()
+            a = np.random.default_rng(0).random((500, 500))
+            for _ in range(5):
+                a = a @ a.T / 500
+            records = sweep(RunConfig("verfair-ind", k=5, cutoffs=(1, 5)),
+                            (0.0, 0.5, 1.0),
+                            synth_relevance(200, 30, seed=1))
+            print(len(forks), len(records))
+        """
+        src = str(Path(verfair.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1 3\n"
 
 
 class TestBench:
