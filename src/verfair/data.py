@@ -352,15 +352,16 @@ def _fork():
     """os.fork(), without the DeprecationWarning of Python 3.12 and later
     that a child forked from a process with threads, such as numpy's BLAS
     pool, may deadlock. The children of `_forked` leave by os._exit. Those
-    of `_parse_parts` call no BLAS; those of `harness.sweep` do, in the
-    matrix product of `metrics.ndcg`. That is safe with the pthreads
-    OpenBLAS that numpy's wheels ship: its `openblas_fork_handler` registers
+    of `_parse_parts` call no BLAS; those of `harness.sweep` and the one
+    of `harness.run` (`_evaluate_writing`) do, in the `@` of
+    `metrics.ndcg`. That is safe with the pthreads OpenBLAS that numpy's
+    wheels ship: its `openblas_fork_handler` registers
     `blas_thread_shutdown_` with pthread_atfork, which stops the pool before
     each fork, so no BLAS thread holds a lock the child needs, and a pool
     starts again at the next product. (An OpenBLAS built on libgomp's
     OpenMP can still hang after a fork.) `tests/test_harness.py` runs a
-    forked sweep after a BLAS product in a subprocess with a timeout, so a
-    hang fails the test rather than blocking it."""
+    forked sweep and a forked run after a BLAS product in a subprocess with
+    a timeout, so a hang fails the test rather than blocking it."""
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded",

@@ -59,6 +59,21 @@ def _check_cutoff(k_c, model: ExposureModel):
         raise ValueError(f"cutoff {k_c} out of range 1..{model.k}")
 
 
+def _check_relevance(r):
+    if r.sum() <= 0:
+        raise ValueError("all-zero relevance vector")
+
+
+def check_evaluable(rel: RelevanceMatrix, model: ExposureModel, cutoffs):
+    """Raise what `evaluate` raises, if anything, for every slate set of
+    `rel` whose items all have a group, under a `pbm` model: an
+    out-of-range cutoff, then an all-zero relevance vector. (Rank 1 is
+    examined with probability 1, so the exposure is never all zero.)"""
+    for kc in cutoffs:
+        _check_cutoff(kc, model)
+    _check_relevance(rel.avg_relevance())
+
+
 def _gather(slates, rel: RelevanceMatrix, depth):
     """(rows, gains, ideal) for NDCG at every cutoff up to `depth`: each
     slate's consumer row, the relevance of its first `depth` items, and
@@ -121,8 +136,7 @@ def jsd_fairness(ledger: ExposureLedger, rel: RelevanceMatrix,
         raise ValueError(f"unknown level {level!r}")
     if e.sum() <= 0:
         raise ValueError("all-zero exposure vector")
-    if r.sum() <= 0:
-        raise ValueError("all-zero relevance vector")
+    _check_relevance(r)
     return 1.0 - _jsd_base2(e / e.sum(), r / r.sum())
 
 

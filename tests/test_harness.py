@@ -300,6 +300,181 @@ class TestForkedSweep:
         assert proc.stdout == "1 3\n"
 
 
+# A run that writes its slates evaluates them in a forked child on two or
+# more usable CPUs. These tests let any slate set fork: the slate bytes,
+# the metrics row (wall time dropped), the printed report and every error
+# must be those of the run on one CPU, and no child may outlive a run.
+
+class TestForkedRun:
+    @pytest.fixture(autouse=True)
+    def any_size_forks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_MIN_FORKED_SLOTS", 0)
+        yield
+        assert_no_child_left()
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rel = synth_relevance(40, 15, seed=5)
+        save_relevance(rel, tmp_path / "rel.csv")
+        save_groups(three_groups(rel), tmp_path / "groups.csv")
+        return ["--relevance", str(tmp_path / "rel.csv"),
+                "--groups", str(tmp_path / "groups.csv")]
+
+    @staticmethod
+    def ran(cpus, argv, capsys, out, metrics=None):
+        """main(["run", *argv]) on `cpus` usable CPUs, writing the slates to
+        `out`: ((exit code, stdout, stderr, slate bytes or None, metrics
+        lines with wall time dropped), (forks tried, evaluates run in this
+        process))."""
+        calls = {"fork": 0, "evaluate": 0}
+        fork, evaluate = data._fork, harness.evaluate
+
+        def counted_fork():
+            calls["fork"] += 1
+            return fork()
+
+        def counted_evaluate(*args):
+            calls["evaluate"] += 1  # a child counts in its own copy
+            return evaluate(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_usable_cpus", lambda: cpus)
+            mp.setattr(data, "_fork", counted_fork)
+            mp.setattr(harness, "evaluate", counted_evaluate)
+            code = main(["run", *argv, "--out", str(out),
+                         *(["--metrics-out", str(metrics)] if metrics
+                           else [])])
+        assert_no_child_left()
+        printed = capsys.readouterr()
+        rows = ([line.rsplit(",", 1)[0]
+                 for line in metrics.read_text().splitlines()]
+                if metrics else None)
+        return ((code, printed.out, printed.err,
+                 out.read_bytes() if out.is_file() else None, rows),
+                (calls["fork"], calls["evaluate"]))
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    @pytest.mark.parametrize("cutoffs", ["10,1,3", "3,3"])
+    def test_slates_and_metrics_equal_the_serial_run(
+            self, inputs, tmp_path, capsys, method, cutoffs):
+        argv = [*inputs, "--method", method, "--cutoffs", cutoffs]
+        serial, calls = self.ran(1, argv, capsys, tmp_path / "s1.csv",
+                                 tmp_path / "m1.csv")
+        assert serial[0] == 0 and calls == (0, 1)
+        forked, calls = self.ran(2, argv, capsys, tmp_path / "s2.csv",
+                                 tmp_path / "m2.csv")
+        assert forked == serial and calls == (1, 0)
+
+    def test_a_failed_fork_gives_the_serial_report(self, inputs, tmp_path,
+                                                   capsys, monkeypatch):
+        argv = [*inputs, "--method", "fairco", "--lambda", "0.1"]
+        serial, _ = self.ran(1, argv, capsys, tmp_path / "s1.csv",
+                             tmp_path / "m1.csv")
+
+        def fork_fails():
+            raise OSError(errno.EAGAIN, "no more processes")
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        got, calls = self.ran(2, argv, capsys, tmp_path / "s2.csv",
+                              tmp_path / "m2.csv")
+        assert got == serial and calls == (1, 1)
+
+    def test_evaluate_raising_in_the_child_gives_the_serial_report(
+            self, inputs, tmp_path, capsys, monkeypatch):
+        argv = [*inputs, "--method", "verfair-group", "--alpha", "0.5"]
+        serial, _ = self.ran(1, argv, capsys, tmp_path / "s1.csv",
+                             tmp_path / "m1.csv")
+        parent, evaluate = os.getpid(), harness.evaluate
+
+        def raises_in_a_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the child's evaluate")
+            return evaluate(*args)
+
+        monkeypatch.setattr(harness, "evaluate", raises_in_a_child)
+        got, calls = self.ran(2, argv, capsys, tmp_path / "s2.csv",
+                              tmp_path / "m2.csv")
+        assert got == serial and calls == (1, 1)
+
+    def test_an_out_directory_exits_2_with_the_serial_message(
+            self, inputs, tmp_path, capsys):
+        out = tmp_path / "dir"
+        out.mkdir()
+        argv = [*inputs, "--method", "top-k"]
+        serial, _ = self.ran(1, argv, capsys, out)
+        got, calls = self.ran(2, argv, capsys, out)
+        assert serial == (2, "", f"error: [Errno 21] Is a directory: "
+                                 f"{str(out)!r}\n", None, None)
+        assert got == serial and calls == (1, 0)
+
+    @pytest.mark.parametrize("lines, extra, message", [
+        (["c1,0.5,0.25", "c2,0,1"], ["--k", "2", "--cutoffs", "11"],
+         "cutoff 11 out of range 1..2"),
+        (["c1,0.5,0.25", "c2,0,1"], ["--k", "2", "--cutoffs", "1,11"],
+         "cutoff 11 out of range 1..2"),
+        (["c1,0,0", "c2,0,0"], ["--k", "2"], "all-zero relevance vector"),
+        # the mean of 5e-324 over two rows rounds to 0
+        (["c1,5e-324,0", "c2,0,0"], ["--k", "2"],
+         "all-zero relevance vector"),
+    ])
+    @pytest.mark.parametrize("there", [False, True])
+    def test_a_refused_run_exits_2_and_leaves_out_alone(
+            self, tmp_path, capsys, lines, extra, message, there):
+        rel_path = tmp_path / "rel.csv"
+        rel_path.write_text("\n".join(["consumer_id,A,B", *lines]) + "\n")
+        out = tmp_path / "slates.csv"
+        argv = ["--relevance", str(rel_path), "--method", "top-k", *extra]
+        for cpus in (1, 2):
+            if there:
+                out.write_bytes(b"kept\n")
+            got, (forks, _) = self.ran(cpus, argv, capsys, out)
+            assert got == (2, "", f"error: {message}\n",
+                           b"kept\n" if there else None, None)
+            assert forks == 0
+
+    def test_a_group_map_missing_an_item_fails_before_the_file(
+            self, tmp_path, monkeypatch):
+        # evaluate refuses every slate set then, so it runs before the
+        # slates are written
+        rel = synth_relevance(40, 15, seed=5)
+        groups = GroupMap({d: "g" for d in rel.item_ids[1:]}, ("g",))
+        out = tmp_path / "slates.csv"
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="unknown item"):
+            run(RunConfig("top-k", k=15), rel, groups, slate_path=out)
+        assert not out.exists()
+
+    def test_a_forked_run_after_a_blas_product_finishes(self, tmp_path):
+        # the child's NDCG takes a BLAS product after one in this process
+        script = """if True:
+            import sys
+            import numpy as np
+            import verfair.data as data
+            import verfair.harness as harness
+            from verfair import synth_relevance
+            from verfair.harness import RunConfig, run
+            data._usable_cpus = lambda: 2
+            harness._MIN_FORKED_SLOTS = 0
+            fork, forks = data._fork, []
+            data._fork = lambda: forks.append(1) or fork()
+            a = np.random.default_rng(0).random((500, 500))
+            for _ in range(5):
+                a = a @ a.T / 500
+            _, report = run(RunConfig("top-k", k=5, cutoffs=(1, 5)),
+                            synth_relevance(200, 30, seed=1),
+                            slate_path=sys.argv[1])
+            print(len(forks), sorted(report.ndcg_at))
+        """
+        src = str(Path(verfair.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "slates.csv")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1 [1, 5]\n"
+
+
 class TestBench:
     def test_repeat_minimum_enforced(self, rel):
         with pytest.raises(ValueError):
