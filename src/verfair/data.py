@@ -99,9 +99,15 @@ class GroupMap:
             raise DataError("duplicate group ids")
 
     def indices(self, items: RelevanceMatrix):
-        """Array mapping each matrix item position to its group position."""
+        """Array mapping each matrix item position to its group position.
+        A DataError names the first matrix item that has no group."""
         gpos = {g: i for i, g in enumerate(self.group_ids)}
-        return np.array([gpos[self.assignment[d]] for d in items.item_ids])
+        try:
+            return np.array([gpos[self.assignment[d]]
+                             for d in items.item_ids])
+        except KeyError as exc:  # gpos holds every group: an item is missing
+            raise DataError(
+                f"unknown item {exc.args[0]!r}: it has no group") from None
 
 
 # Score fields per chunk of lines read at once, and per sub-block of the

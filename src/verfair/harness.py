@@ -11,8 +11,7 @@ the first run across the usable CPUs, so each `wall_ms_per_1k` is timed in
 the process that ran the point, concurrently with the others. A run that
 writes a slate file of at least `_MIN_FORKED_SLOTS` slots, on two or more
 usable CPUs, evaluates the slates in a forked child while this process
-writes them. It opens the file only once every refusal of `evaluate` has
-been checked, so a run that fails writes no file, as a serial run does.
+writes them, once `check_evaluable` has passed: a refused run writes no file.
 """
 
 from __future__ import annotations
@@ -147,19 +146,16 @@ def _evaluate_writing(slates, rel: RelevanceMatrix, groups: GroupMap,
     """`evaluate` of `slates` at `config.cutoffs`, which `write_slates`
     writes to `path`.
 
-    With 2 or more usable CPUs, `_MIN_FORKED_SLOTS` slots or more, and a
-    group for every item (else `evaluate` refuses any slate set), a child
-    forked by `data._forked` evaluates and writes the report's `_floats`
-    into a shared mapping while this process writes the slates. The file is opened only after
-    `metrics.check_evaluable` has raised what `evaluate` would, so a run
-    that fails leaves no file, as one that evaluates before it writes.
-    When the fork fails or the child exits non-zero, `evaluate` runs here.
+    With 2 or more usable CPUs and `_MIN_FORKED_SLOTS` slots or more, a
+    child forked by `data._forked` evaluates and writes the report's
+    `_floats` into a shared mapping while this process writes the slates.
+    `check_evaluable` runs first, so a refused run leaves no file, as one
+    that evaluates before it writes. When the fork fails or the child
+    exits non-zero, `evaluate` runs here.
     """
-    m, k = slates.items.shape
     written = None
-    if (data._usable_cpus() > 1 and m * k >= _MIN_FORKED_SLOTS
-            and all(d in groups.assignment for d in rel.item_ids)):
-        check_evaluable(rel, model, config.cutoffs)
+    if data._usable_cpus() > 1 and slates.items.size >= _MIN_FORKED_SLOTS:
+        check_evaluable(rel, groups, model, config.cutoffs)
         cutoffs = tuple(dict.fromkeys(config.cutoffs))  # the report's keys
         floats = np.frombuffer(mmap.mmap(-1, (len(cutoffs) + 2) * 8))
 
@@ -188,9 +184,8 @@ def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
     method without a tradeoff parameter. With a `slate_path`, at least
     `_MIN_FORKED_SLOTS` slots and two or more usable CPUs, the slates are
     evaluated in a forked child while this process writes them (see
-    `_evaluate_writing`); the report is bit-identical. The file is opened
-    only after every refusal of `evaluate` has been checked, so a run that
-    fails leaves no file, and the first error is the serial run's.
+    `_evaluate_writing`); the report is bit-identical. A refused run
+    leaves no file, and its error is the serial run's.
     """
     param = {"alpha": config.alpha, "lambda": config.lam}.get(
         PARAM_OF.get(config.method), float("nan"))
@@ -216,10 +211,9 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     the usable CPUs or the points left, whichever is fewer; each child
     writes its points' floats into one shared mapping. So each
     `wall_ms_per_1k` is timed in the process that ran the point,
-    concurrently with the others. When a fork fails, a child exits non-zero
-    or a point raises here, every point with no result is run here in grid
-    order, so the records, and the first error raised, are the serial
-    sweep's.
+    concurrently with the others. On a failed fork or child, or a point
+    raising here, every point after the first runs here in grid order, so
+    the records and the first error raised are the serial sweep's.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -243,14 +237,11 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     # per point: NDCG at each cutoff, both fairness levels, wall time
     floats = np.frombuffer(mmap.mmap(-1, len(values) * (len(cutoffs) + 3)
                                      * 8)).reshape(len(values), -1)
-    done = np.zeros(len(values), dtype=bool)
-    done[0] = True
 
     def fill(points):
         for i in points:
             r = record(values[i])
             floats[i] = (*_floats(r), r.wall_ms_per_1k)
-            done[i] = True
         return True
 
     procs = max(1, min(data._usable_cpus(), len(values) - 1))
@@ -260,9 +251,8 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
                              partial(fill, deals[0]))
     except Exception:  # raised again below, unless a point before it fails
         ok = False
-    if ok:
-        done[:] = True
-    fill(np.flatnonzero(~done))
+    if not ok:
+        fill(range(1, len(values)))
     rest = (_record(config, v, _report(cutoffs, row[:-1]), row[-1])
             for v, row in zip(values[1:], floats[1:].tolist()))
     return [first, *rest]
@@ -368,7 +358,10 @@ def bench(method, rel: RelevanceMatrix, groups: GroupMap = None, *,
 
 def dump_distributions(slates, rel: RelevanceMatrix, groups: GroupMap,
                        model: ExposureModel, alpha, path):
-    """Per-item CSV of (item_id, avg_relevance, exposure, quota_at_alpha)."""
+    """Per-item CSV of (item_id, avg_relevance, exposure, quota_at_alpha);
+    every refusal comes before the file is opened."""
+    quota = compute_quotas(rel, identity_groups(rel), model, alpha)
+    groups.indices(rel)  # raises for a matrix item with no group
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["item_id", "avg_relevance", "exposure", "quota_at_alpha"])
@@ -376,7 +369,6 @@ def dump_distributions(slates, rel: RelevanceMatrix, groups: GroupMap,
             return
         exposure = accumulate(slates, model, groups).per_item[
             _positions(rel.item_ids, tuple(groups.assignment))]
-        quota = compute_quotas(rel, identity_groups(rel), model, alpha)
         for d, avg, exp, q in zip(rel.item_ids, rel.avg_relevance().tolist(),
                                   exposure.tolist(), quota.tolist()):
             w.writerow([d, repr(avg), repr(exp), repr(q)])

@@ -64,13 +64,15 @@ def _check_relevance(r):
         raise ValueError("all-zero relevance vector")
 
 
-def check_evaluable(rel: RelevanceMatrix, model: ExposureModel, cutoffs):
-    """Raise what `evaluate` raises, if anything, for every slate set of
-    `rel` whose items all have a group, under a `pbm` model: an
-    out-of-range cutoff, then an all-zero relevance vector. (Rank 1 is
-    examined with probability 1, so the exposure is never all zero.)"""
+def check_evaluable(rel: RelevanceMatrix, groups: GroupMap,
+                    model: ExposureModel, cutoffs):
+    """Every refusal of `evaluate` under a `pbm` model, in this order: a
+    cutoff outside 1..k, an item of `rel` that `groups` gives no group,
+    then an all-zero mean relevance. (Rank 1 is examined with probability
+    1, so a slate set of one slate or more never has all-zero exposure.)"""
     for kc in cutoffs:
         _check_cutoff(kc, model)
+    groups.indices(rel)  # raises for a matrix item with no group
     _check_relevance(rel.avg_relevance())
 
 
@@ -144,11 +146,10 @@ def evaluate(slates, rel: RelevanceMatrix, groups: GroupMap,
              model: ExposureModel, cutoffs) -> EvalReport:
     """Bundle NDCG at each cutoff with both fairness levels from one ledger.
 
-    Every cutoff is checked before anything is gathered; all of them then
-    read one `_gather` to the largest cutoff."""
+    Its first step is `check_evaluable`; all cutoffs then read one
+    `_gather` to the largest."""
+    check_evaluable(rel, groups, model, cutoffs)
     ledger = accumulate(slates, model, groups)
-    for kc in cutoffs:
-        _check_cutoff(kc, model)
     gathered = _gather(slates, rel, max(cutoffs)) if cutoffs else None
     return EvalReport(
         ndcg_at={kc: ndcg(slates, rel, model, kc, gathered) for kc in cutoffs},

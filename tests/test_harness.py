@@ -14,8 +14,8 @@ import verfair
 import verfair.allocator as allocator
 import verfair.data as data
 import verfair.harness as harness
-from verfair import (ExposureModel, GroupMap, identity_groups, save_groups,
-                     save_relevance, synth_relevance, top_k)
+from verfair import (ExposureModel, GroupMap, RelevanceMatrix, identity_groups,
+                     save_groups, save_relevance, synth_relevance, top_k)
 from verfair.allocator import SlateSet
 from verfair.cli import main
 from verfair.harness import (DEFAULT_CUTOFFS, RunConfig, bench,
@@ -25,6 +25,14 @@ from verfair.harness import (DEFAULT_CUTOFFS, RunConfig, bench,
 @pytest.fixture
 def rel():
     return synth_relevance(30, 15, seed=12)
+
+
+def unshown_c():
+    """A 2x3 matrix over items A, B, C whose top-1 and top-2 slates never
+    show C, and a group map that lacks C."""
+    rel = RelevanceMatrix(("c1", "c2"), ("A", "B", "C"),
+                          np.array([[0.9, 0.5, 0.1], [0.2, 0.8, 0.1]]))
+    return rel, GroupMap({"A": "g", "B": "g"}, ("g",))
 
 
 class TestRun:
@@ -58,6 +66,13 @@ class TestRun:
     def test_unknown_method(self, rel):
         with pytest.raises(ValueError):
             run(RunConfig(method="magic", cutoffs=(1,)), rel)
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_a_group_map_missing_an_item_is_refused_by_name(self, method):
+        # the group-level methods read the map before evaluate does
+        rel, groups = unshown_c()
+        with pytest.raises(ValueError, match="^unknown item 'C'"):
+            run(RunConfig(method, k=1, cutoffs=(1,)), rel, groups)
 
 
 class TestSweep:
@@ -432,17 +447,29 @@ class TestForkedRun:
                            b"kept\n" if there else None, None)
             assert forks == 0
 
+    @pytest.mark.parametrize("shown", [True, False])
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_group_map_missing_an_item_fails_before_the_file(
-            self, tmp_path, monkeypatch):
-        # evaluate refuses every slate set then, so it runs before the
-        # slates are written
-        rel = synth_relevance(40, 15, seed=5)
-        groups = GroupMap({d: "g" for d in rel.item_ids[1:]}, ("g",))
+            self, tmp_path, monkeypatch, shown, cpus):
+        # check_evaluable refuses every slate set then, before any fork and
+        # before the file is opened, whether or not a slate shows the item
+        if shown:  # top-k at k = n shows every item
+            rel, k = synth_relevance(40, 15, seed=5), 15
+        else:
+            rel, k = unshown_c()[0], 1
+        missing = rel.item_ids[0] if shown else "C"
+        groups = GroupMap({d: "g" for d in rel.item_ids if d != missing},
+                          ("g",))
         out = tmp_path / "slates.csv"
-        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
-        with pytest.raises(ValueError, match="unknown item"):
-            run(RunConfig("top-k", k=15), rel, groups, slate_path=out)
-        assert not out.exists()
+        forks = []
+        fork = data._fork
+        monkeypatch.setattr(data, "_fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError,
+                           match=f"^unknown item {re.escape(repr(missing))}"):
+            run(RunConfig("top-k", k=k, cutoffs=(1,)), rel, groups,
+                slate_path=out)
+        assert not out.exists() and not forks
 
     def test_a_forked_run_after_a_blas_product_finishes(self, tmp_path):
         # the child's NDCG takes a BLAS product after one in this process
@@ -511,6 +538,15 @@ class TestDumpDistributions:
         relevance = sorted(float(r["avg_relevance"]) for r in rows)
         assert _gini(exposure) > _gini(relevance)
 
+    def test_a_group_map_missing_an_unshown_item_writes_no_file(
+            self, tmp_path):
+        rel, groups = unshown_c()
+        path = tmp_path / "dist.csv"
+        with pytest.raises(ValueError, match="^unknown item 'C'"):
+            dump_distributions(top_k(rel, 1), rel, groups,
+                               ExposureModel.pbm(1.0, 1), 1.0, path)
+        assert not path.exists()
+
     def test_empty_slates_header_only(self, rel, tmp_path):
         empty = SlateSet((), rel.item_ids, np.arange(0),
                          np.empty((0, 5), dtype=int),
@@ -545,6 +581,24 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "fairness_ind=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("zero, extra, message", [
+        (False, ["--alpha", "2"], "alpha must be in [0,1]"),
+        (True, [], "total relevance is zero; quotas undefined"),
+    ])
+    def test_a_refused_dump_exits_2_and_writes_no_file(
+            self, tmp_path, capsys, zero, extra, message):
+        rel_path = tmp_path / "rel.csv"
+        rel = synth_relevance(10, 8, seed=1)
+        if zero:
+            rel = RelevanceMatrix(rel.consumer_ids, rel.item_ids,
+                                  np.zeros_like(rel.scores))
+        save_relevance(rel, rel_path)
+        out = tmp_path / "dist.csv"
+        code = main(["dump", "--relevance", str(rel_path), "--method",
+                     "top-k", "--k", "4", *extra, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_default_cutoffs_fit_short_slates(self, tmp_path, command):

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from verfair import (ExposureModel, GroupMap, evaluate, identity_groups,
-                     jsd_fairness, ndcg, synth_relevance, top_k)
+from verfair import (ExposureModel, GroupMap, RelevanceMatrix, evaluate,
+                     identity_groups, jsd_fairness, ndcg, synth_relevance,
+                     top_k)
 from verfair.exposure import ExposureLedger
+from verfair.metrics import check_evaluable
 from helpers import brute_ndcg, direct_jsd, make_slateset
 
 
@@ -151,3 +153,29 @@ class TestEvaluate:
         report = evaluate(slates, rel, groups, model, (1,))
         # coarser grouping can only look fairer or equal
         assert report.fairness_group >= report.fairness_individual
+
+
+class TestCheckEvaluable:
+    # top-2 over A, B, C shows A and B, never C
+    SHOWN_AB = [[0.9, 0.5, 0.1], [0.2, 0.8, 0.1]]
+
+    @pytest.mark.parametrize("scores, grouped, cutoffs, message", [
+        (SHOWN_AB, "ABC", (1, 0), "cutoff 0 out of range 1..2"),
+        (SHOWN_AB, "ABC", (3,), "cutoff 3 out of range 1..2"),
+        (SHOWN_AB, "BC", (1,), "unknown item 'A': it has no group"),
+        (SHOWN_AB, "AB", (1,), "unknown item 'C': it has no group"),
+        ([[0.0] * 3] * 2, "ABC", (1,), "all-zero relevance vector"),
+        # the mean of 5e-324 over two rows rounds to 0
+        ([[5e-324, 0.0, 0.0], [0.0] * 3], "ABC", (1,),
+         "all-zero relevance vector"),
+    ])
+    def test_evaluate_raises_what_check_evaluable_raises(
+            self, scores, grouped, cutoffs, message):
+        rel = RelevanceMatrix(("c1", "c2"), ("A", "B", "C"), np.array(scores))
+        groups = GroupMap({d: "g" for d in grouped}, ("g",))
+        model = ExposureModel.pbm(1.0, 2)
+        with pytest.raises(ValueError) as checked:
+            check_evaluable(rel, groups, model, cutoffs)
+        with pytest.raises(ValueError) as evaluated:
+            evaluate(top_k(rel, 2), rel, groups, model, cutoffs)
+        assert str(checked.value) == str(evaluated.value) == message
