@@ -110,12 +110,23 @@ class GroupMap:
                 f"unknown item {exc.args[0]!r}: it has no group") from None
 
 
-# Score fields per chunk of lines read at once, and per sub-block of the
-# decimal kernel, whose temporaries hold one or three words a field. Chunks
-# of 2**15 fields read up to 1.5 MB more peak RSS than 2**14 on seeds of
-# the benchmark's 1000 x 100 input.
+# Score fields per chunk of lines read at once. Chunks of 2**15 fields read
+# up to 1.5 MB more peak RSS than 2**14 on seeds of the benchmark's
+# 1000 x 100 input.
 _CHUNK_FIELDS = 2 ** 14
-_BLOCK_FIELDS = 2 ** 13
+# Score fields per sub-block of the decimal kernel, whose temporaries hold
+# one or three 8-byte words a field: at most 96 KiB, below glibc's initial
+# 128 KiB mmap threshold, so they come from the heap and not from fresh
+# pages that fault on every load. Warm loads of the benchmark's seed-5
+# inputs with 1 MiB parts on a 2-vCPU VM, median ms and minor faults of the
+# loading process a load (40 loads in each of 3 processes):
+#
+#   fields a block                      2**13             2**12
+#   alloc-group-sweep, 2.0 MB, 1 part   13.6 ms  4,530    10.2 ms    490
+#   alloc-ind, 3.9 MB, 2 parts          17.0 ms  6,390    14.7 ms  3,900
+#   load-wide, 9.8 MB, 2 parts          35.7 ms 12,510    25.9 ms  1,680
+#   slates-tall, 15.9 MB, 2 parts       44.9 ms  3,010    46.8 ms  3,000
+_BLOCK_FIELDS = 2 ** 12
 # The second pass of the kernel costs about what float() does on a few
 # hundred fields; fewer fields than this go straight to float().
 _FEW_FIELDS = 64
@@ -125,11 +136,19 @@ _CSV_PARSER_ONLY = (b'"', b"\x00")
 # Ends each chunk, so that every read of the kernel stays inside it:
 # spaces are neither separators nor digits.
 _PAD = b" " * 32
-# Data bytes a part must hold for a file to be cut into parts: a part takes
-# at least twice as long to parse (about 6 reference ns a byte) as the fork
-# and hand-off of the child that parses it (about 4 ms from a process that
-# holds 150 MB).
-_MIN_PART_BYTES = 2 ** 20
+# Data bytes a part must hold for a file to be cut into parts. Warm loads
+# of 100-column inputs in one part and in two on a 2-vCPU VM, from a
+# process that holds 150 MB, median ms of 41 alternating loads:
+#
+#   data MB      0.61   0.81   1.09   1.31   1.56   2.02
+#   one part     4.18   5.02   6.26   6.74   7.70   9.98
+#   two parts    4.78   5.63   6.02   6.38   7.21   8.86
+#
+# In five such runs, from processes holding 0, 50 or 150 MB, two parts won
+# 37 to 41 of 41 loads at 1.56 MB and above, 9 to 37 at 1.09 MB, and 0 to
+# 9 at 0.81 MB in all runs but one (36). So a file is cut from two parts
+# of 768 KiB (1.57 MB) on.
+_MIN_PART_BYTES = 3 * 2 ** 18
 # Bytes read at a time when counting the lines of a part: numpy counts the
 # newlines of 8 MB read this way in about 2 ms, bytes.count in about 7.
 _COUNT_BYTES = 2 ** 18
@@ -140,10 +159,10 @@ def load_relevance(path) -> RelevanceMatrix:
 
     The scores are converted by an exact numpy decimal kernel, in chunks of
     lines. Where `os.fork` and `os.sched_getaffinity` exist (Linux), the
-    data lines are cut into P = min(usable CPUs, data bytes // 1 MiB)
+    data lines are cut into P = min(usable CPUs, data bytes // 768 KiB)
     parts, and this process and P - 1 forked children parse one each at
     once, the children's scores and consumer ids coming back through
-    shared memory; a file of less than 2 MiB of data, or any file
+    shared memory; a file of less than 1.5 MiB of data, or any file
     elsewhere, is one part; so is a pipe or other input that is not a
     regular file, read whole into memory as it can be read only once. A
     file that parse cannot read exactly as `csv.reader` and `float()` would

@@ -69,7 +69,8 @@ def check_evaluable(rel: RelevanceMatrix, groups: GroupMap,
     """Every refusal of `evaluate` under a `pbm` model, in this order: a
     cutoff outside 1..k, an item of `rel` that `groups` gives no group,
     then an all-zero mean relevance. (Rank 1 is examined with probability
-    1, so a slate set of one slate or more never has all-zero exposure.)"""
+    1, so a slate set of one slate or more never has all-zero exposure;
+    `evaluate` refuses an empty slate set before these.)"""
     for kc in cutoffs:
         _check_cutoff(kc, model)
     groups.indices(rel)  # raises for a matrix item with no group
@@ -129,7 +130,12 @@ def jsd_fairness(ledger: ExposureLedger, rel: RelevanceMatrix,
     to probability vectors first, so the metric is scale-invariant.
     """
     if level == "individual":
-        e = ledger.per_item[_positions(rel.item_ids, tuple(groups.assignment))]
+        try:
+            e = ledger.per_item[_positions(rel.item_ids,
+                                           tuple(groups.assignment))]
+        except KeyError:  # an item of `rel` has no group
+            groups.indices(rel)  # raises the DataError that names it
+            raise
         r = rel.avg_relevance()
     elif level == "group":
         e = ledger.per_group
@@ -146,8 +152,10 @@ def evaluate(slates, rel: RelevanceMatrix, groups: GroupMap,
              model: ExposureModel, cutoffs) -> EvalReport:
     """Bundle NDCG at each cutoff with both fairness levels from one ledger.
 
-    Its first step is `check_evaluable`; all cutoffs then read one
-    `_gather` to the largest."""
+    An empty slate set is refused first, then `check_evaluable` runs; all
+    cutoffs then read one `_gather` to the largest."""
+    if not len(slates.rows):
+        raise ValueError("no slates to evaluate")
     check_evaluable(rel, groups, model, cutoffs)
     ledger = accumulate(slates, model, groups)
     gathered = _gather(slates, rel, max(cutoffs)) if cutoffs else None

@@ -1036,11 +1036,16 @@ def test_a_child_reads_only_the_file_the_load_opened(tmp_path, monkeypatch):
     assert parsed is None and forked == 2
 
 
+# Lines of 64 bytes that fill one part of the minimum size.
+PART_LINES = data_module._MIN_PART_BYTES // 64
+
+
 @pytest.mark.parametrize("lines, cpus, parts", [
-    (32767, 4, 1),  # 64 bytes short of two parts of 1 MiB
-    (32768, 4, 2), (3 * 16384, 2, 2), (3 * 16384, 4, 3)])
+    (2 * PART_LINES - 1, 4, 1),  # 64 bytes short of two minimum parts
+    (2 * PART_LINES, 4, 2), (3 * PART_LINES, 2, 2), (3 * PART_LINES, 4, 3)])
 def test_each_part_holds_the_minimum_part_bytes(lines, cpus, parts,
                                                 monkeypatch):
+    assert data_module._MIN_PART_BYTES % 64 == 0
     monkeypatch.setattr(data_module, "_usable_cpus", lambda: cpus)
     header = b"consumer_id,A\n"
     fh = io.BytesIO(header + (b"c" * 59 + b",0.5\n") * lines)
@@ -1048,3 +1053,41 @@ def test_each_part_holds_the_minimum_part_bytes(lines, cpus, parts,
     assert len(cuts) == parts + 1
     assert np.diff(cuts).min() >= data_module._MIN_PART_BYTES
     assert all((cut - len(header)) % 64 == 0 for cut in cuts)
+
+
+def test_a_file_between_two_minimum_parts_and_2_mib_is_cut_in_two(
+        tmp_path):
+    # one part on one CPU and two on two, with one child, at the real floor
+    rel = plain_matrix(1000, 80, seed=1080)
+    path = repr_file(tmp_path / "rel.csv", rel)
+    floor = data_module._MIN_PART_BYTES
+    assert 2 * floor < path.stat().st_size < 2 ** 21
+    (ids, _, scores), forked = in_parts(1, parse_file, path, floor)
+    (split_ids, _, split_scores), split_forked = in_parts(2, parse_file, path,
+                                                          floor)
+    assert (forked, split_forked) == (0, 1)
+    assert ids == split_ids == rel.consumer_ids
+    assert bits(scores) == bits(split_scores) == bits(rel.scores)
+
+
+def test_kernel_blocks_stay_below_the_mmap_threshold(tmp_path, monkeypatch):
+    # glibc serves a request of 128 KiB or more with fresh pages that fault
+    # on every load; a block's temporaries of three words a field stay below
+    assert 3 * 8 * data_module._BLOCK_FIELDS < 2 ** 17
+    rel = plain_matrix(2000, 20, seed=2020)
+    assert rel.m * rel.n > 2 * data_module._CHUNK_FIELDS  # three chunks
+    path = repr_file(tmp_path / "rel.csv", rel)
+    calls = []
+    decimals = data_module._decimals
+
+    def counted(data, starts, ends, general):
+        calls.append((general, len(starts)))
+        return decimals(data, starts, ends, general)
+
+    monkeypatch.setattr(data_module, "_decimals", counted)
+    ids, _, scores = parse_file(path)
+    assert ids == rel.consumer_ids and bits(scores) == bits(rel.scores)
+    for general in (False, True):
+        sizes = [size for g, size in calls if g == general]
+        assert sizes and max(sizes) <= data_module._BLOCK_FIELDS
+    assert max(size for _, size in calls) == data_module._BLOCK_FIELDS

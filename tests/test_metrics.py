@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from verfair import (ExposureModel, GroupMap, RelevanceMatrix, evaluate,
-                     identity_groups, jsd_fairness, ndcg, synth_relevance,
-                     top_k)
-from verfair.exposure import ExposureLedger
+from verfair import (DataError, ExposureModel, GroupMap, RelevanceMatrix,
+                     evaluate, identity_groups, jsd_fairness, ndcg,
+                     synth_relevance, top_k)
+from verfair.exposure import ExposureLedger, accumulate
 from verfair.metrics import check_evaluable
 from helpers import brute_ndcg, direct_jsd, make_slateset
 
@@ -122,6 +124,16 @@ class TestJsdFairness:
         with pytest.raises(ValueError, match="^all-zero relevance vector$"):
             jsd_fairness(ledger, rel, identity_groups(rel), level)
 
+    def test_item_without_a_group_is_named(self):
+        # the map {A, B} over items A, B, C; top-1 shows A and B only
+        rel = RelevanceMatrix(("c1", "c2"), ("A", "B", "C"),
+                              np.array(TestCheckEvaluable.SHOWN_AB))
+        groups = GroupMap({"A": "g", "B": "g"}, ("g",))
+        ledger = accumulate(top_k(rel, 1), ExposureModel.pbm(1.0, 1), groups)
+        with pytest.raises(DataError,
+                           match="^unknown item 'C': it has no group$"):
+            jsd_fairness(ledger, rel, groups, "individual")
+
     def test_unknown_level_rejected(self, three_equal):
         ledger = self._ledger(three_equal, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="^unknown level 'item'$"):
@@ -153,6 +165,18 @@ class TestEvaluate:
         report = evaluate(slates, rel, groups, model, (1,))
         # coarser grouping can only look fairer or equal
         assert report.fairness_group >= report.fairness_individual
+
+    def test_empty_slate_set_refused_without_a_warning(self):
+        rel = synth_relevance(4, 5, seed=3)
+        slates = top_k(rel, 2)
+        empty = dataclasses.replace(
+            slates, rows=slates.rows[:0], items=slates.items[:0],
+            phase=slates.phase[:0], pre_rank=slates.pre_rank[:0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^no slates to evaluate$"):
+                evaluate(empty, rel, identity_groups(rel),
+                         ExposureModel.pbm(1.0, 2), (1, 2))
 
 
 class TestCheckEvaluable:
