@@ -9,6 +9,7 @@ Canonical on-disk formats:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -315,7 +316,9 @@ def _parse_parts(path, stat, fh, cuts, n):
     room for the last part as a line of n numbers is at least 2n + 1 bytes.
     Through `_forked`, a child parses each part but the first into it and
     writes its consumer ids into a shared mapping of the part's size, while
-    this process parses the first.
+    this process parses the first. The ids are read once every child has
+    signalled, while the children exit, and the children are reaped before
+    this returns or raises.
     """
     rows = [0]
     for start, end in zip(cuts[:-2], cuts[1:-1]):
@@ -324,53 +327,75 @@ def _parse_parts(path, stat, fh, cuts, n):
     scores = np.frombuffer(mmap.mmap(-1, room * n * 8)).reshape(room, n)
     messages = [mmap.mmap(-1, cuts[i + 1] - cuts[i])
                 for i in range(1, len(rows))]
-    parsed, ok = _forked(
-        [partial(_parse_child, path, stat, cuts[i], cuts[i + 1], rows[i],
-                 scores, messages[i - 1]) for i in range(1, len(rows))],
-        partial(_parse_range, fh, cuts[0], cuts[1], 0, scores))
-    # a part's ids and newlines take fewer bytes than its lines, and hold
-    # no NUL, so a NUL ends each message
-    messages = [m[:m.find(b"\x00")] for m in messages]
-    if not parsed or not ok or not all(m.endswith(b"\n") for m in messages):
-        return None
-    ids = [parsed[0], *(m[:-1].decode().split("\n") for m in messages)]
-    if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
-        return None
-    return list(itertools.chain(*ids)), scores
+    children = [partial(_parse_child, path, stat, cuts[i], cuts[i + 1],
+                        rows[i], scores, messages[i - 1])
+                for i in range(1, len(rows))]
+    own = partial(_parse_range, fh, cuts[0], cuts[1], 0, scores)
+    with _forked(children, own) as (parsed, ok):
+        # a part's ids and newlines take fewer bytes than its lines, and
+        # hold no NUL, so a NUL ends each message
+        messages = [m[:m.find(b"\x00")] for m in messages]
+        if not parsed or not ok or not all(m.endswith(b"\n")
+                                           for m in messages):
+            return None
+        ids = [parsed[0], *(m[:-1].decode().split("\n") for m in messages)]
+        if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
+            return None
+        return list(itertools.chain(*ids)), scores
 
 
+@contextlib.contextmanager
 def _forked(children, own):
-    """(own(), ok): `own()` called in this process while each callable of
-    `children` is called in a forked child of its own, which leaves by
-    os._exit, 0 once its callable returns and 1 otherwise, so that what it
-    makes must come back through shared memory. `ok` is True when every
-    child was forked and exited 0.
+    """A context of (own(), ok): `own()` called in this process while each
+    callable of `children` is called in a forked child of its own, which
+    leaves by os._exit, so that what it makes must come back through shared
+    memory. A child signals that it is done by writing one byte on a pipe
+    of its own once its callable returns; `ok` is True when every child was
+    forked and signalled. A child that dies before it signals closes its
+    pipe unwritten, and fails.
 
-    A fork that raises OSError stops the forking: `own` is not called and
-    the result is (None, False). Every child is killed when `own` raises or
-    returns a falsy value, and reaped before this returns or raises.
+    A fork or pipe that raises OSError stops the forking: `own` is not
+    called and the context is (None, False). Every child is killed when
+    `own` raises or returns a falsy value. The context is entered once each
+    child has signalled or died, so its results can be used while the
+    children exit; every child is reaped when it ends or raises.
     """
-    pids, result = [], None
+    pids, signals, result = [], [], None
     try:
-        for child in children:
-            try:
-                pid = _fork()
-            except OSError:
-                return None, False
-            if pid == 0:  # the child, which leaves only by os._exit
+        try:
+            for child in children:
                 try:
-                    child()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-        result = own()
+                    read, write = os.pipe()
+                except OSError:
+                    break
+                signals.append(read)
+                try:
+                    pid = _fork()
+                except OSError:
+                    os.close(write)
+                    break
+                if pid == 0:  # the child, which leaves only by os._exit
+                    try:
+                        child()
+                        os.write(write, b"\0")
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write)
+                pids.append(pid)
+            else:
+                result = own()
+        finally:
+            if not result:  # nothing the children make can be used
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
+        # every signal is read, so that no child still works in the context
+        yield result, bool(result) and all([os.read(fd, 1) for fd in signals])
     finally:
-        if not result:  # nothing the children make can be used
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    return result, not any(statuses)
+        for fd in signals:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _fork():
@@ -397,15 +422,16 @@ def _fork():
 def _parse_child(path, stat, start, end, row, scores, message):
     """The body of a forked child of `_parse_parts`: `_parse_range` of bytes
     [start, end) of the file at `path` into `scores`, then each consumer id
-    followed by a newline, written to the start of the shared mapping
-    `message`. Nothing is written when the path no longer names the file
-    `stat` describes or the part is inexact."""
+    followed by a newline, joined once and written to the start of the
+    shared mapping `message`, before the child signals. Nothing is written
+    when the path no longer names the file `stat` describes or the part is
+    inexact."""
     with open(path, "rb") as fh:
         if not os.path.samestat(os.fstat(fh.fileno()), stat):
             return
         parsed = _parse_range(fh, start, end, row, scores)
     if parsed:
-        message.write("".join(f"{c}\n" for c in parsed[0]).encode())
+        message.write(("\n".join(parsed[0]) + "\n").encode())
 
 
 def _plain(data):

@@ -148,10 +148,12 @@ def _evaluate_writing(slates, rel: RelevanceMatrix, groups: GroupMap,
 
     With 2 or more usable CPUs and `_MIN_FORKED_SLOTS` slots or more, a
     child forked by `data._forked` evaluates and writes the report's
-    `_floats` into a shared mapping while this process writes the slates.
-    `check_evaluable` runs first, so a refused run leaves no file, as one
-    that evaluates before it writes. When the fork fails or the child
-    exits non-zero, `evaluate` runs here.
+    `_floats` into a shared mapping while this process writes the slates,
+    then signals; the report is read while the child exits, and the child
+    is reaped before this returns or raises. `check_evaluable` runs first,
+    so a refused run leaves no file, as one that evaluates before it
+    writes. When the fork fails or the child dies before it signals,
+    `evaluate` runs here.
     """
     written = None
     if data._usable_cpus() > 1 and slates.items.size >= _MIN_FORKED_SLOTS:
@@ -167,9 +169,9 @@ def _evaluate_writing(slates, rel: RelevanceMatrix, groups: GroupMap,
             write_slates(slates, config, path)
             return True
 
-        written, ok = data._forked([child], write)
-        if ok:
-            return _report(cutoffs, floats.tolist())
+        with data._forked([child], write) as (written, ok):
+            if ok:
+                return _report(cutoffs, floats.tolist())
     report = evaluate(slates, rel, groups, model, config.cutoffs)
     if not written:  # serial, or no child was forked
         write_slates(slates, config, path)
@@ -206,14 +208,18 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     their preferences sorted once, in the first point, whose
     `wall_ms_per_1k` carries the sort.
 
-    The first point runs in this process. The others are dealt round-robin
-    to this process and to P - 1 children forked by `data._forked`, P being
-    the usable CPUs or the points left, whichever is fewer; each child
-    writes its points' floats into one shared mapping. So each
-    `wall_ms_per_1k` is timed in the process that ran the point,
-    concurrently with the others. On a failed fork or child, or a point
-    raising here, every point after the first runs here in grid order, so
-    the records and the first error raised are the serial sweep's.
+    The first point runs in this process. The others are dealt to this
+    process and to P - 1 children forked by `data._forked`, P being the
+    usable CPUs or the points left, whichever is fewer, in the serpentine
+    order 0, 1, ..., P - 1, P - 1, ..., 0, so that the last and costliest
+    points of a rising grid are not all one process's. Each child writes
+    its points' floats into one shared mapping, then signals; the records
+    are read while the children exit, and every child is reaped before
+    this returns or raises. So each `wall_ms_per_1k` is timed in the
+    process that ran the point, concurrently with the others. On a failed
+    fork, a child that dies before it signals, or a point raising here,
+    every point after the first runs here in grid order, so the records
+    and the first error raised are the serial sweep's.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -244,18 +250,25 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
             floats[i] = (*_floats(r), r.wall_ms_per_1k)
         return True
 
+    def records():
+        return [first, *(_record(config, v, _report(cutoffs, row[:-1]),
+                                 row[-1])
+                         for v, row in zip(values[1:], floats[1:].tolist()))]
+
     procs = max(1, min(data._usable_cpus(), len(values) - 1))
-    deals = [range(1 + j, len(values), procs) for j in range(procs)]
+    turn = 2 * procs  # process j runs points j + 1 and turn - j, mod turn
+    deals = [sorted([*range(1 + j, len(values), turn),
+                     *range(turn - j, len(values), turn)])
+             for j in range(procs)]
     try:
-        _, ok = data._forked([partial(fill, d) for d in deals[1:]],
-                             partial(fill, deals[0]))
+        with data._forked([partial(fill, d) for d in deals[1:]],
+                          partial(fill, deals[0])) as (_, ok):
+            if ok:
+                return records()
     except Exception:  # raised again below, unless a point before it fails
-        ok = False
-    if not ok:
-        fill(range(1, len(values)))
-    rest = (_record(config, v, _report(cutoffs, row[:-1]), row[-1])
-            for v, row in zip(values[1:], floats[1:].tolist()))
-    return [first, *rest]
+        pass
+    fill(range(1, len(values)))
+    return records()
 
 
 def write_sweep(records, path):

