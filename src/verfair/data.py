@@ -15,6 +15,7 @@ import io
 import itertools
 import mmap
 import os
+import pickle
 import re
 import signal
 import sys
@@ -162,14 +163,15 @@ def load_relevance(path) -> RelevanceMatrix:
     lines. Where `os.fork` and `os.sched_getaffinity` exist (Linux), the
     data lines are cut into P = min(usable CPUs, data bytes // 768 KiB)
     parts, and this process and P - 1 forked children parse one each at
-    once, the children's scores and consumer ids coming back through
-    shared memory; a file of less than 1.5 MiB of data, or any file
-    elsewhere, is one part; so is a pipe or other input that is not a
-    regular file, read whole into memory as it can be read only once. A
-    file that parse cannot read exactly as `csv.reader` and `float()` would
-    is read again from the same open file by the csv parser, which returns
-    the same matrix or raises the error that names the line and item. So
-    the result is bit-identical however the file is cut.
+    once, the children's scores coming back through shared memory and
+    their consumer ids on a pipe; a file of less than 1.5 MiB of data, or
+    any file elsewhere, is one part; so is a pipe or other input that is
+    not a regular file, read whole into memory as it can be read only
+    once. A file that parse cannot read exactly as `csv.reader` and
+    `float()` would is read again from the same open file by the csv
+    parser, which returns the same matrix or raises the error that names
+    the line and item. So the result is bit-identical however the file is
+    cut.
     """
     with open(path, "rb") as fh:
         if not S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -314,31 +316,26 @@ def _parse_parts(path, stat, fh, cuts, n):
     The row each part starts at is fixed first from the newlines of the
     parts before it, and one anonymous shared mapping holds every row, with
     room for the last part as a line of n numbers is at least 2n + 1 bytes.
-    Through `_forked`, a child parses each part but the first into it and
-    writes its consumer ids into a shared mapping of the part's size, while
-    this process parses the first. The ids are read once every child has
-    signalled, while the children exit, and the children are reaped before
-    this returns or raises.
+    The scores are the one result shared rather than sent: about 3.2 MB a
+    part of the benchmark's 40000 x 20 input. Through `_forked`, a child
+    parses each part but the first into the mapping and sends back its
+    consumer ids, while this process parses the first. The ids are used
+    while the children exit, and the children are reaped before this
+    returns or raises.
     """
     rows = [0]
     for start, end in zip(cuts[:-2], cuts[1:-1]):
         rows.append(rows[-1] + _count_lines(fh, start, end))
     room = rows[-1] + (cuts[-1] - cuts[-2]) // (2 * n + 1) + 1
     scores = np.frombuffer(mmap.mmap(-1, room * n * 8)).reshape(room, n)
-    messages = [mmap.mmap(-1, cuts[i + 1] - cuts[i])
-                for i in range(1, len(rows))]
     children = [partial(_parse_child, path, stat, cuts[i], cuts[i + 1],
-                        rows[i], scores, messages[i - 1])
+                        rows[i], scores)
                 for i in range(1, len(rows))]
     own = partial(_parse_range, fh, cuts[0], cuts[1], 0, scores)
-    with _forked(children, own) as (parsed, ok):
-        # a part's ids and newlines take fewer bytes than its lines, and
-        # hold no NUL, so a NUL ends each message
-        messages = [m[:m.find(b"\x00")] for m in messages]
-        if not parsed or not ok or not all(m.endswith(b"\n")
-                                           for m in messages):
+    with _forked(children, own) as (parsed, sent):
+        if sent is None or None in sent:
             return None
-        ids = [parsed[0], *(m[:-1].decode().split("\n") for m in messages)]
+        ids = [parsed[0], *(part.split("\n") for part in sent)]
         if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
             return None
         return list(itertools.chain(*ids)), scores
@@ -346,21 +343,22 @@ def _parse_parts(path, stat, fh, cuts, n):
 
 @contextlib.contextmanager
 def _forked(children, own):
-    """A context of (own(), ok): `own()` called in this process while each
-    callable of `children` is called in a forked child of its own, which
-    leaves by os._exit, so that what it makes must come back through shared
-    memory. A child signals that it is done by writing one byte on a pipe
-    of its own once its callable returns; `ok` is True when every child was
-    forked and signalled. A child that dies before it signals closes its
-    pipe unwritten, and fails.
+    """A context of (own(), results): `own()` called in this process while
+    each callable of `children` is called in a forked child of its own.
+    The child pickles what its callable returns, writes it on a pipe of its
+    own and closes the pipe, then leaves by os._exit. `results` is the
+    list of the children's return values, or None where a child was not
+    forked, or died, raised or returned what cannot be pickled, so that
+    its message is empty or cut short.
 
     A fork or pipe that raises OSError stops the forking: `own` is not
-    called and the context is (None, False). Every child is killed when
-    `own` raises or returns a falsy value. The context is entered once each
-    child has signalled or died, so its results can be used while the
-    children exit; every child is reaped when it ends or raises.
+    called and the context is (None, None). Every child is killed when
+    `own` raises or returns a falsy value, and `results` is then None. The
+    context is entered once every pipe is read to its end, so its results
+    can be used while the children exit; every child is reaped when it
+    ends or raises.
     """
-    pids, signals, result = [], [], None
+    pids, pipes, result, results = [], [], None, None
     try:
         try:
             for child in children:
@@ -368,7 +366,7 @@ def _forked(children, own):
                     read, write = os.pipe()
                 except OSError:
                     break
-                signals.append(read)
+                pipes.append(open(read, "rb"))
                 try:
                     pid = _fork()
                 except OSError:
@@ -376,8 +374,9 @@ def _forked(children, own):
                     break
                 if pid == 0:  # the child, which leaves only by os._exit
                     try:
-                        child()
-                        os.write(write, b"\0")
+                        message = pickle.dumps(child())
+                        with open(write, "wb") as fh:
+                            fh.write(message)
                         os._exit(0)
                     finally:
                         os._exit(1)
@@ -389,11 +388,15 @@ def _forked(children, own):
             if not result:  # nothing the children make can be used
                 for pid in pids:
                     os.kill(pid, signal.SIGKILL)
-        # every signal is read, so that no child still works in the context
-        yield result, bool(result) and all([os.read(fd, 1) for fd in signals])
+        if result:  # every pipe is read, so no child still works
+            try:
+                results = [pickle.loads(pipe.read()) for pipe in pipes]
+            except (EOFError, pickle.UnpicklingError):
+                pass
+        yield result, results
     finally:
-        for fd in signals:
-            os.close(fd)
+        for pipe in pipes:
+            pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
 
@@ -419,19 +422,17 @@ def _fork():
         return os.fork()
 
 
-def _parse_child(path, stat, start, end, row, scores, message):
+def _parse_child(path, stat, start, end, row, scores):
     """The body of a forked child of `_parse_parts`: `_parse_range` of bytes
-    [start, end) of the file at `path` into `scores`, then each consumer id
-    followed by a newline, joined once and written to the start of the
-    shared mapping `message`, before the child signals. Nothing is written
-    when the path no longer names the file `stat` describes or the part is
-    inexact."""
+    [start, end) of the file at `path` into `scores`, and its consumer ids
+    joined by newlines, which no id holds: one string pickles faster than
+    a list of them. None when the path no longer names the file `stat`
+    describes or the part is inexact."""
     with open(path, "rb") as fh:
         if not os.path.samestat(os.fstat(fh.fileno()), stat):
-            return
+            return None
         parsed = _parse_range(fh, start, end, row, scores)
-    if parsed:
-        message.write(("\n".join(parsed[0]) + "\n").encode())
+    return "\n".join(parsed[0]) if parsed else None
 
 
 def _plain(data):

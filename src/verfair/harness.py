@@ -7,17 +7,18 @@ generation only (no loading, no metric evaluation) and is normalized to
 milliseconds per 1000 slates. A verfair sweep shuffles the consumers and
 sorts their preferences once (`allocator.Preferences`), in its first grid
 point, whose `wall_ms_per_1k` therefore carries the sort. The points after
-the first run across the usable CPUs, so each `wall_ms_per_1k` is timed in
-the process that ran the point, concurrently with the others. A run that
-writes a slate file of at least `_MIN_FORKED_SLOTS` slots, on two or more
-usable CPUs, evaluates the slates in a forked child while this process
+the first run across the usable CPUs, in forked children that send their
+records back, so each `wall_ms_per_1k` is timed in the process that ran the
+point, concurrently with the others. A run that writes a slate file of at
+least `_MIN_FORKED_SLOTS` slots, on two or more usable CPUs, evaluates the
+slates in a forked child, which sends the report back, while this process
 writes them, once `check_evaluable` has passed: a refused run writes no file.
 """
 
 from __future__ import annotations
 
 import csv
-import mmap
+import itertools
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -103,17 +104,6 @@ def metrics_header(cutoffs):
                      "fairness_ind,fairness_group,wall_ms_per_1k"])
 
 
-def _floats(r):
-    """The floats of the EvalReport or TradeoffRecord `r` that a forked
-    child hands back: NDCG at each cutoff, then both fairness levels."""
-    return (*r.ndcg_at.values(), r.fairness_individual, r.fairness_group)
-
-
-def _report(cutoffs, floats):
-    """The EvalReport at `cutoffs` whose `_floats` are `floats`."""
-    return EvalReport(dict(zip(cutoffs, floats)), *floats[len(cutoffs):])
-
-
 def _record(config: RunConfig, param, report: EvalReport, wall_ms_per_1k):
     return TradeoffRecord(config.method, float(param), config.eta, config.k,
                           report.ndcg_at, report.fairness_individual,
@@ -147,31 +137,25 @@ def _evaluate_writing(slates, rel: RelevanceMatrix, groups: GroupMap,
     writes to `path`.
 
     With 2 or more usable CPUs and `_MIN_FORKED_SLOTS` slots or more, a
-    child forked by `data._forked` evaluates and writes the report's
-    `_floats` into a shared mapping while this process writes the slates,
-    then signals; the report is read while the child exits, and the child
-    is reaped before this returns or raises. `check_evaluable` runs first,
-    so a refused run leaves no file, as one that evaluates before it
-    writes. When the fork fails or the child dies before it signals,
-    `evaluate` runs here.
+    child forked by `data._forked` evaluates and sends the report back
+    while this process writes the slates; the report is used while the
+    child exits, and the child is reaped before this returns or raises.
+    `check_evaluable` runs first, so a refused run leaves no file, as one
+    that evaluates before it writes. When the fork fails or the child
+    fails to send the report, `evaluate` runs here.
     """
     written = None
     if data._usable_cpus() > 1 and slates.items.size >= _MIN_FORKED_SLOTS:
         check_evaluable(rel, groups, model, config.cutoffs)
-        cutoffs = tuple(dict.fromkeys(config.cutoffs))  # the report's keys
-        floats = np.frombuffer(mmap.mmap(-1, (len(cutoffs) + 2) * 8))
-
-        def child():
-            floats[:] = _floats(evaluate(slates, rel, groups, model,
-                                         config.cutoffs))
 
         def write():
             write_slates(slates, config, path)
             return True
 
-        with data._forked([child], write) as (written, ok):
-            if ok:
-                return _report(cutoffs, floats.tolist())
+        child = partial(evaluate, slates, rel, groups, model, config.cutoffs)
+        with data._forked([child], write) as (written, sent):
+            if sent is not None:
+                return sent[0]
     report = evaluate(slates, rel, groups, model, config.cutoffs)
     if not written:  # serial, or no child was forked
         write_slates(slates, config, path)
@@ -212,14 +196,14 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     process and to P - 1 children forked by `data._forked`, P being the
     usable CPUs or the points left, whichever is fewer, in the serpentine
     order 0, 1, ..., P - 1, P - 1, ..., 0, so that the last and costliest
-    points of a rising grid are not all one process's. Each child writes
-    its points' floats into one shared mapping, then signals; the records
-    are read while the children exit, and every child is reaped before
-    this returns or raises. So each `wall_ms_per_1k` is timed in the
-    process that ran the point, concurrently with the others. On a failed
-    fork, a child that dies before it signals, or a point raising here,
-    every point after the first runs here in grid order, so the records
-    and the first error raised are the serial sweep's.
+    points of a rising grid are not all one process's. Each child sends
+    back its points' records, which are put in grid order while the
+    children exit, and every child is reaped before this returns or
+    raises. So each `wall_ms_per_1k` is timed in the process that ran the
+    point, concurrently with the others. On a failed fork, a child that
+    fails to send its records, or a point raising here, every point after
+    the first runs here in grid order, so the records and the first error
+    raised are the serial sweep's.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -235,40 +219,26 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
                             rel.n if max(grid) > 0 else config.k)
     values = sorted(grid)
 
-    def record(v):
-        return _point(replace(config, **{field: v}), v, rel, groups, prefs)[2]
+    def records(points):
+        return [_point(replace(config, **{field: values[i]}), values[i], rel,
+                       groups, prefs)[2] for i in points]
 
-    first = record(values[0])
-    cutoffs = tuple(first.ndcg_at)
-    # per point: NDCG at each cutoff, both fairness levels, wall time
-    floats = np.frombuffer(mmap.mmap(-1, len(values) * (len(cutoffs) + 3)
-                                     * 8)).reshape(len(values), -1)
-
-    def fill(points):
-        for i in points:
-            r = record(values[i])
-            floats[i] = (*_floats(r), r.wall_ms_per_1k)
-        return True
-
-    def records():
-        return [first, *(_record(config, v, _report(cutoffs, row[:-1]),
-                                 row[-1])
-                         for v, row in zip(values[1:], floats[1:].tolist()))]
-
+    first = records([0])
     procs = max(1, min(data._usable_cpus(), len(values) - 1))
     turn = 2 * procs  # process j runs points j + 1 and turn - j, mod turn
     deals = [sorted([*range(1 + j, len(values), turn),
                      *range(turn - j, len(values), turn)])
              for j in range(procs)]
     try:
-        with data._forked([partial(fill, d) for d in deals[1:]],
-                          partial(fill, deals[0])) as (_, ok):
-            if ok:
-                return records()
+        with data._forked([partial(records, d) for d in deals[1:]],
+                          partial(records, deals[0])) as (own, sent):
+            if sent is not None:
+                dealt = zip(itertools.chain(*deals),
+                            itertools.chain(own, *sent))
+                return first + [r for _, r in sorted(dealt)]
     except Exception:  # raised again below, unless a point before it fails
         pass
-    fill(range(1, len(values)))
-    return records()
+    return first + records(range(1, len(values)))
 
 
 def write_sweep(records, path):
@@ -277,7 +247,8 @@ def write_sweep(records, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(metrics_header(cutoffs) + "\n")
         for r in records:
-            floats = (*_floats(r), r.wall_ms_per_1k)
+            floats = (*r.ndcg_at.values(), r.fairness_individual,
+                      r.fairness_group, r.wall_ms_per_1k)
             cells = [r.method, repr(float(r.param)), repr(float(r.eta)),
                      str(r.k), *(repr(float(v)) for v in floats)]
             fh.write(",".join(cells) + "\n")

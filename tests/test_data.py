@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import decimal
 import errno
@@ -1038,6 +1039,85 @@ def test_a_child_reads_only_the_file_the_load_opened(tmp_path, monkeypatch):
     monkeypatch.setattr(data_module, "_fork", replace_then_fork)
     parsed, forked = in_parts(3, parse_file, path)
     assert parsed is None and forked == 2
+
+
+# `_forked` itself: each child's return value comes back on its own pipe.
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raises TimeoutError in this process once `seconds` have passed, so
+    that a deadlocked `_forked` fails a test rather than stalling it."""
+    def expired(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def forked(children, own):
+    """The (own(), results) context of `data._forked`, left at once."""
+    with within(30), data_module._forked(children, own) as got:
+        pass
+    assert_no_child_left()
+    return got
+
+
+def test_forked_returns_each_childs_value_in_order():
+    got = forked([lambda: "a", lambda: None, lambda: {"k": [1.5, 2]}],
+                 lambda: "own")
+    assert got == ("own", ["a", None, {"k": [1.5, 2]}])
+
+
+def test_a_result_bigger_than_the_pipe_arrives_whole():
+    # each over sixteen 64 KiB pipe buffers: the children block in their
+    # writes until `own` has returned and this process reads them
+    big = [os.urandom(2 ** 20) + bytes([i]) for i in range(2)]
+
+    def own():
+        time.sleep(0.2)
+        return True
+
+    got = forked([lambda i=i: big[i] for i in range(2)], own)
+    assert got == (True, big)
+
+
+def test_a_child_killed_while_it_sends_gives_no_results(monkeypatch):
+    # the child is killed once its callable has returned, while its 1 MiB
+    # message fills the pipe: the message ends cut short
+    pids, (ready, done) = [], os.pipe()
+    fork = data_module._fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    def child():
+        os.write(done, b"x")
+        return os.urandom(2 ** 20)
+
+    def own():
+        os.read(ready, 1)
+        time.sleep(0.2)
+        os.kill(pids[0], signal.SIGKILL)
+        return True
+
+    monkeypatch.setattr(data_module, "_fork", counted)
+    try:
+        assert forked([child], own) == (True, None)
+    finally:
+        os.close(ready)
+        os.close(done)
+
+
+@pytest.mark.parametrize("returned", [lambda: lambda: 0, threading.Lock])
+def test_a_value_that_cannot_be_pickled_gives_no_results(returned):
+    assert forked([lambda: "sent", returned], lambda: 1) == (1, None)
 
 
 # Lines of 64 bytes that fill one part of the minimum size.

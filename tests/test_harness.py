@@ -1,5 +1,6 @@
 import csv
 import errno
+import math
 import os
 import re
 import signal
@@ -16,7 +17,8 @@ import verfair.allocator as allocator
 import verfair.data as data
 import verfair.harness as harness
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, identity_groups,
-                     save_groups, save_relevance, synth_relevance, top_k)
+                     load_relevance, save_groups, save_relevance,
+                     synth_relevance, top_k)
 from verfair.allocator import SlateSet
 from verfair.cli import main
 from verfair.harness import (DEFAULT_CUTOFFS, RunConfig, bench,
@@ -204,6 +206,18 @@ class TestForkedSweep:
         assert forked == max(0, min(cpus, len(grid) - 1) - 1)
         assert [r.param for r in got] == sorted(grid)
         assert got == serial
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_each_point_keeps_its_own_wall_time(self, rel, monkeypatch,
+                                                cpus):
+        # the comparisons above drop wall time; each point's, timed in the
+        # process that ran it, must come back with its record
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        records = sweep(RunConfig(method="verfair-ind", k=5, cutoffs=(1, 3)),
+                        (0.0, 0.2, 0.4, 0.6, 0.8, 1.0), rel)
+        walls = [r.wall_ms_per_1k for r in records]
+        assert len(walls) == 6
+        assert all(math.isfinite(w) and w > 0 for w in walls), walls
 
     @pytest.mark.parametrize("failing", [1, 2])
     def test_a_failed_fork_gives_the_serial_records(self, rel, monkeypatch,
@@ -540,6 +554,38 @@ class TestForkedRun:
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1 [1, 5]\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("failure", [None, "fork_fails", "child_killed"])
+@pytest.mark.parametrize("forking", ["load", "sweep", "run"])
+def test_no_descriptor_outlives_a_forked_call(tmp_path, monkeypatch, forking,
+                                              failure):
+    rel = synth_relevance(40, 15, seed=5)
+    save_relevance(rel, tmp_path / "rel.csv")
+    config = RunConfig("verfair-ind", k=5, cutoffs=(1, 3))
+    call = {"load": lambda: load_relevance(tmp_path / "rel.csv"),
+            "sweep": lambda: sweep(config, (0.0, 0.5, 1.0), rel),
+            "run": lambda: run(config, rel,
+                               slate_path=tmp_path / "slates.csv")}[forking]
+    monkeypatch.setattr(data, "_MIN_PART_BYTES", 64)
+    monkeypatch.setattr(harness, "_MIN_FORKED_SLOTS", 0)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    forks, fork = [], data._fork
+    monkeypatch.setattr(data, "_fork", lambda: forks.append(1) or fork())
+    if failure == "fork_fails":
+        def fork_fails():
+            raise OSError(errno.EAGAIN, "no more processes")
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+    elif failure == "child_killed":
+        monkeypatch.setattr(data, "_forked",
+                            killed_before_signalling(data._forked))
+    before = sorted(os.listdir("/proc/self/fd"))
+    call()
+    assert forks and sorted(os.listdir("/proc/self/fd")) == before
+    assert_no_child_left()
 
 
 class TestBench:
