@@ -18,7 +18,6 @@ import os
 import pickle
 import re
 import signal
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -167,8 +166,9 @@ def load_relevance(path) -> RelevanceMatrix:
     their consumer ids on a pipe; a file of less than 1.5 MiB of data, or
     any file elsewhere, is one part; so is a pipe or other input that is
     not a regular file, read whole into memory as it can be read only
-    once. A file that parse cannot read exactly as `csv.reader` and
-    `float()` would is read again from the same open file by the csv
+    once. Every part is read by one path, and a file up to the size it had
+    when it was cut. A file that parse cannot read exactly as `csv.reader`
+    and `float()` would is read again from the same open file by the csv
     parser, which returns the same matrix or raises the error that names
     the line and item. So the result is bit-identical however the file is
     cut.
@@ -193,13 +193,12 @@ def _parse_relevance_numpy(path, fh):
     every file that parser rejects.
 
     Without quotes, csv rows are the file's lines, split at each comma.
-    The data lines of a file are cut at line starts into P =
-    min(`_usable_cpus()`, data bytes // _MIN_PART_BYTES) parts, or one
-    part where that is below 2; bytes in memory are one part. One part is
-    read by `_parse_part` into a private matrix with room for as many rows
-    as lines like the first would fill, grown as needed; more parts are
-    read at once by `_parse_parts`. Both return the same ids and score
-    bits.
+    Bytes in memory are one part. The data lines of a file are cut by
+    `_cuts` at line starts into P = min(`_usable_cpus()`, data bytes //
+    _MIN_PART_BYTES) parts, or one part where that is below 2, and end
+    where the file ended when it was sized: lines it gains later are not
+    read. `_parse_parts` reads the parts, however many, and returns the
+    same ids and score bits for any cut.
     """
     header = fh.readline()
     start = len(header)
@@ -214,23 +213,11 @@ def _parse_relevance_numpy(path, fh):
             or max(map(len, fields)) > csv.field_size_limit()):
         return None
     n = len(fields) - 1
-    line = fh.readline()
     if isinstance(fh, io.BytesIO):  # a pipe's bytes, read whole
-        size = len(fh.getbuffer())
-        cuts = [start, size]
+        cuts = [start, len(fh.getbuffer())]
     else:
-        stat = os.fstat(fh.fileno())
-        size = stat.st_size
-        cuts = _cuts(fh, start, size)
-    if len(cuts) > 2:
-        parsed = _parse_parts(path, stat, fh, cuts, n)
-    else:
-        # room for the rows of a file of lines like the first (a line of n
-        # numbers is at least 2n + 1 bytes); pages of rows never written
-        # are never touched
-        scores = np.empty((size // max(len(line), 2 * n + 1) + 1, n))
-        # read to the end, should the file have grown since its stat
-        parsed = _parse_part(fh, line, sys.maxsize, 0, scores)
+        cuts = _cuts(fh, start, os.fstat(fh.fileno()).st_size)
+    parsed = _parse_parts(path, fh, cuts, n)
     if not parsed or not parsed[0]:
         return None
     consumer_ids, scores = parsed
@@ -262,17 +249,19 @@ def _cuts(fh, start, end):
     return cuts + [end]
 
 
-def _parse_part(fh, line, left, row, scores):
-    """(consumer_ids, scores) once `line`, the line just read from the file
-    `fh`, and the lines in its next `left` bytes (to its end if fewer),
-    each a consumer id and n numbers, are written from row `row` on of the
-    (_, n) matrix `scores` or of a grown copy of it; or None when the csv
-    parser could read them otherwise.
+def _parse_range(fh, start, end, row, scores):
+    """(consumer_ids, scores) once the lines in bytes [start, end) of the
+    file `fh`, each a consumer id and n numbers, are written from row `row`
+    on of the (_, n) matrix `scores` or of a grown copy of it; or None when
+    the csv parser could read them otherwise.
 
     Each chunk is a line, the next bytes of about _CHUNK_FIELDS fields of
-    lines like `line`, and the rest of the line they end in, and
+    lines like the first, and the rest of the line they end in, and
     `_parse_rows` reads it.
     """
+    fh.seek(start)
+    line = fh.readline(end - start)
+    left = end - start - len(line)
     size = len(line) * max(1, _CHUNK_FIELDS // scores.shape[1])
     consumer_ids = []
     while line:
@@ -292,13 +281,6 @@ def _parse_part(fh, line, left, row, scores):
     return consumer_ids, scores
 
 
-def _parse_range(fh, start, end, row, scores):
-    """`_parse_part` of the lines in bytes [start, end) of the file `fh`."""
-    fh.seek(start)
-    line = fh.readline()
-    return _parse_part(fh, line, end - start - len(line), row, scores)
-
-
 def _count_lines(fh, start, end):
     """The newlines in bytes [start, end) of the file `fh`."""
     fh.seek(start)
@@ -307,30 +289,41 @@ def _count_lines(fh, start, end):
         for at in range(start, end, _COUNT_BYTES))
 
 
-def _parse_parts(path, stat, fh, cuts, n):
-    """(consumer_ids, scores) of the lines of the open relevance CSV `fh`
-    at `path`, whose os.fstat is `stat`, each a consumer id and n numbers,
-    cut into parts [cuts[i], cuts[i + 1]); or None where a part is inexact
-    or its child fails.
+def _parse_parts(path, fh, cuts, n):
+    """(consumer_ids, scores) of the lines of the relevance CSV `fh`,
+    opened in binary at `path` or read into an io.BytesIO, each a consumer
+    id and n numbers, cut into parts [cuts[i], cuts[i + 1]); or None where
+    a part is inexact or its child fails. The scores are the matrix this
+    process's part was read into, grown or not.
 
-    The row each part starts at is fixed first from the newlines of the
-    parts before it, and one anonymous shared mapping holds every row, with
-    room for the last part as a line of n numbers is at least 2n + 1 bytes.
-    The scores are the one result shared rather than sent: about 3.2 MB a
-    part of the benchmark's 40000 x 20 input. Through `_forked`, a child
-    parses each part but the first into the mapping and sends back its
-    consumer ids, while this process parses the first. The ids are used
-    while the children exit, and the children are reaped before this
-    returns or raises.
+    One part is the case of no children: this process reads it through
+    `_forked` into a private matrix with room for as many rows as lines
+    like the first would fill, as a line of n numbers is at least 2n + 1
+    bytes; pages of rows never written are never touched. With more parts,
+    the row each starts at is fixed first from the newlines of the parts
+    before it, and one anonymous shared mapping holds every row, with room
+    for the last part by the same bound. Its scores are the one result
+    shared rather than sent: about 3.2 MB a part of the benchmark's
+    40000 x 20 input. A child parses each part but the first into the
+    mapping and sends back its consumer ids, while this process parses the
+    first. The ids are used while the children exit, and the children are
+    reaped before this returns or raises.
     """
     rows = [0]
     for start, end in zip(cuts[:-2], cuts[1:-1]):
         rows.append(rows[-1] + _count_lines(fh, start, end))
-    room = rows[-1] + (cuts[-1] - cuts[-2]) // (2 * n + 1) + 1
-    scores = np.frombuffer(mmap.mmap(-1, room * n * 8)).reshape(room, n)
-    children = [partial(_parse_child, path, stat, cuts[i], cuts[i + 1],
-                        rows[i], scores)
-                for i in range(1, len(rows))]
+    children = []
+    if len(rows) > 1:
+        room = rows[-1] + (cuts[-1] - cuts[-2]) // (2 * n + 1) + 1
+        scores = np.frombuffer(mmap.mmap(-1, room * n * 8)).reshape(room, n)
+        stat = os.fstat(fh.fileno())
+        children = [partial(_parse_child, path, stat, cuts[i], cuts[i + 1],
+                            rows[i], scores)
+                    for i in range(1, len(rows))]
+    else:
+        fh.seek(cuts[0])
+        scores = np.empty((cuts[1] // max(len(fh.readline()), 2 * n + 1)
+                           + 1, n))
     own = partial(_parse_range, fh, cuts[0], cuts[1], 0, scores)
     with _forked(children, own) as (parsed, sent):
         if sent is None or None in sent:
@@ -338,7 +331,7 @@ def _parse_parts(path, stat, fh, cuts, n):
         ids = [parsed[0], *(part.split("\n") for part in sent)]
         if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
             return None
-        return list(itertools.chain(*ids)), scores
+        return list(itertools.chain(*ids)), parsed[1]
 
 
 @contextlib.contextmanager

@@ -32,7 +32,7 @@ from .baselines import fairco, pr_k, random_k, top_k
 from . import data
 from .data import GroupMap, RelevanceMatrix, identity_groups
 from .exposure import ExposureModel, accumulate
-from .metrics import EvalReport, _positions, check_evaluable, evaluate
+from .metrics import EvalReport, check_evaluable, evaluate
 from .quota import compute_quotas
 
 METHODS = ("top-k", "random-k", "pr-k", "fairco", "verfair-ind", "verfair-group")
@@ -344,15 +344,15 @@ def dump_distributions(slates, rel: RelevanceMatrix, groups: GroupMap,
                        model: ExposureModel, alpha, path):
     """Per-item CSV of (item_id, avg_relevance, exposure, quota_at_alpha);
     every refusal comes before the file is opened."""
-    quota = compute_quotas(rel, identity_groups(rel), model, alpha)
+    identity = identity_groups(rel)
+    quota = compute_quotas(rel, identity, model, alpha)
     groups.indices(rel)  # raises for a matrix item with no group
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["item_id", "avg_relevance", "exposure", "quota_at_alpha"])
         if not len(slates.items):
             return
-        exposure = accumulate(slates, model, groups).per_item[
-            _positions(rel.item_ids, tuple(groups.assignment))]
+        exposure = accumulate(slates, model, identity).per_item
         for d, avg, exp, q in zip(rel.item_ids, rel.avg_relevance().tolist(),
                                   exposure.tolist(), quota.tolist()):
             w.writerow([d, repr(avg), repr(exp), repr(q)])

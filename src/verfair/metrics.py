@@ -96,8 +96,10 @@ def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c,
     `gathered` is `_gather(slates, rel, depth)` for some depth >= k_c,
     passed by `evaluate` so all its cutoffs read one gather; it is made
     for depth k_c when omitted, which sorts only each row's k_c largest
-    scores.
+    scores. An empty slate set is refused, as `evaluate` refuses it.
     """
+    if not len(slates.rows):
+        raise ValueError("no slates to evaluate")
     _check_cutoff(k_c, model)
     if gathered is None:
         gathered = _gather(slates, rel, k_c)

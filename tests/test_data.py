@@ -1041,6 +1041,27 @@ def test_a_child_reads_only_the_file_the_load_opened(tmp_path, monkeypatch):
     assert parsed is None and forked == 2
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_line_written_after_the_file_is_sized_is_not_read(cpus, tmp_path,
+                                                            monkeypatch):
+    # `_cuts` runs once the file is sized, whatever its parts: the line it
+    # appends lies past the end of every part, one or three
+    rel = plain_matrix(90, 3, seed=90)
+    path = repr_file(tmp_path / "rel.csv", rel)
+    cuts = data_module._cuts
+
+    def appended(fh, start, end):
+        with open(path, "ab") as out:
+            out.write(b"late,0.5,0.5,0.5\n")
+        return cuts(fh, start, end)
+
+    monkeypatch.setattr(data_module, "_cuts", appended)
+    (ids, _, scores), forked = in_parts(cpus, parse_file, path)
+    assert forked == cpus - 1
+    assert ids == rel.consumer_ids and bits(scores) == bits(rel.scores)
+    assert path.read_bytes().endswith(b"\nlate,0.5,0.5,0.5\n")
+
+
 # `_forked` itself: each child's return value comes back on its own pipe.
 
 @contextlib.contextmanager

@@ -152,9 +152,9 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def killed_before_signalling(forked):
+def killed_before_sending(forked):
     """`data._forked` whose children are each killed once their callable
-    has returned, before they can signal."""
+    has returned, before they can send what it returned."""
     def killed(children, own):
         return forked([lambda child=child: (
             child(), os.kill(os.getpid(), signal.SIGKILL))
@@ -259,8 +259,9 @@ class TestForkedSweep:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_child_killed_before_it_signals_gives_the_serial_records(
             self, rel, monkeypatch, cpus):
-        # the children write every float of their points, then die: this
-        # process runs every point after the first again, in grid order
+        # the children make the records of their points, then die before
+        # they send them: this process runs every point after the first
+        # again, in grid order
         config = RunConfig(method="verfair-ind", k=5, cutoffs=(1, 3))
         grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
         serial, _ = self.swept(1, config, grid, rel)
@@ -273,7 +274,7 @@ class TestForkedSweep:
 
         monkeypatch.setattr(harness, "_point", counted)
         monkeypatch.setattr(data, "_forked",
-                            killed_before_signalling(data._forked))
+                            killed_before_sending(data._forked))
         got, forked = self.swept(cpus, config, grid, rel)
         assert got == serial and forked == cpus - 1
         assert ran[-(len(grid) - 1):] == list(grid[1:])
@@ -454,13 +455,13 @@ class TestForkedRun:
 
     def test_a_child_killed_before_it_signals_gives_the_serial_report(
             self, inputs, tmp_path, capsys, monkeypatch):
-        # the child writes every float of the report, then dies: this
+        # the child makes the report, then dies before it sends it: this
         # process evaluates again
         argv = [*inputs, "--method", "verfair-ind", "--alpha", "0.7"]
         serial, _ = self.ran(1, argv, capsys, tmp_path / "s1.csv",
                              tmp_path / "m1.csv")
         monkeypatch.setattr(data, "_forked",
-                            killed_before_signalling(data._forked))
+                            killed_before_sending(data._forked))
         got, calls = self.ran(2, argv, capsys, tmp_path / "s2.csv",
                               tmp_path / "m2.csv")
         assert got == serial and calls == (1, 1)
@@ -581,7 +582,7 @@ def test_no_descriptor_outlives_a_forked_call(tmp_path, monkeypatch, forking,
         monkeypatch.setattr(os, "fork", fork_fails)
     elif failure == "child_killed":
         monkeypatch.setattr(data, "_forked",
-                            killed_before_signalling(data._forked))
+                            killed_before_sending(data._forked))
     before = sorted(os.listdir("/proc/self/fd"))
     call()
     assert forks and sorted(os.listdir("/proc/self/fd")) == before

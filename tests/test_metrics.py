@@ -42,6 +42,19 @@ class TestNdcg:
         with pytest.raises(ValueError):
             ndcg(slates, three_equal, ExposureModel.pbm(0.0, 2), 3)
 
+    @pytest.mark.parametrize("k_c", [1, 2, 3])
+    def test_empty_slate_set_refused_before_the_cutoff(self, k_c):
+        # not the nan of a mean over no consumers, whatever the cutoff
+        rel = synth_relevance(4, 5, seed=3)
+        slates = top_k(rel, 2)
+        empty = dataclasses.replace(
+            slates, rows=slates.rows[:0], items=slates.items[:0],
+            phase=slates.phase[:0], pre_rank=slates.pre_rank[:0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^no slates to evaluate$"):
+                ndcg(empty, rel, ExposureModel.pbm(1.0, 2), k_c)
+
     def test_zero_ideal_consumer_contributes_one(self):
         from verfair import RelevanceMatrix
         rel = RelevanceMatrix(("c1", "c2"), ("A", "B"),
