@@ -41,13 +41,6 @@ def _add_cutoffs(p):
                         "(default: those of 1,3,10 that are <= --k)")
 
 
-def _cutoffs(args):
-    """--cutoffs as given, else the default cutoffs no longer than --k."""
-    if args.cutoffs is not None:
-        return args.cutoffs
-    return tuple(c for c in harness.DEFAULT_CUTOFFS if c <= args.k)
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="verfair",
                                  description="Fair-exposure slate allocation "
@@ -106,7 +99,7 @@ def main(argv=None):
             rel, groups = _load(args)
             config = RunConfig(method=args.method, eta=args.eta, k=args.k,
                                alpha=args.alpha, lam=args.lam, seed=args.seed,
-                               cutoffs=_cutoffs(args),
+                               cutoffs=args.cutoffs,
                                shuffle=not args.no_shuffle)
             _, report = harness.run(config, rel, groups,
                                     slate_path=args.out,
@@ -119,7 +112,7 @@ def main(argv=None):
             rel, groups = _load(args)
             grid = tuple(float(x) for x in args.grid.split(","))
             config = RunConfig(method=args.method, eta=args.eta, k=args.k,
-                               seed=args.seed, cutoffs=_cutoffs(args))
+                               seed=args.seed, cutoffs=args.cutoffs)
             records = harness.sweep(config, grid, rel, groups)
             harness.write_sweep(records, args.out)
             print(f"wrote {len(records)} records to {args.out}")

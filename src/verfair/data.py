@@ -344,9 +344,9 @@ def _forked(children, own):
     forked, or died, raised or returned what cannot be pickled, so that
     its message is empty or cut short.
 
-    A fork or pipe that raises OSError stops the forking: `own` is not
-    called and the context is (None, None). Every child is killed when
-    `own` raises or returns a falsy value, and `results` is then None. The
+    `own` is always called, also after a fork or pipe raises OSError and
+    stops the forking. Every child is killed, and `results` is None, when
+    a fork or pipe failed or `own` raised or returned a falsy value. The
     context is entered once every pipe is read to its end, so its results
     can be used while the children exit; every child is reaped when it
     ends or raises.
@@ -375,13 +375,13 @@ def _forked(children, own):
                         os._exit(1)
                 os.close(write)
                 pids.append(pid)
-            else:
-                result = own()
+            result = own()
         finally:
-            if not result:  # nothing the children make can be used
+            used = result and len(pids) == len(children)
+            if not used:  # nothing the children make can be used
                 for pid in pids:
                     os.kill(pid, signal.SIGKILL)
-        if result:  # every pipe is read, so no child still works
+        if used:  # every pipe is read, so no child still works
             try:
                 results = [pickle.loads(pipe.read()) for pipe in pipes]
             except (EOFError, pickle.UnpicklingError):

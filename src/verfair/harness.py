@@ -9,10 +9,11 @@ sorts their preferences once (`allocator.Preferences`), in its first grid
 point, whose `wall_ms_per_1k` therefore carries the sort. The points after
 the first run across the usable CPUs, in forked children that send their
 records back, so each `wall_ms_per_1k` is timed in the process that ran the
-point, concurrently with the others. A run that writes a slate file of at
-least `_MIN_FORKED_SLOTS` slots, on two or more usable CPUs, evaluates the
-slates in a forked child, which sends the report back, while this process
-writes them, once `check_evaluable` has passed: a refused run writes no file.
+point, concurrently with the others. A run that writes a slate file runs
+`check_evaluable` first, so a refused run writes no file, then writes the
+slates and evaluates them after. With at least `_MIN_FORKED_SLOTS` slots on
+two or more usable CPUs, a forked child evaluates them instead, while this
+process writes them, and sends the report back.
 """
 
 from __future__ import annotations
@@ -59,8 +60,13 @@ class RunConfig:
     alpha: float = 1.0
     lam: float = 0.0
     seed: int = 0
-    cutoffs: tuple = DEFAULT_CUTOFFS
+    cutoffs: tuple = None  # None: those of DEFAULT_CUTOFFS that are <= k
     shuffle: bool = True
+
+    def __post_init__(self):
+        if self.cutoffs is None:
+            object.__setattr__(self, "cutoffs", tuple(
+                c for c in DEFAULT_CUTOFFS if c <= self.k))
 
 
 @dataclass(frozen=True)
@@ -136,30 +142,22 @@ def _evaluate_writing(slates, rel: RelevanceMatrix, groups: GroupMap,
     """`evaluate` of `slates` at `config.cutoffs`, which `write_slates`
     writes to `path`.
 
-    With 2 or more usable CPUs and `_MIN_FORKED_SLOTS` slots or more, a
-    child forked by `data._forked` evaluates and sends the report back
-    while this process writes the slates; the report is used while the
-    child exits, and the child is reaped before this returns or raises.
-    `check_evaluable` runs first, so a refused run leaves no file, as one
-    that evaluates before it writes. When the fork fails or the child
-    fails to send the report, `evaluate` runs here.
+    `check_evaluable` runs first, so a refused run leaves no file. This
+    process then writes the slates as the own work of one `data._forked`
+    call, whose one child, with 2 or more usable CPUs and
+    `_MIN_FORKED_SLOTS` slots or more, evaluates them meanwhile and sends
+    the report back; the child is reaped before this returns or raises.
+    With no child, a failed fork or no report back, `evaluate` runs here
+    after the write.
     """
-    written = None
-    if data._usable_cpus() > 1 and slates.items.size >= _MIN_FORKED_SLOTS:
-        check_evaluable(rel, groups, model, config.cutoffs)
-
-        def write():
-            write_slates(slates, config, path)
-            return True
-
-        child = partial(evaluate, slates, rel, groups, model, config.cutoffs)
-        with data._forked([child], write) as (written, sent):
-            if sent is not None:
-                return sent[0]
-    report = evaluate(slates, rel, groups, model, config.cutoffs)
-    if not written:  # serial, or no child was forked
-        write_slates(slates, config, path)
-    return report
+    check_evaluable(rel, groups, model, config.cutoffs)
+    report = partial(evaluate, slates, rel, groups, model, config.cutoffs)
+    write = partial(write_slates, slates, config, path)
+    forks = data._usable_cpus() > 1 and slates.items.size >= _MIN_FORKED_SLOTS
+    with data._forked([report] if forks else [], write) as (_, sent):
+        if sent:
+            return sent[0]
+    return report()
 
 
 def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
@@ -293,7 +291,8 @@ _CHUNK = 4096  # consumers per write
 
 
 def write_slates(slates, config: RunConfig, path):
-    """Slate dump: a run-header line, then consumer_id,rank,item_id,phase_tag.
+    """Slate dump: a run-header line, then consumer_id,rank,item_id,phase_tag;
+    returns the number of slots written, m·k.
 
     Byte-identical to one `csv.writer` row per slot. Ids go out as they
     are unless csv.writer would quote one of them; then a list of ids is
@@ -322,6 +321,7 @@ def write_slates(slates, config: RunConfig, path):
             part[:, :, 2] = tail[slates.items[a:a + _CHUNK] * len(PHASE_TAG)
                                  + slates.phase[a:a + _CHUNK]]
             fh.write("".join(part.ravel().tolist()))
+    return m * k
 
 
 def bench(method, rel: RelevanceMatrix, groups: GroupMap = None, *,

@@ -5,7 +5,8 @@ from itertools import permutations
 
 import numpy as np
 
-from verfair import ExposureModel, GroupMap, RelevanceMatrix, compute_quotas
+from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
+                     compute_quotas, identity_groups, synth_relevance)
 from verfair.allocator import SlateSet
 
 
@@ -134,3 +135,59 @@ def oracle_exact(rel: RelevanceMatrix, groups: GroupMap,
     if not feasible:
         return float("nan"), False
     return float(best / m), True
+
+
+# The instance families and the matched guarantee of the headline claim
+# (VerFair against FairCo on the fairness-relevance trade-off).
+
+def scaled_instance(s):
+    """I(s): `synth_relevance(1000, 100, seed=s)`, column j scaled by
+    `default_rng(s + 1000).permutation(np.linspace(1.0, 0.2, 100))[j]`,
+    so items differ in mean relevance; consumers are i.i.d."""
+    rel = synth_relevance(1000, 100, seed=s)
+    scale = np.random.default_rng(s + 1000).permutation(
+        np.linspace(1.0, 0.2, 100))
+    return RelevanceMatrix(rel.consumer_ids, rel.item_ids, rel.scores * scale)
+
+
+def clustered_instance(s, order):
+    """C(s) with its rows, consumer ids with them, in `order`: "random"
+    (`default_rng(s + 7).permutation(1000)`) or "clustered" (cluster 0's
+    consumers first, each cluster in id order).
+
+    The scores of `synth_relevance(1000, 100, seed=s)` are scaled by item
+    as in I(s), but through `rng = default_rng(s)`, which then draws each
+    consumer's cluster, 0 or 1. Cluster 0 likes items 0-49 and cluster 1
+    items 50-99; a score of an item the cluster does not like is scaled
+    by 0.3."""
+    rel = synth_relevance(1000, 100, seed=s)
+    rng = np.random.default_rng(s)
+    scores = rel.scores * rng.permutation(np.linspace(1.0, 0.2, 100))
+    cluster = rng.integers(0, 2, 1000)
+    liked = (np.arange(100) >= 50) == (cluster[:, None] == 1)
+    scores = np.where(liked, scores, scores * 0.3)
+    rows = {"random": np.random.default_rng(s + 7).permutation(1000),
+            "clustered": np.argsort(cluster, kind="stable")}[order]
+    return RelevanceMatrix(tuple(rel.consumer_ids[r] for r in rows),
+                           rel.item_ids, scores[rows])
+
+
+def shortfall_pk(slates, rel, model, alpha):
+    """The largest amount, in units of p_k, by which an item's exposure in
+    `slates` falls short of its individual quota at `alpha`."""
+    groups = identity_groups(rel)
+    exposure = accumulate(slates, model, groups).per_item
+    short = compute_quotas(rel, groups, model, alpha) - exposure
+    return float(short.max() / model.probs[model.k - 1])
+
+
+def matched_alpha(slates, rel, model):
+    """The matched guarantee alpha* of `slates`: the largest alpha on a
+    0.01 grid at which every item's exposure is at least its individual
+    quota(alpha) - p_k. Quotas grow with alpha, so every alpha below it
+    is met too."""
+    groups = identity_groups(rel)
+    exposure = accumulate(slates, model, groups).per_item
+    p_k = model.probs[model.k - 1]
+    return max(a / 100 for a in range(101) if (
+        exposure >= compute_quotas(rel, groups, model, a / 100) - p_k).all())

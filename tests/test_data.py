@@ -1141,6 +1141,33 @@ def test_a_value_that_cannot_be_pickled_gives_no_results(returned):
     assert forked([lambda: "sent", returned], lambda: 1) == (1, None)
 
 
+def test_a_failed_fork_still_runs_own_and_kills_the_child(monkeypatch):
+    # the second fork raises: `own` runs once all the same, and the first
+    # child, which would sleep 20 s, is killed and reaped
+    pids, owned, reaped = [], [], []
+    fork, waitpid = os.fork, os.waitpid
+
+    def second_fails():
+        if pids:
+            raise OSError(errno.EAGAIN, "no more processes")
+        pids.append(fork())
+        return pids[-1]
+
+    def recorded(pid, options):
+        reaped.append(waitpid(pid, options))
+        return reaped[-1]
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    monkeypatch.setattr(os, "waitpid", recorded)
+    began = time.perf_counter()
+    got = forked([lambda: time.sleep(20), lambda: "second"],
+                 lambda: owned.append(1) or "own")
+    assert time.perf_counter() - began < 5
+    assert got == ("own", None) and owned == [1]
+    assert [(pid, os.WTERMSIG(status)) for pid, status in reaped] == \
+        [(pids[0], signal.SIGKILL)]
+
+
 # Lines of 64 bytes that fill one part of the minimum size.
 PART_LINES = data_module._MIN_PART_BYTES // 64
 

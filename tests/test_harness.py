@@ -77,6 +77,15 @@ class TestRun:
         with pytest.raises(ValueError, match="^unknown item 'C'"):
             run(RunConfig(method, k=1, cutoffs=(1,)), rel, groups)
 
+    def test_default_cutoffs_are_those_no_longer_than_k(self, rel):
+        # as the CLI's default: a run and a sweep at k = 5 evaluate at 1, 3
+        assert RunConfig("top-k").cutoffs == DEFAULT_CUTOFFS
+        assert RunConfig("top-k", k=5).cutoffs == (1, 3)
+        assert RunConfig("top-k", k=5, cutoffs=(5,)).cutoffs == (5,)
+        assert sorted(run(RunConfig("top-k", k=5), rel)[1].ndcg_at) == [1, 3]
+        records = sweep(RunConfig("verfair-ind", k=5), (0.0, 1.0), rel)
+        assert [sorted(r.ndcg_at) for r in records] == [[1, 3], [1, 3]]
+
 
 class TestSweep:
     def test_one_record_per_grid_point_sorted(self, rel):
