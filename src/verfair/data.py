@@ -163,15 +163,16 @@ def load_relevance(path) -> RelevanceMatrix:
     data lines are cut into P = min(usable CPUs, data bytes // 768 KiB)
     parts, and this process and P - 1 forked children parse one each at
     once, the children's scores coming back through shared memory and
-    their consumer ids on a pipe; a file of less than 1.5 MiB of data, or
-    any file elsewhere, is one part; so is a pipe or other input that is
-    not a regular file, read whole into memory as it can be read only
-    once. Every part is read by one path, and a file up to the size it had
-    when it was cut. A file that parse cannot read exactly as `csv.reader`
-    and `float()` would is read again from the same open file by the csv
+    their consumer ids on a pipe; a part whose child fails is parsed here.
+    A file of less than 1.5 MiB of data, or any file elsewhere, is one
+    part; so is a pipe or other input that is not a regular file, read
+    whole into memory as it can be read only once. Every part is read by
+    one path, and a file up to the size it had when it was cut. A file
+    with a part that parse cannot read exactly as `csv.reader` and
+    `float()` would is read again from the same open file by the csv
     parser, which returns the same matrix or raises the error that names
     the line and item. So the result is bit-identical however the file is
-    cut.
+    cut and however the children fare.
     """
     with open(path, "rb") as fh:
         if not S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -249,11 +250,15 @@ def _cuts(fh, start, end):
     return cuts + [end]
 
 
+class _Inexact(Exception):
+    """Lines that the csv parser could read otherwise."""
+
+
 def _parse_range(fh, start, end, row, scores):
     """(consumer_ids, scores) once the lines in bytes [start, end) of the
     file `fh`, each a consumer id and n numbers, are written from row `row`
-    on of the (_, n) matrix `scores` or of a grown copy of it; or None when
-    the csv parser could read them otherwise.
+    on of the (_, n) matrix `scores` or of a grown copy of it. Raises
+    _Inexact when the csv parser could read them otherwise.
 
     Each chunk is a line, the next bytes of about _CHUNK_FIELDS fields of
     lines like the first, and the rest of the line they end in, and
@@ -273,7 +278,7 @@ def _parse_range(fh, start, end, row, scores):
         left -= len(chunk) - len(line) - len(_PAD)
         parsed = _parse_rows(chunk, scores, row + len(consumer_ids))
         if parsed is None:
-            return None
+            raise _Inexact
         consumer_ids += parsed[0]
         scores = parsed[1]
         line = fh.readline() if left > 0 else b""
@@ -293,21 +298,19 @@ def _parse_parts(path, fh, cuts, n):
     """(consumer_ids, scores) of the lines of the relevance CSV `fh`,
     opened in binary at `path` or read into an io.BytesIO, each a consumer
     id and n numbers, cut into parts [cuts[i], cuts[i + 1]); or None where
-    a part is inexact or its child fails. The scores are the matrix this
-    process's part was read into, grown or not.
+    a part is inexact. The scores are the matrix the first part was read
+    into, grown or not.
 
-    One part is the case of no children: this process reads it through
-    `_forked` into a private matrix with room for as many rows as lines
+    The parts are the calls of one `_forked`, a process each, so a part
+    whose child fails is read here. One part is the case of no children:
+    it is read into a private matrix with room for as many rows as lines
     like the first would fill, as a line of n numbers is at least 2n + 1
     bytes; pages of rows never written are never touched. With more parts,
     the row each starts at is fixed first from the newlines of the parts
     before it, and one anonymous shared mapping holds every row, with room
-    for the last part by the same bound. Its scores are the one result
-    shared rather than sent: about 3.2 MB a part of the benchmark's
-    40000 x 20 input. A child parses each part but the first into the
-    mapping and sends back its consumer ids, while this process parses the
-    first. The ids are used while the children exit, and the children are
-    reaped before this returns or raises.
+    for the last part by the same bound: about 3.2 MB a part of the
+    benchmark's 40000 x 20 input, shared rather than sent. The first part
+    is read from `fh`, each later one by `_parse_child`.
     """
     rows = [0]
     for start, end in zip(cuts[:-2], cuts[1:-1]):
@@ -325,68 +328,76 @@ def _parse_parts(path, fh, cuts, n):
         scores = np.empty((cuts[1] // max(len(fh.readline()), 2 * n + 1)
                            + 1, n))
     own = partial(_parse_range, fh, cuts[0], cuts[1], 0, scores)
-    with _forked(children, own) as (parsed, sent):
-        if sent is None or None in sent:
-            return None
-        ids = [parsed[0], *(part.split("\n") for part in sent)]
-        if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
-            return None
-        return list(itertools.chain(*ids)), parsed[1]
+    try:
+        with _forked([own, *children], len(rows)) as (parsed, *sent):
+            ids = [parsed[0], *(part.split("\n") for part in sent)]
+            if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
+                return None
+            return list(itertools.chain(*ids)), parsed[1]
+    except _Inexact:
+        return None
 
 
 @contextlib.contextmanager
-def _forked(children, own):
-    """A context of (own(), results): `own()` called in this process while
-    each callable of `children` is called in a forked child of its own.
-    The child pickles what its callable returns, writes it on a pipe of its
-    own and closes the pipe, then leaves by os._exit. `results` is the
-    list of the children's return values, or None where a child was not
-    forked, or died, raised or returned what cannot be pickled, so that
-    its message is empty or cut short.
+def _forked(calls, procs):
+    """A context of `[call() for call in calls]`, or the first error that
+    comprehension raises, with the calls dealt serpentine (0, 1, ..., P -
+    1, P - 1, ..., 0, and again) to P = min(procs, len(calls)) processes,
+    so that the last and costliest calls are not all one process's.
 
-    `own` is always called, also after a fork or pipe raises OSError and
-    stops the forking. Every child is killed, and `results` is None, when
-    a fork or pipe failed or `own` raised or returned a falsy value. The
-    context is entered once every pipe is read to its end, so its results
-    can be used while the children exit; every child is reaped when it
-    ends or raises.
+    This process runs deal 0 and a forked child each other deal, in order
+    up to the first raise; a child pickles the values it got onto a pipe
+    of its own and leaves by os._exit. Walking the calls in order, a value
+    that came back is used and a call that raised here raises; any other
+    call, that of a child that was not forked, died, raised or got a value
+    that cannot be pickled, is made here, once. Leaving with an error
+    kills the children; otherwise the values are used while they exit.
+    Every child is reaped when the context ends.
     """
-    pids, pipes, result, results = [], [], None, None
+    turn = 2 * max(1, min(procs, len(calls)))
+    deals = [[i for i in range(len(calls))
+              if j in (i % turn, turn - 1 - i % turn)]
+             for j in range(turn // 2)]
+    pids, pipes, got = [], [], {}
     try:
         try:
-            for child in children:
+            for deal in deals[1:]:
                 try:
                     read, write = os.pipe()
-                except OSError:
+                    pipes.append(open(read, "rb"))
+                    with open(write, "wb") as send:
+                        pids.append(_fork())
+                        if pids[-1] == 0:  # the child: it leaves by os._exit
+                            try:
+                                with contextlib.suppress(Exception):
+                                    for i in deal:
+                                        got[i] = calls[i]()
+                                send.write(pickle.dumps(list(got.values())))
+                                send.close()
+                                os._exit(0)
+                            finally:
+                                os._exit(1)
+                except OSError:  # no pipe or no fork: no more children
                     break
-                pipes.append(open(read, "rb"))
-                try:
-                    pid = _fork()
-                except OSError:
-                    os.close(write)
-                    break
-                if pid == 0:  # the child, which leaves only by os._exit
-                    try:
-                        message = pickle.dumps(child())
-                        with open(write, "wb") as fh:
-                            fh.write(message)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                os.close(write)
-                pids.append(pid)
-            result = own()
-        finally:
-            used = result and len(pids) == len(children)
-            if not used:  # nothing the children make can be used
-                for pid in pids:
-                    os.kill(pid, signal.SIGKILL)
-        if used:  # every pipe is read, so no child still works
             try:
-                results = [pickle.loads(pipe.read()) for pipe in pipes]
-            except (EOFError, pickle.UnpicklingError):
-                pass
-        yield result, results
+                for i in deals[0]:
+                    got[i] = calls[i]()
+            except Exception as exc:
+                raised = exc
+            values = []
+            for i, call in enumerate(calls):
+                if 0 < i <= len(pipes):  # deal i, which starts at call i
+                    with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                        got.update(zip(deals[i],
+                                       pickle.loads(pipes[i - 1].read())))
+                if i not in got and i in deals[0]:  # the call raised here
+                    raise raised
+                values.append(got[i] if i in got else call())
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        yield values
     finally:
         for pipe in pipes:
             pipe.close()
@@ -398,10 +409,10 @@ def _fork():
     """os.fork(), without the DeprecationWarning of Python 3.12 and later
     that a child forked from a process with threads, such as numpy's BLAS
     pool, may deadlock. The children of `_forked` leave by os._exit. Those
-    of `_parse_parts` call no BLAS; those of `harness.sweep` and the one
-    of `harness.run` (`_evaluate_writing`) do, in the `@` of
-    `metrics.ndcg`. That is safe with the pthreads OpenBLAS that numpy's
-    wheels ship: its `openblas_fork_handler` registers
+    of `_parse_parts` call no BLAS; those of `harness.sweep`, whose points
+    evaluate, and of `harness._evaluate_writing`, which evaluates, do, in
+    the `@` of `metrics.ndcg`. That is safe with the pthreads OpenBLAS that
+    numpy's wheels ship: its `openblas_fork_handler` registers
     `blas_thread_shutdown_` with pthread_atfork, which stops the pool before
     each fork, so no BLAS thread holds a lock the child needs, and a pool
     starts again at the next product. (An OpenBLAS built on libgomp's
@@ -416,16 +427,15 @@ def _fork():
 
 
 def _parse_child(path, stat, start, end, row, scores):
-    """The body of a forked child of `_parse_parts`: `_parse_range` of bytes
-    [start, end) of the file at `path` into `scores`, and its consumer ids
-    joined by newlines, which no id holds: one string pickles faster than
-    a list of them. None when the path no longer names the file `stat`
-    describes or the part is inexact."""
+    """A later part of `_parse_parts`: `_parse_range` of bytes [start, end)
+    of the file at `path` into `scores`, and its consumer ids joined by
+    newlines, which no id holds: one string pickles faster than a list of
+    them. Raises _Inexact also when the path no longer names the file
+    `stat` describes."""
     with open(path, "rb") as fh:
         if not os.path.samestat(os.fstat(fh.fileno()), stat):
-            return None
-        parsed = _parse_range(fh, start, end, row, scores)
-    return "\n".join(parsed[0]) if parsed else None
+            raise _Inexact
+        return "\n".join(_parse_range(fh, start, end, row, scores)[0])
 
 
 def _plain(data):

@@ -6,20 +6,19 @@ through `_point` and write metrics through `write_sweep`. Timing covers slate
 generation only (no loading, no metric evaluation) and is normalized to
 milliseconds per 1000 slates. A verfair sweep shuffles the consumers and
 sorts their preferences once (`allocator.Preferences`), in its first grid
-point, whose `wall_ms_per_1k` therefore carries the sort. The points after
-the first run across the usable CPUs, in forked children that send their
-records back, so each `wall_ms_per_1k` is timed in the process that ran the
-point, concurrently with the others. A run that writes a slate file runs
-`check_evaluable` first, so a refused run writes no file, then writes the
-slates and evaluates them after. With at least `_MIN_FORKED_SLOTS` slots on
-two or more usable CPUs, a forked child evaluates them instead, while this
-process writes them, and sends the report back.
+point, whose `wall_ms_per_1k` therefore carries the sort. A run that writes
+a slate file runs `check_evaluable` first, so a refused run writes no file,
+then writes the slates and evaluates them. Both share out their work with
+`data._forked`: the points after a sweep's first across the usable CPUs,
+each `wall_ms_per_1k` timed in the process that ran it, and the evaluation
+of a run of at least `_MIN_FORKED_SLOTS` slots, on two or more usable CPUs,
+to a child while this process writes. Work that does not come back from a
+child is done here, so records, reports and errors are those of one CPU.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -142,22 +141,21 @@ def _evaluate_writing(slates, rel: RelevanceMatrix, groups: GroupMap,
     """`evaluate` of `slates` at `config.cutoffs`, which `write_slates`
     writes to `path`.
 
-    `check_evaluable` runs first, so a refused run leaves no file. This
-    process then writes the slates as the own work of one `data._forked`
-    call, whose one child, with 2 or more usable CPUs and
-    `_MIN_FORKED_SLOTS` slots or more, evaluates them meanwhile and sends
-    the report back; the child is reaped before this returns or raises.
-    With no child, a failed fork or no report back, `evaluate` runs here
-    after the write.
+    `check_evaluable` runs first, so a refused run leaves no file. Then
+    `data._forked` makes the two calls, `write_slates` and `evaluate`, in
+    that order: both in this process, or, with 2 or more usable CPUs and
+    `_MIN_FORKED_SLOTS` slots or more, the write here while a child
+    evaluates and sends the report back. An evaluation that does not come
+    back runs here after the write; the child is reaped before this
+    returns or raises.
     """
     check_evaluable(rel, groups, model, config.cutoffs)
-    report = partial(evaluate, slates, rel, groups, model, config.cutoffs)
-    write = partial(write_slates, slates, config, path)
     forks = data._usable_cpus() > 1 and slates.items.size >= _MIN_FORKED_SLOTS
-    with data._forked([report] if forks else [], write) as (_, sent):
-        if sent:
-            return sent[0]
-    return report()
+    with data._forked([partial(write_slates, slates, config, path),
+                       partial(evaluate, slates, rel, groups, model,
+                               config.cutoffs)],
+                      2 if forks else 1) as (_, report):
+        return report
 
 
 def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
@@ -190,18 +188,14 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     their preferences sorted once, in the first point, whose
     `wall_ms_per_1k` carries the sort.
 
-    The first point runs in this process. The others are dealt to this
-    process and to P - 1 children forked by `data._forked`, P being the
-    usable CPUs or the points left, whichever is fewer, in the serpentine
-    order 0, 1, ..., P - 1, P - 1, ..., 0, so that the last and costliest
-    points of a rising grid are not all one process's. Each child sends
-    back its points' records, which are put in grid order while the
-    children exit, and every child is reaped before this returns or
-    raises. So each `wall_ms_per_1k` is timed in the process that ran the
-    point, concurrently with the others. On a failed fork, a child that
-    fails to send its records, or a point raising here, every point after
-    the first runs here in grid order, so the records and the first error
-    raised are the serial sweep's.
+    The first point runs in this process. The others are the calls of one
+    `data._forked` over the usable CPUs, which deals them serpentine to
+    this process and forked children and gives their records in grid
+    order, or the error the first failing point raises: a point whose
+    child was not forked or sent nothing back runs here, once. So each
+    `wall_ms_per_1k` is timed in the process that ran the point,
+    concurrently with the others, and the records and the error are the
+    serial sweep's. Every child is reaped before this returns or raises.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -217,26 +211,14 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
                             rel.n if max(grid) > 0 else config.k)
     values = sorted(grid)
 
-    def records(points):
-        return [_point(replace(config, **{field: values[i]}), values[i], rel,
-                       groups, prefs)[2] for i in points]
+    def record(value):
+        return _point(replace(config, **{field: value}), value, rel, groups,
+                      prefs)[2]
 
-    first = records([0])
-    procs = max(1, min(data._usable_cpus(), len(values) - 1))
-    turn = 2 * procs  # process j runs points j + 1 and turn - j, mod turn
-    deals = [sorted([*range(1 + j, len(values), turn),
-                     *range(turn - j, len(values), turn)])
-             for j in range(procs)]
-    try:
-        with data._forked([partial(records, d) for d in deals[1:]],
-                          partial(records, deals[0])) as (own, sent):
-            if sent is not None:
-                dealt = zip(itertools.chain(*deals),
-                            itertools.chain(own, *sent))
-                return first + [r for _, r in sorted(dealt)]
-    except Exception:  # raised again below, unless a point before it fails
-        pass
-    return first + records(range(1, len(values)))
+    first = record(values[0])
+    with data._forked([partial(record, v) for v in values[1:]],
+                      data._usable_cpus()) as rest:
+        return [first, *rest]
 
 
 def write_sweep(records, path):

@@ -934,8 +934,30 @@ def test_no_child_left_when_the_parent_part_raises(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+def no_csv_parser(path, fh):
+    raise AssertionError("the csv parser is called")
+
+
+def parsed_here(monkeypatch):
+    """The first rows of the later parts that this process parses; no
+    later part is parsed twice here."""
+    parent, parse_child, rows = os.getpid(), data_module._parse_child, []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            assert args[4] not in rows
+            rows.append(args[4])
+        return parse_child(*args)
+
+    monkeypatch.setattr(data_module, "_parse_child", counted)
+    return rows
+
+
 @pytest.mark.parametrize("failing", [1, 2])
-def test_a_failed_fork_loads_in_one_process(failing, tmp_path, monkeypatch):
+def test_a_failed_fork_parses_the_unforked_parts_here(failing, tmp_path,
+                                                      monkeypatch):
+    # the first fork failing leaves both later parts to this process, the
+    # second only the third part; the child forked first sends its own
     path = split_file(tmp_path)
     calls = []
     fork = os.fork
@@ -947,24 +969,31 @@ def test_a_failed_fork_loads_in_one_process(failing, tmp_path, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", fork_fails)
-    parsed, _ = in_parts(3, parse_file, path)
-    assert parsed is None and len(calls) == failing
+    here = parsed_here(monkeypatch)
+    (ids, _, scores), forked = in_parts(3, parse_file, path)
+    assert forked == len(calls) == failing and len(here) == 3 - failing
+    one = parse_file(path)
+    assert ids == one[0] and bits(scores) == bits(one[2])
+    calls.clear()
+    here.clear()
+    monkeypatch.setattr(data_module, "_parse_relevance_csv", no_csv_parser)
     got, _ = in_parts(3, loaded, path)
+    assert len(here) == 3 - failing
     assert got[0] == "ok" and got == assert_same_as_reference(path)
 
 
 @pytest.mark.parametrize("unusable", ["first_part_inexact",
-                                      "second_fork_fails"])
+                                      "first_part_inexact_second_fork_fails"])
 def test_children_of_an_unusable_load_are_stopped(unusable, tmp_path,
                                                   monkeypatch):
-    # children that take 20 s: once the parts cannot all be used, the load
-    # must stop them rather than wait for them
+    # parts that take 20 s: once the first part is inexact, the load must
+    # stop the children rather than wait for them, and must not parse here
+    # the part whose fork failed
     path = split_file(tmp_path)
-    if unusable == "first_part_inexact":
-        header, first, rest = path.read_bytes().split(b"\n", 2)
-        first = b'"' + first.replace(b",", b'",', 1)
-        path.write_bytes(b"\n".join([header, first, rest]))
-    else:
+    header, first, rest = path.read_bytes().split(b"\n", 2)
+    first = b'"' + first.replace(b",", b'",', 1)
+    path.write_bytes(b"\n".join([header, first, rest]))
+    if unusable == "first_part_inexact_second_fork_fails":
         calls = []
         fork = os.fork
 
@@ -991,24 +1020,38 @@ def test_children_of_an_unusable_load_are_stopped(unusable, tmp_path,
     assert got == csv_parsed == assert_same_as_reference(path)
 
 
-@pytest.mark.parametrize("child", ["returns", "exits_0", "exits_3",
-                                   "sends_then_exits_3", "sends_then_killed"])
-def test_a_failed_child_sends_the_file_to_the_csv_parser(child, tmp_path,
-                                                          monkeypatch):
+def inexact(*args):
+    raise data_module._Inexact
+
+
+@pytest.mark.parametrize("child", ["finds_its_part_inexact", "exits_0",
+                                   "exits_3", "sends_then_exits_3",
+                                   "sends_then_killed"])
+def test_a_failed_childs_part_is_parsed_here(child, tmp_path, monkeypatch):
+    # each child fails, in its own process only: this process parses each
+    # later part, once, and the csv parser is not called
     path = split_file(tmp_path)
-    parse_child = data_module._parse_child
-    monkeypatch.setattr(data_module, "_parse_child", {
-        "returns": lambda *args: None,
+    parent, parse_child = os.getpid(), data_module._parse_child
+    misbehaves = {
+        "finds_its_part_inexact": inexact,
         "exits_0": lambda *args: os._exit(0),
         "exits_3": lambda *args: os._exit(3),
         "sends_then_exits_3": lambda *args: (parse_child(*args), os._exit(3)),
-        # its ids and scores are all written, but it dies before it signals
+        # its ids and scores are all written, but it dies before it sends
         "sends_then_killed": lambda *args: (
             parse_child(*args), os.kill(os.getpid(), signal.SIGKILL)),
-    }[child])
-    parsed, forked = in_parts(3, parse_file, path)
-    assert parsed is None and forked == 2
+    }[child]
+    monkeypatch.setattr(data_module, "_parse_child", lambda *args: (
+        parse_child if os.getpid() == parent else misbehaves)(*args))
+    here = parsed_here(monkeypatch)
+    (ids, _, scores), forked = in_parts(3, parse_file, path)
+    assert forked == 2 and len(here) == 2
+    one = parse_file(path)
+    assert ids == one[0] and bits(scores) == bits(one[2])
+    here.clear()
+    monkeypatch.setattr(data_module, "_parse_relevance_csv", no_csv_parser)
     got, _ = in_parts(3, loaded, path)
+    assert len(here) == 2
     assert got[0] == "ok" and got == assert_same_as_reference(path)
 
 
@@ -1062,7 +1105,8 @@ def test_a_line_written_after_the_file_is_sized_is_not_read(cpus, tmp_path,
     assert path.read_bytes().endswith(b"\nlate,0.5,0.5,0.5\n")
 
 
-# `_forked` itself: each child's return value comes back on its own pipe.
+# `_forked` itself: `[call() for call in calls]`, or its first error, with
+# the calls dealt to this process and forked children.
 
 @contextlib.contextmanager
 def within(seconds):
@@ -1080,37 +1124,45 @@ def within(seconds):
         signal.signal(signal.SIGALRM, handler)
 
 
-def forked(children, own):
-    """The (own(), results) context of `data._forked`, left at once."""
-    with within(30), data_module._forked(children, own) as got:
+def forked(calls, procs):
+    """The values of `data._forked(calls, procs)`, its context left at
+    once."""
+    with within(30), data_module._forked(calls, procs) as values:
         pass
     assert_no_child_left()
-    return got
+    return values
 
 
-def test_forked_returns_each_childs_value_in_order():
-    got = forked([lambda: "a", lambda: None, lambda: {"k": [1.5, 2]}],
-                 lambda: "own")
-    assert got == ("own", ["a", None, {"k": [1.5, 2]}])
+def test_forked_deals_the_calls_serpentine():
+    # 7 calls on 3 processes: this one runs calls 0, 5 and 6, a child 1
+    # and 4, another 2 and 3; each value comes back in call order
+    pids = forked([os.getpid] * 7, 3)
+    assert pids[0] == pids[5] == pids[6] == os.getpid()
+    assert pids[1] == pids[4] != pids[2] == pids[3]
+    assert os.getpid() not in (pids[1], pids[2])
+    assert forked([lambda: "own", lambda: "a", lambda: None,
+                   lambda: {"k": [1.5, 2]}], 4) == \
+        ["own", "a", None, {"k": [1.5, 2]}]
 
 
 def test_a_result_bigger_than_the_pipe_arrives_whole():
     # each over sixteen 64 KiB pipe buffers: the children block in their
-    # writes until `own` has returned and this process reads them
+    # writes until this process has run its call and reads them
     big = [os.urandom(2 ** 20) + bytes([i]) for i in range(2)]
 
     def own():
         time.sleep(0.2)
         return True
 
-    got = forked([lambda i=i: big[i] for i in range(2)], own)
-    assert got == (True, big)
+    got = forked([own, *(lambda i=i: big[i] for i in range(2))], 3)
+    assert got == [True, *big]
 
 
-def test_a_child_killed_while_it_sends_gives_no_results(monkeypatch):
-    # the child is killed once its callable has returned, while its 1 MiB
-    # message fills the pipe: the message ends cut short
-    pids, (ready, done) = [], os.pipe()
+def test_a_child_killed_while_it_sends_has_its_call_made_here(monkeypatch):
+    # the child is killed once its call has returned, while its 1 MiB
+    # message fills the pipe: the message ends cut short, and the call is
+    # made here, once
+    pids, (ready, done), parent, here = [], os.pipe(), os.getpid(), []
     fork = data_module._fork
 
     def counted():
@@ -1119,6 +1171,9 @@ def test_a_child_killed_while_it_sends_gives_no_results(monkeypatch):
         return pid
 
     def child():
+        if os.getpid() == parent:
+            here.append(1)
+            return "here"
         os.write(done, b"x")
         return os.urandom(2 ** 20)
 
@@ -1130,25 +1185,37 @@ def test_a_child_killed_while_it_sends_gives_no_results(monkeypatch):
 
     monkeypatch.setattr(data_module, "_fork", counted)
     try:
-        assert forked([child], own) == (True, None)
+        assert forked([own, child], 2) == [True, "here"] and here == [1]
     finally:
         os.close(ready)
         os.close(done)
 
 
 @pytest.mark.parametrize("returned", [lambda: lambda: 0, threading.Lock])
-def test_a_value_that_cannot_be_pickled_gives_no_results(returned):
-    assert forked([lambda: "sent", returned], lambda: 1) == (1, None)
+def test_a_value_that_cannot_be_pickled_is_made_here(returned):
+    parent, made = os.getpid(), []
+
+    def unpicklable():
+        value = returned()
+        if os.getpid() == parent:
+            made.append(value)
+        return value
+
+    got = forked([lambda: 1, lambda: "sent", unpicklable], 3)
+    assert got[:2] == [1, "sent"] and made == [got[2]]
 
 
-def test_a_failed_fork_still_runs_own_and_kills_the_child(monkeypatch):
-    # the second fork raises: `own` runs once all the same, and the first
-    # child, which would sleep 20 s, is killed and reaped
-    pids, owned, reaped = [], [], []
+def test_a_failed_fork_leaves_its_calls_here_and_an_error_kills_the_child(
+        monkeypatch):
+    # the second fork raises: the first child's value is used and the
+    # second deal's call is made here. Then this process's call raises: the
+    # first child, which would sleep 20 s, is killed and reaped.
+    pids, reaped = [], []
     fork, waitpid = os.fork, os.waitpid
 
     def second_fails():
-        if pids:
+        if len(pids) % 2:
+            pids.append(None)
             raise OSError(errno.EAGAIN, "no more processes")
         pids.append(fork())
         return pids[-1]
@@ -1159,13 +1226,73 @@ def test_a_failed_fork_still_runs_own_and_kills_the_child(monkeypatch):
 
     monkeypatch.setattr(os, "fork", second_fails)
     monkeypatch.setattr(os, "waitpid", recorded)
+    assert forked([lambda: "own", os.getpid, os.getpid], 3) == \
+        ["own", pids[0], os.getpid()]
+    assert [(pid, os.WEXITSTATUS(status)) for pid, status in reaped] == \
+        [(pids[0], 0)]
+
+    def raises():
+        raise ValueError("own")
+
     began = time.perf_counter()
-    got = forked([lambda: time.sleep(20), lambda: "second"],
-                 lambda: owned.append(1) or "own")
+    with pytest.raises(ValueError, match="^own$"):
+        forked([raises, lambda: time.sleep(20), os.getpid], 3)
     assert time.perf_counter() - began < 5
-    assert got == ("own", None) and owned == [1]
-    assert [(pid, os.WTERMSIG(status)) for pid, status in reaped] == \
-        [(pids[0], signal.SIGKILL)]
+    assert [(pid, os.WTERMSIG(status)) for pid, status in reaped[1:]] == \
+        [(pids[2], signal.SIGKILL)]
+    assert_no_child_left()
+
+
+# What each call of the contract test does: return its value, raise
+# ValueError(i) wherever it runs, or fail only in a child.
+CALLS = ("returns", "raises", "dies_in_a_child", "raises_in_a_child",
+         "returns_a_lock_in_a_child")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(st.sampled_from(CALLS), max_size=7),
+       procs=st.integers(1, 3), failing=st.integers(0, 3))
+def test_forked_gives_what_the_comprehension_gives(kinds, procs, failing):
+    # `failing` numbers the fork that raises, 0 for none
+    parent, here = os.getpid(), []
+
+    def call(i):
+        child = os.getpid() != parent
+        if not child:
+            here.append(i)
+        if kinds[i] == "raises":
+            raise ValueError(i)
+        if child and kinds[i] == "dies_in_a_child":
+            os._exit(3)
+        if child and kinds[i] == "raises_in_a_child":
+            raise RuntimeError(i)
+        if child and kinds[i] == "returns_a_lock_in_a_child":
+            return threading.Lock()
+        return ("value", i)
+
+    def result(comprehension):
+        try:
+            return "ok", comprehension()
+        except ValueError as exc:
+            return "error", exc.args
+
+    calls = [lambda i=i: call(i) for i in range(len(kinds))]
+    want = result(lambda: [c() for c in calls])
+    here.clear()
+    forks, fork = [], os.fork
+
+    def fork_fails():
+        forks.append(1)
+        if len(forks) == failing:
+            raise OSError(errno.EAGAIN, "no more processes")
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", fork_fails)
+        got = result(lambda: forked(calls, procs))
+    assert got == want
+    assert len(here) == len(set(here))
+    assert_no_child_left()
 
 
 # Lines of 64 bytes that fill one part of the minimum size.

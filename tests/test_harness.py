@@ -162,12 +162,15 @@ def assert_no_child_left():
 
 
 def killed_before_sending(forked):
-    """`data._forked` whose children are each killed once their callable
+    """`data._forked` whose children are each killed once their first call
     has returned, before they can send what it returned."""
-    def killed(children, own):
-        return forked([lambda child=child: (
-            child(), os.kill(os.getpid(), signal.SIGKILL))
-            for child in children], own)
+    parent = os.getpid()
+
+    def killed(calls, procs):
+        return forked([lambda call=call: (
+            call(), os.getpid() == parent
+            or os.kill(os.getpid(), signal.SIGKILL))[0]
+            for call in calls], procs)
     return killed
 
 
@@ -265,12 +268,14 @@ class TestForkedSweep:
         got, forked = self.swept(cpus, config, grid, rel, groups)
         assert got == serial and forked == cpus - 1
 
-    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("cpus, ran_here", [
+        (2, [0.0, 0.2, 0.8, 1.0, 0.4, 0.6]),
+        (3, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])])
     def test_a_child_killed_before_it_signals_gives_the_serial_records(
-            self, rel, monkeypatch, cpus):
-        # the children make the records of their points, then die before
-        # they send them: this process runs every point after the first
-        # again, in grid order
+            self, rel, monkeypatch, cpus, ran_here):
+        # the children make the record of their first point, then die
+        # before they send it: this process runs its own points, then each
+        # of the children's once, in grid order
         config = RunConfig(method="verfair-ind", k=5, cutoffs=(1, 3))
         grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
         serial, _ = self.swept(1, config, grid, rel)
@@ -286,16 +291,15 @@ class TestForkedSweep:
                             killed_before_sending(data._forked))
         got, forked = self.swept(cpus, config, grid, rel)
         assert got == serial and forked == cpus - 1
-        assert ran[-(len(grid) - 1):] == list(grid[1:])
+        assert ran == ran_here
 
-    @pytest.mark.parametrize("cpus, last", [(2, 8.0), (3, 16.0)])
-    def test_a_point_raising_here_gives_the_serial_records(
+    @pytest.mark.parametrize("cpus, last", [(1, 16.0), (2, 8.0), (3, 16.0)])
+    def test_a_point_raising_here_raises_as_on_one_cpu(
             self, rel, monkeypatch, cpus, last):
-        # once, on this process's last point: the children are stopped and
-        # every point with no result runs here
+        # once, on this process's last point: the sweep raises that error,
+        # as the serial sweep does, and leaves no child
         config = RunConfig(method="fairco", k=5, cutoffs=(1, 3))
         grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-        serial, _ = self.swept(1, config, grid, rel)
         parent, point, raised = os.getpid(), harness._point, []
 
         def raises_once(config, param, *args):
@@ -305,8 +309,31 @@ class TestForkedSweep:
             return point(config, param, *args)
 
         monkeypatch.setattr(harness, "_point", raises_once)
-        got, _ = self.swept(cpus, config, grid, rel)
-        assert raised == [last] and got == serial
+        with pytest.raises(RuntimeError, match="^this process's point$"):
+            self.swept(cpus, config, grid, rel)
+        assert raised == [last]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_raising_point_runs_no_point_twice_here(self, rel, monkeypatch,
+                                                      cpus):
+        # 0.8 raises wherever it runs: here on one or two CPUs, and on
+        # three in a child and then here
+        parent, point, ran = os.getpid(), harness._point, []
+
+        def raises_at(config, param, *args):
+            if os.getpid() == parent:
+                ran.append(param)
+            if param == 0.8:
+                raise ValueError(f"bad point {param}")
+            return point(config, param, *args)
+
+        monkeypatch.setattr(harness, "_point", raises_at)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match=r"^bad point 0\.8$"):
+            sweep(RunConfig(method="top-k", k=5, cutoffs=(1,)),
+                  (0.0, 0.2, 0.4, 0.6, 0.8, 1.0), rel)
+        assert ran[-1] == 0.8 and len(ran) == len(set(ran))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_the_first_error_is_the_serial_sweeps(self, rel, monkeypatch,
