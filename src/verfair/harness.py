@@ -4,16 +4,9 @@ distribution dumps, all emitting diffable CSV.
 A run is a one-point sweep: both make, time and evaluate a slate set
 through `_point` and write metrics through `write_sweep`. Timing covers slate
 generation only (no loading, no metric evaluation) and is normalized to
-milliseconds per 1000 slates. A verfair sweep shuffles the consumers and
-sorts their preferences once (`allocator.Preferences`), in its first grid
-point, whose `wall_ms_per_1k` therefore carries the sort. A run that writes
-a slate file runs `check_evaluable` first, so a refused run writes no file,
-then writes the slates and evaluates them. Both share out their work with
-`data._forked`: the points after a sweep's first across the usable CPUs,
-each `wall_ms_per_1k` timed in the process that ran it, and the evaluation
-of a run of at least `_MIN_FORKED_SLOTS` slots, on two or more usable CPUs,
-to a child while this process writes. Work that does not come back from a
-child is done here, so records, reports and errors are those of one CPU.
+milliseconds per 1000 slates. `run` and `sweep` each share out their work
+with one `data._forked` call, whose zero-child case is their serial path;
+their docstrings state how.
 """
 
 from __future__ import annotations
@@ -118,8 +111,8 @@ def _record(config: RunConfig, param, report: EvalReport, wall_ms_per_1k):
 def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap,
            prefs=None, slate_path=None):
     """Make, time and evaluate one slate set: (slates, report, record).
-    The slates are written to `slate_path` when it is given, by
-    `_evaluate_writing`."""
+    With a `slate_path` the slates are also written there, as `run`
+    describes."""
     groups = groups or identity_groups(rel)
     model = ExposureModel.pbm(config.eta, config.k)
     t0 = time.perf_counter()
@@ -128,34 +121,15 @@ def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap,
                          seed=config.seed, shuffle=config.shuffle,
                          prefs=prefs)
     wall = time.perf_counter() - t0
-    if slate_path is None:
-        report = evaluate(slates, rel, groups, model, config.cutoffs)
-    else:
-        report = _evaluate_writing(slates, rel, groups, model, config,
-                                   slate_path)
-    return slates, report, _record(config, param, report, wall * 1e6 / rel.m)
-
-
-def _evaluate_writing(slates, rel: RelevanceMatrix, groups: GroupMap,
-                      model: ExposureModel, config: RunConfig, path):
-    """`evaluate` of `slates` at `config.cutoffs`, which `write_slates`
-    writes to `path`.
-
-    `check_evaluable` runs first, so a refused run leaves no file. Then
-    `data._forked` makes the two calls, `write_slates` and `evaluate`, in
-    that order: both in this process, or, with 2 or more usable CPUs and
-    `_MIN_FORKED_SLOTS` slots or more, the write here while a child
-    evaluates and sends the report back. An evaluation that does not come
-    back runs here after the write; the child is reaped before this
-    returns or raises.
-    """
-    check_evaluable(rel, groups, model, config.cutoffs)
-    forks = data._usable_cpus() > 1 and slates.items.size >= _MIN_FORKED_SLOTS
-    with data._forked([partial(write_slates, slates, config, path),
-                       partial(evaluate, slates, rel, groups, model,
-                               config.cutoffs)],
-                      2 if forks else 1) as (_, report):
-        return report
+    calls = [partial(evaluate, slates, rel, groups, model, config.cutoffs)]
+    if slate_path is not None:
+        check_evaluable(rel, groups, model, config.cutoffs)
+        calls.insert(0, partial(write_slates, slates, config, slate_path))
+    forks = (len(calls) > 1 and data._usable_cpus() > 1
+             and slates.items.size >= _MIN_FORKED_SLOTS)
+    with data._forked(calls, 2 if forks else 1) as (*_, report):
+        return slates, report, _record(config, param, report,
+                                       wall * 1e6 / rel.m)
 
 
 def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
@@ -163,11 +137,14 @@ def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
     """Generate one slate set, evaluate it, optionally write both CSVs.
 
     The metrics row's param is the method's alpha or lambda, and nan for a
-    method without a tradeoff parameter. With a `slate_path`, at least
-    `_MIN_FORKED_SLOTS` slots and two or more usable CPUs, the slates are
-    evaluated in a forked child while this process writes them (see
-    `_evaluate_writing`); the report is bit-identical. A refused run
-    leaves no file, and its error is the serial run's.
+    method without a tradeoff parameter. With a `slate_path`,
+    `check_evaluable` runs first, so a refused run leaves no file and its
+    error is the serial run's. Then one `data._forked` call makes
+    `[write_slates, evaluate]`: both in this process, or, with at least
+    `_MIN_FORKED_SLOTS` slots and two or more usable CPUs, the write here
+    while a child evaluates and sends the report back. An evaluation that
+    does not come back runs here after the write, so the report is
+    bit-identical; the child is reaped before this returns or raises.
     """
     param = {"alpha": config.alpha, "lambda": config.lam}.get(
         PARAM_OF.get(config.method), float("nan"))
@@ -183,19 +160,18 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     """One TradeoffRecord per grid value, in ascending order.
 
     Each value replaces `config.lam` for fairco and `config.alpha` for
-    every other method, and is the record's param. The verfair methods
-    share one `Preferences` across the grid: the consumers are shuffled and
-    their preferences sorted once, in the first point, whose
-    `wall_ms_per_1k` carries the sort.
+    every other method, and is the record's param. The points are the
+    calls of one `data._forked` over the usable CPUs, which deals them
+    serpentine to this process and forked children and gives their
+    records in grid order, or the error the first failing point raises: a
+    point whose child was not forked or sent nothing back runs here, once.
+    So each `wall_ms_per_1k` is timed in the process that ran the point,
+    the records and the error are the serial sweep's, and every child is
+    reaped before this returns or raises.
 
-    The first point runs in this process. The others are the calls of one
-    `data._forked` over the usable CPUs, which deals them serpentine to
-    this process and forked children and gives their records in grid
-    order, or the error the first failing point raises: a point whose
-    child was not forked or sent nothing back runs here, once. So each
-    `wall_ms_per_1k` is timed in the process that ran the point,
-    concurrently with the others, and the records and the error are the
-    serial sweep's. Every child is reaped before this returns or raises.
+    The verfair methods share one `Preferences` across the grid: each
+    process shuffles the consumers and sorts their preferences once, in
+    the first point it runs, whose `wall_ms_per_1k` carries the sort.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -209,16 +185,14 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     if kind == "alpha":
         prefs = Preferences(rel, config.seed, config.shuffle,
                             rel.n if max(grid) > 0 else config.k)
-    values = sorted(grid)
 
     def record(value):
         return _point(replace(config, **{field: value}), value, rel, groups,
                       prefs)[2]
 
-    first = record(values[0])
-    with data._forked([partial(record, v) for v in values[1:]],
-                      data._usable_cpus()) as rest:
-        return [first, *rest]
+    with data._forked([partial(record, v) for v in sorted(grid)],
+                      data._usable_cpus()) as records:
+        return records
 
 
 def write_sweep(records, path):

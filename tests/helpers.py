@@ -172,22 +172,49 @@ def clustered_instance(s, order):
                            rel.item_ids, scores[rows])
 
 
-def shortfall_pk(slates, rel, model, alpha):
+# G(s) is the input of the benchmark's alloc-group-sweep workload at seed
+# s, rebuilt from the constants of benchmark/workloads.py: 20 groups of
+# these sizes, each with this relevance weight.
+GROUP_SIZES = (12, 10, 9, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 3, 2, 2, 2, 1, 1)
+GROUP_WEIGHTS = np.linspace(1.0, 0.3, len(GROUP_SIZES))
+
+
+def grouped_instance(s):
+    """G(s): (rel, groups). With `rng = default_rng([s, sum(map(ord,
+    "alloc-group-sweep"))])`, item j joins group
+    `rng.permutation(np.repeat(np.arange(20), GROUP_SIZES))[j]`, and its
+    scores are column j of `rng.beta(0.5, 2.0, (1000, 100))` times that
+    group's weight. Ids are the benchmark's: u0001-u1000, d001-d100 and
+    g01-g20."""
+    rng = np.random.default_rng([s, sum(map(ord, "alloc-group-sweep"))])
+    group_of = rng.permutation(np.repeat(np.arange(len(GROUP_SIZES)),
+                                         GROUP_SIZES))
+    scores = rng.beta(0.5, 2.0, size=(1000, 100)) * GROUP_WEIGHTS[group_of]
+    group_ids = tuple(f"g{g:02d}" for g in range(1, len(GROUP_SIZES) + 1))
+    rel = RelevanceMatrix(tuple(f"u{c:04d}" for c in range(1, 1001)),
+                          tuple(f"d{j:03d}" for j in range(1, 101)), scores)
+    return rel, GroupMap({d: group_ids[g]
+                          for d, g in zip(rel.item_ids, group_of)}, group_ids)
+
+
+def shortfall_pk(slates, rel, model, alpha, groups=None):
     """The largest amount, in units of p_k, by which an item's exposure in
-    `slates` falls short of its individual quota at `alpha`."""
-    groups = identity_groups(rel)
-    exposure = accumulate(slates, model, groups).per_item
+    `slates` falls short of its individual quota at `alpha`; with
+    `groups`, a group's of its group quota."""
+    groups = groups or identity_groups(rel)
+    exposure = accumulate(slates, model, groups).per_group
     short = compute_quotas(rel, groups, model, alpha) - exposure
     return float(short.max() / model.probs[model.k - 1])
 
 
-def matched_alpha(slates, rel, model):
+def matched_alpha(slates, rel, model, groups=None):
     """The matched guarantee alpha* of `slates`: the largest alpha on a
     0.01 grid at which every item's exposure is at least its individual
+    quota(alpha) - p_k; with `groups`, every group's at least its group
     quota(alpha) - p_k. Quotas grow with alpha, so every alpha below it
     is met too."""
-    groups = identity_groups(rel)
-    exposure = accumulate(slates, model, groups).per_item
+    groups = groups or identity_groups(rel)
+    exposure = accumulate(slates, model, groups).per_group
     p_k = model.probs[model.k - 1]
     return max(a / 100 for a in range(101) if (
         exposure >= compute_quotas(rel, groups, model, a / 100) - p_k).all())

@@ -1,21 +1,28 @@
-"""The abstract's headline claim on the guarantee axis: at the guarantee
-FairCo (Morik et al., SIGIR 2020) meets, VerFair gives consumers more.
+"""The abstract's headline claim: at the guarantee FairCo (Morik et al.,
+SIGIR 2020) meets, VerFair gives consumers more.
 
-For each FairCo run, at individual level with eta 1 and k 10, alpha* is
-the matched guarantee (`helpers.matched_alpha`), and VerFair runs at
-alpha* with seed 1. The instances are I(3) and C(3) in both arrival
-orders (`helpers.scaled_instance`, `helpers.clustered_instance`); FairCo
-serves the rows in input order, VerFair shuffles them. The pinned figures
-were measured on this code; slates are deterministic, so they hold to the
-last digit shown.
+For each FairCo run, with eta 1 and k 10, alpha* is the matched guarantee
+(`helpers.matched_alpha`), and VerFair runs at alpha* with seed 1. At
+individual level the instances are I(3) and C(3) in both arrival orders
+(`helpers.scaled_instance`, `helpers.clustered_instance`); FairCo serves
+the rows in input order, VerFair shuffles them. C(3) in clustered order is
+also compared on the 1 - JSD axis, and G(1)...G(10) at group level
+(`helpers.grouped_instance`), where the claim holds only at the fairest
+point. The pinned figures were measured on this code; slates are
+deterministic, so they hold to the last digit shown.
 """
 
+import functools
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from helpers import (clustered_instance, matched_alpha, scaled_instance,
-                     shortfall_pk)
-from verfair import (ExposureModel, allocate_individual, fairco,
-                     identity_groups, ndcg)
+from helpers import (clustered_instance, grouped_instance, matched_alpha,
+                     scaled_instance, shortfall_pk)
+from verfair import (ExposureModel, allocate, allocate_individual, evaluate,
+                     fairco, identity_groups, ndcg)
+from verfair.harness import RunConfig, sweep
 
 MODEL = ExposureModel.pbm(1.0, 10)
 
@@ -53,3 +60,79 @@ def test_verfair_beats_fairco_at_the_matched_guarantee(
                                            abs=5e-5)
     # VerFair meets the guarantee it is matched at: within p_k of quota
     assert shortfall_pk(slates, rel, MODEL, alpha) < 1
+
+
+# The clustered order on the 1 - JSD axis, the metric `evaluate` reports:
+# VerFair swept over alpha 0.30, 0.32, ..., 1.00 and interpolated linearly
+# at each FairCo point's 1 - JSD. (lambda, FairCo's 1 - JSD, FairCo's
+# NDCG@10, VerFair's interpolated NDCG@10)
+CLUSTERED_JSD = [
+    (0.003, 0.98511, 0.8823, 0.9331),
+    (0.01, 0.99787, 0.7034, 0.8998),
+    (0.03, 0.99977, 0.6266, 0.8857),
+]
+
+
+def test_verfair_beats_fairco_on_the_jsd_axis_in_clustered_order():
+    rel = INSTANCES["C(3) clustered"]()
+    groups = identity_groups(rel)
+    alphas = [a / 100 for a in range(30, 101, 2)]
+    records = sweep(RunConfig("verfair-ind", k=10, seed=1, cutoffs=(10,)),
+                    alphas, rel)
+    fair = [r.fairness_individual for r in records]
+    assert fair == sorted(fair)  # so the curve interpolates at any fairness
+    for lam, fairco_fair, fairco_ndcg, verfair_ndcg in CLUSTERED_JSD:
+        report = evaluate(fairco(rel, groups, MODEL, lam), rel, groups,
+                          MODEL, (10,))
+        theirs = report.ndcg_at[10]
+        ours = float(np.interp(report.fairness_individual, fair,
+                               [r.ndcg_at[10] for r in records]))
+        assert ours > theirs
+        assert (report.fairness_individual, theirs, ours) == pytest.approx(
+            (fairco_fair, fairco_ndcg, verfair_ndcg), abs=5e-5)
+
+
+# The group level on the guarantee axis, over G(1)...G(10)
+# (`helpers.grouped_instance`): FairCo runs with the group map, alpha* is
+# matched per group, and VerFair-group runs at alpha* with seed 1. VerFair
+# wins only at the fairest lambda. (lambda, VerFair's wins of 10, G(1)'s
+# FairCo NDCG@10, G(1)'s VerFair minus FairCo)
+GROUP_POINTS = [
+    (0.003, 3, 0.9773, -0.0009),
+    (0.01, 0, 0.9699, -0.0082),
+    (0.03, 0, 0.9637, -0.0060),
+    (0.1, 10, 0.9470, 0.0085),
+]
+
+
+@functools.cache
+def group_instance(s):
+    return grouped_instance(s)
+
+
+@pytest.mark.parametrize("lam, wins, fairco_ndcg, margin", GROUP_POINTS)
+def test_verfair_group_against_fairco_at_the_matched_guarantee(
+        lam, wins, fairco_ndcg, margin):
+    ndcgs = []
+    for s in range(1, 11):
+        rel, groups = group_instance(s)
+        baseline = fairco(rel, groups, MODEL, lam)
+        alpha = matched_alpha(baseline, rel, MODEL, groups)
+        slates = allocate(rel, groups, MODEL, alpha, seed=1)
+        ndcgs.append((ndcg(baseline, rel, MODEL, 10),
+                      ndcg(slates, rel, MODEL, 10)))
+        # VerFair meets the guarantee it is matched at: within p_k of quota
+        assert shortfall_pk(slates, rel, MODEL, alpha, groups) < 1
+    assert sum(ours > theirs for theirs, ours in ndcgs) == wins
+    theirs, ours = ndcgs[0]
+    assert (theirs, ours - theirs) == pytest.approx((fairco_ndcg, margin),
+                                                    abs=5e-5)
+
+
+def test_grouped_instance_is_the_benchmark_input(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmark"))
+    from workloads import WORKLOADS, make_scores
+    scores, group_of, _ = make_scores(WORKLOADS["alloc-group-sweep"], 1)
+    rel, groups = group_instance(1)
+    assert rel.scores.tolist() == scores.tolist()
+    assert groups.indices(rel).tolist() == group_of.tolist()

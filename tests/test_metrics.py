@@ -216,3 +216,23 @@ class TestCheckEvaluable:
         with pytest.raises(ValueError) as evaluated:
             evaluate(top_k(rel, 2), rel, groups, model, cutoffs)
         assert str(checked.value) == str(evaluated.value) == message
+
+    def test_evaluate_reads_the_mean_relevance_once(self, monkeypatch):
+        # check_evaluable reads it, and both fairness levels reuse it
+        rel = synth_relevance(12, 6, seed=2)
+        groups = GroupMap({d: f"g{j % 2}" for j, d in enumerate(rel.item_ids)},
+                          ("g0", "g1"))
+        model = ExposureModel.pbm(1.0, 3)
+        slates = top_k(rel, 3)
+        want = evaluate(slates, rel, groups, model, (1, 3))
+        reads, mean = [], RelevanceMatrix.avg_relevance
+
+        def counted(self):
+            reads.append(1)
+            return mean(self)
+
+        monkeypatch.setattr(RelevanceMatrix, "avg_relevance", counted)
+        assert evaluate(slates, rel, groups, model, (1, 3)) == want
+        assert len(reads) == 1
+        assert check_evaluable(rel, groups, model, (1,)).tolist() == \
+            mean(rel).tolist()
