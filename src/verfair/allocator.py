@@ -437,10 +437,10 @@ class Preferences:
     id ranks, and each consumer's items, best first, to `depth` columns.
 
     Each array is built on first use and is read-only. A sweep builds one
-    and hands it to every grid point, so each process of the sweep
-    shuffles the consumers and sorts their preferences once, inside the
-    first point it runs; `depth` must then cover every point: n when some
-    alpha of the grid is above 0, k when none is.
+    and hands it to every grid point, so the consumers are shuffled and
+    their preferences sorted once per sweep (see `harness.sweep`); `depth`
+    must then cover every point: n when some alpha of the grid is above
+    0, k when none is.
     """
 
     def __init__(self, rel: RelevanceMatrix, seed, shuffle, depth):
@@ -489,9 +489,8 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
 
     The shuffle and the preference sort do not depend on alpha. `prefs`,
     built for this `rel`, `seed` and `shuffle`, lends them to every call of
-    a sweep, which so shuffles and sorts once a process, in the first
-    grid point each runs, whose `wall_ms_per_1k` carries the sort. Without
-    `prefs` the call builds its own.
+    a sweep, which so shuffles and sorts once. Without `prefs` the call
+    builds its own.
     """
     k = model.k
     m, n = rel.m, rel.n

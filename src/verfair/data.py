@@ -75,8 +75,13 @@ class RelevanceMatrix:
         return self.scores.shape[1]
 
     def avg_relevance(self):
-        """Per-item relevance averaged uniformly over consumers."""
-        return self.scores.mean(axis=0)
+        """Per-item relevance averaged uniformly over consumers: computed on
+        the first call and kept, read-only, for every later one."""
+        avg = self.__dict__.get("_avg")
+        if avg is None:
+            avg = self.__dict__["_avg"] = self.scores.mean(axis=0)
+            avg.flags.writeable = False
+        return avg
 
     def item_index(self):
         return {d: i for i, d in enumerate(self.item_ids)}

@@ -169,9 +169,11 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     the records and the error are the serial sweep's, and every child is
     reaped before this returns or raises.
 
-    The verfair methods share one `Preferences` across the grid: each
-    process shuffles the consumers and sorts their preferences once, in
-    the first point it runs, whose `wall_ms_per_1k` carries the sort.
+    The verfair methods share one `Preferences` across the grid, so the
+    consumers are shuffled and their preferences sorted once per sweep:
+    in the first point on one CPU, whose `wall_ms_per_1k` carries the
+    sort, or here before the fork, which the children inherit, so no
+    point carries it.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -182,16 +184,19 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
         raise ValueError("alpha values must be in [0,1]")
     field = "lam" if kind == "lambda" else "alpha"
     prefs = None
+    cpus = data._usable_cpus()
     if kind == "alpha":
         prefs = Preferences(rel, config.seed, config.shuffle,
                             rel.n if max(grid) > 0 else config.k)
+        if min(cpus, len(grid)) > 1:
+            prefs.items  # sorted before the fork
 
     def record(value):
         return _point(replace(config, **{field: value}), value, rel, groups,
                       prefs)[2]
 
     with data._forked([partial(record, v) for v in sorted(grid)],
-                      data._usable_cpus()) as records:
+                      cpus) as records:
         return records
 
 

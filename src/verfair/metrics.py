@@ -70,14 +70,11 @@ def check_evaluable(rel: RelevanceMatrix, groups: GroupMap,
     cutoff outside 1..k, an item of `rel` that `groups` gives no group,
     then an all-zero mean relevance. (Rank 1 is examined with probability
     1, so a slate set of one slate or more never has all-zero exposure;
-    `evaluate` refuses an empty slate set before these.) Returns the mean
-    relevance, `rel.avg_relevance()`."""
+    `evaluate` refuses an empty slate set before these.)"""
     for kc in cutoffs:
         _check_cutoff(kc, model)
     groups.indices(rel)  # raises for a matrix item with no group
-    avg = rel.avg_relevance()
-    _check_relevance(avg)
-    return avg
+    _check_relevance(rel.avg_relevance())
 
 
 def _gather(slates, rel: RelevanceMatrix, depth):
@@ -128,15 +125,12 @@ def _jsd_base2(p, q):
 
 
 def jsd_fairness(ledger: ExposureLedger, rel: RelevanceMatrix,
-                 groups: GroupMap, level="individual", *, avg=None) -> float:
+                 groups: GroupMap, level="individual") -> float:
     """1 - JSD between the exposure and relevance distributions.
 
     `level` selects per-item or per-group distributions; both are normalized
-    to probability vectors first, so the metric is scale-invariant. `avg`
-    is `rel.avg_relevance()`, read here when not given.
+    to probability vectors first, so the metric is scale-invariant.
     """
-    if avg is None:
-        avg = rel.avg_relevance()
     if level == "individual":
         try:
             e = ledger.per_item[_positions(rel.item_ids,
@@ -144,10 +138,10 @@ def jsd_fairness(ledger: ExposureLedger, rel: RelevanceMatrix,
         except KeyError:  # an item of `rel` has no group
             groups.indices(rel)  # raises the DataError that names it
             raise
-        r = avg
+        r = rel.avg_relevance()
     elif level == "group":
         e = ledger.per_group
-        r = group_relevance(rel, groups, avg)
+        r = group_relevance(rel, groups)
     else:
         raise ValueError(f"unknown level {level!r}")
     if e.sum() <= 0:
@@ -161,16 +155,14 @@ def evaluate(slates, rel: RelevanceMatrix, groups: GroupMap,
     """Bundle NDCG at each cutoff with both fairness levels from one ledger.
 
     An empty slate set is refused first, then `check_evaluable` runs; all
-    cutoffs then read one `_gather` to the largest, and both levels the
-    mean relevance `check_evaluable` read."""
+    cutoffs then read one `_gather` to the largest."""
     if not len(slates.rows):
         raise ValueError("no slates to evaluate")
-    avg = check_evaluable(rel, groups, model, cutoffs)
+    check_evaluable(rel, groups, model, cutoffs)
     ledger = accumulate(slates, model, groups)
     gathered = _gather(slates, rel, max(cutoffs)) if cutoffs else None
     return EvalReport(
         ndcg_at={kc: ndcg(slates, rel, model, kc, gathered) for kc in cutoffs},
-        fairness_individual=jsd_fairness(ledger, rel, groups, "individual",
-                                         avg=avg),
-        fairness_group=jsd_fairness(ledger, rel, groups, "group", avg=avg),
+        fairness_individual=jsd_fairness(ledger, rel, groups, "individual"),
+        fairness_group=jsd_fairness(ledger, rel, groups, "group"),
     )

@@ -24,12 +24,11 @@ class AnchorPoint:
     rank: int      # 1-based rank
 
 
-def group_relevance(rel: RelevanceMatrix, groups: GroupMap, avg=None):
-    """Accumulated average relevance per group, ordered like group_ids;
-    `avg` is `rel.avg_relevance()`, read here when not given."""
+def group_relevance(rel: RelevanceMatrix, groups: GroupMap):
+    """Accumulated average relevance per group, ordered like group_ids."""
     gidx = groups.indices(rel)
-    return np.bincount(gidx, weights=rel.avg_relevance() if avg is None
-                       else avg, minlength=len(groups.group_ids))
+    return np.bincount(gidx, weights=rel.avg_relevance(),
+                       minlength=len(groups.group_ids))
 
 
 def compute_quotas(rel: RelevanceMatrix, groups: GroupMap,

@@ -1,7 +1,9 @@
 """Shared test utilities, including independent brute-force oracles."""
 
 import math
+import runpy
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
@@ -172,27 +174,16 @@ def clustered_instance(s, order):
                            rel.item_ids, scores[rows])
 
 
-# G(s) is the input of the benchmark's alloc-group-sweep workload at seed
-# s, rebuilt from the constants of benchmark/workloads.py: 20 groups of
-# these sizes, each with this relevance weight.
-GROUP_SIZES = (12, 10, 9, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 3, 2, 2, 2, 1, 1)
-GROUP_WEIGHTS = np.linspace(1.0, 0.3, len(GROUP_SIZES))
-
-
 def grouped_instance(s):
-    """G(s): (rel, groups). With `rng = default_rng([s, sum(map(ord,
-    "alloc-group-sweep"))])`, item j joins group
-    `rng.permutation(np.repeat(np.arange(20), GROUP_SIZES))[j]`, and its
-    scores are column j of `rng.beta(0.5, 2.0, (1000, 100))` times that
-    group's weight. Ids are the benchmark's: u0001-u1000, d001-d100 and
-    g01-g20."""
-    rng = np.random.default_rng([s, sum(map(ord, "alloc-group-sweep"))])
-    group_of = rng.permutation(np.repeat(np.arange(len(GROUP_SIZES)),
-                                         GROUP_SIZES))
-    scores = rng.beta(0.5, 2.0, size=(1000, 100)) * GROUP_WEIGHTS[group_of]
-    group_ids = tuple(f"g{g:02d}" for g in range(1, len(GROUP_SIZES) + 1))
-    rel = RelevanceMatrix(tuple(f"u{c:04d}" for c in range(1, 1001)),
-                          tuple(f"d{j:03d}" for j in range(1, 101)), scores)
+    """G(s): (rel, groups), the input of the benchmark's alloc-group-sweep
+    workload at seed s, as `make_scores` of benchmark/workloads.py makes
+    it, with the benchmark's ids: u0001-u1000, d001-d100 and g01-g20."""
+    workloads = runpy.run_path(
+        str(Path(__file__).parents[1] / "benchmark" / "workloads.py"))
+    ids, w = workloads["_ids"], workloads["WORKLOADS"]["alloc-group-sweep"]
+    scores, group_of, n_groups = workloads["make_scores"](w, s)
+    group_ids = tuple(ids("g", n_groups))
+    rel = RelevanceMatrix(tuple(ids("u", w.m)), tuple(ids("d", w.n)), scores)
     return rel, GroupMap({d: group_ids[g]
                           for d, g in zip(rel.item_ids, group_of)}, group_ids)
 

@@ -409,9 +409,9 @@ SLATE_ARRAYS = ("rows", "items", "phase", "pre_rank", "allocation_exposure")
 @pytest.mark.parametrize("grid", [(1.0, 0.0, 0.5, 0.5, 0.25), (0.0, 0.0)])
 def test_sweep_shares_preferences_without_changing_a_point(
         monkeypatch, shape, eta, method, grid):
-    # each process of a sweep shuffles and sorts once and lends the result
-    # to every grid point it runs: each point must equal the same alpha
-    # run alone, and no point may write into what the next one reads
+    # a sweep shuffles and sorts once and lends the result to every grid
+    # point: each point must equal the same alpha run alone, and no point
+    # may write into what the next one reads
     rel, groups = shared_instance(shape)
     config = harness.RunConfig(method, eta=eta, k=10, seed=9)
     built = []

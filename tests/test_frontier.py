@@ -13,7 +13,6 @@ deterministic, so they hold to the last digit shown.
 """
 
 import functools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,12 +126,3 @@ def test_verfair_group_against_fairco_at_the_matched_guarantee(
     theirs, ours = ndcgs[0]
     assert (theirs, ours - theirs) == pytest.approx((fairco_ndcg, margin),
                                                     abs=5e-5)
-
-
-def test_grouped_instance_is_the_benchmark_input(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmark"))
-    from workloads import WORKLOADS, make_scores
-    scores, group_of, _ = make_scores(WORKLOADS["alloc-group-sweep"], 1)
-    rel, groups = group_instance(1)
-    assert rel.scores.tolist() == scores.tolist()
-    assert groups.indices(rel).tolist() == group_of.tolist()

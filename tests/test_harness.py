@@ -120,28 +120,31 @@ class TestSweep:
     @pytest.mark.parametrize("grid, depth", [
         ((0.5,), 15), ((0.0, 0.25, 0.5, 0.75, 1.0), 15),
         ((1.0, 0.0, 0.5, 0.5), 15), ((0.0, 0.0), 5)])
-    def test_verfair_sorts_preferences_once(self, rel, monkeypatch, method,
-                                            grid, depth):
-        # one sort per process of a sweep, whatever the grid length, to
-        # depth n when some alpha is above 0 and to k when none is; one
-        # per run. Only this process's sorts are counted here: it runs
-        # the first point on any CPU count
-        depths = []
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_verfair_sorts_preferences_once(self, rel, monkeypatch, tmp_path,
+                                            method, grid, depth, cpus):
+        # one sort per sweep, in this process, whatever the grid length and
+        # the CPU count, to depth n when some alpha is above 0 and to k
+        # when none is; one per run. Each sort appends "pid depth" to a
+        # file, so the sorts of forked children are counted too
+        sorts = tmp_path / "sorts"
 
         def counting_preferences(scores, id_rank, d):
-            depths.append(d)
+            with open(sorts, "a") as f:
+                f.write(f"{os.getpid()} {d}\n")
             return real_preferences(scores, id_rank, d)
 
         real_preferences = allocator._preferences
         monkeypatch.setattr(allocator, "_preferences", counting_preferences)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
         groups = GroupMap({d: f"g{j % 3}" for j, d in enumerate(rel.item_ids)},
                           ("g0", "g1", "g2"))
         config = RunConfig(method=method, eta=1.0, k=5, cutoffs=(1, 3))
         sweep(config, grid, rel, groups)
-        assert depths == [depth]
-        depths.clear()
+        assert sorts.read_text() == f"{os.getpid()} {depth}\n"
+        sorts.unlink()
         run(config, rel, groups)
-        assert depths == [rel.n]
+        assert sorts.read_text() == f"{os.getpid()} {rel.n}\n"
 
     def test_reproducible(self, rel):
         config = RunConfig(method="verfair-ind", eta=1.0, k=5, seed=4,
@@ -155,8 +158,9 @@ class TestSweep:
 
 
 # A sweep's points run on every usable CPU, this process's and forked
-# children's. These tests set the CPU count: the records, wall time dropped, must be
-# those of the serial sweep (one CPU), and no child may outlive a sweep.
+# children's. These tests set the CPU count: the records, wall time
+# dropped, must be those of the serial sweep (one CPU), and no child may
+# outlive a sweep.
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):

@@ -217,22 +217,25 @@ class TestCheckEvaluable:
             evaluate(top_k(rel, 2), rel, groups, model, cutoffs)
         assert str(checked.value) == str(evaluated.value) == message
 
-    def test_evaluate_reads_the_mean_relevance_once(self, monkeypatch):
-        # check_evaluable reads it, and both fairness levels reuse it
+    def test_evaluate_shares_one_mean_relevance(self, monkeypatch):
+        # check_evaluable and both fairness levels read one array, the
+        # read-only one the matrix keeps: the mean is computed once
         rel = synth_relevance(12, 6, seed=2)
         groups = GroupMap({d: f"g{j % 2}" for j, d in enumerate(rel.item_ids)},
                           ("g0", "g1"))
         model = ExposureModel.pbm(1.0, 3)
         slates = top_k(rel, 3)
-        want = evaluate(slates, rel, groups, model, (1, 3))
+        want = evaluate(slates, synth_relevance(12, 6, seed=2), groups, model,
+                        (1, 3))
         reads, mean = [], RelevanceMatrix.avg_relevance
 
-        def counted(self):
-            reads.append(1)
-            return mean(self)
+        def recorded(self):
+            reads.append(mean(self))
+            return reads[-1]
 
-        monkeypatch.setattr(RelevanceMatrix, "avg_relevance", counted)
+        monkeypatch.setattr(RelevanceMatrix, "avg_relevance", recorded)
         assert evaluate(slates, rel, groups, model, (1, 3)) == want
-        assert len(reads) == 1
-        assert check_evaluable(rel, groups, model, (1,)).tolist() == \
-            mean(rel).tolist()
+        assert len(reads) == 3
+        assert all(avg is reads[0] for avg in reads)
+        assert not reads[0].flags.writeable
+        assert reads[0].tolist() == rel.scores.mean(axis=0).tolist()
