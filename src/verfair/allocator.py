@@ -41,11 +41,10 @@ bit-identical to the slot-by-slot walk kept in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .data import GroupMap, RelevanceMatrix, identity_groups
+from .data import GroupMap, RelevanceMatrix, _id_ranks, identity_groups
 from .exposure import ExposureModel
 from .quota import compute_quotas, find_anchor
 
@@ -55,10 +54,6 @@ _QUOTA_EPS = 1e-9
 # benchmark's alloc-ind peak RSS rose by up to 5.6% over the slot-by-slot
 # walk on some seeds, at 8 by at most 2.7%, with no loss of speed.
 _PICK_DEPTH = 8
-# Scores sorted at once by `_preferences`. From 1 << 14 up its speed is
-# flat; at 1 << 18 one block held all of alloc-ind's 2000x100 and the
-# benchmark's peak RSS rose by 2 MB.
-_SORT_BLOCK = 1 << 15
 
 ALLOCATION = "allocation"
 APPENDING = "appending"
@@ -120,81 +115,15 @@ class SlateSet:
                 in zip(self.order, self._item_rows(), self.pre_rank.tolist())}
 
 
-def _id_ranks(ids):
-    """rank[i] = position of ids[i] in ascending lexicographic order."""
-    order = np.argsort(np.array(ids, dtype=object), kind="stable")
-    ranks = np.empty(len(ids), dtype=int)
-    ranks[order] = np.arange(len(ids))
-    return ranks
-
-
-def _partitions(n, depth):
-    """Whether a row of n entries, of which only the first `depth` in
-    sorted order are read, is cut to its leading entries by a partition
-    before they are sorted: when n >= 256 and n >= 4 * depth. Below that
-    a full sort of the row is faster. `_preferences`, the baselines'
-    `_top_k` and the ideal rows of `metrics` all follow this rule."""
-    return n >= max(256, 4 * depth)
-
-
-def _preferences(scores, id_rank, depth):
-    """(m, depth) item indices per row by descending score, ties by
-    ascending item id: the first `depth` columns of each row's
-    `np.lexsort((id_rank, -scores))`.
-
-    Distinct scores have one descending order, so an unstable argsort finds
-    it. Where `_partitions(n, depth)` holds, only the depth + 1 largest
-    scores of a row, found by `np.argpartition`, are sorted. A row is
-    sorted again only where two of its first depth + 1 sorted scores are
-    equal (0.0 and -0.0 included): with no such tie, its first depth items
-    each score strictly above every item after them, partitioned out or
-    not. The repair is a stable sort of the whole row's scores laid out in
-    item-id order, so equal scores keep ascending ids. Once most rows of a
-    block tie, as rated or rounded relevance does, the unstable pass is
-    wasted work and every later block goes to the stable sort outright.
-    Rows go a block of `_SORT_BLOCK` scores at a time, so no temporary
-    grows to (m, n).
-    """
-    m, n = scores.shape
-    by_id = np.argsort(id_rank)
-
-    def stable(rows):
-        return by_id[np.argsort(-rows[:, by_id], axis=1,
-                                kind="stable")[:, :depth]]
-
-    out = np.empty((m, depth), dtype=np.intp)
-    step = max(1, _SORT_BLOCK // n)
-    wide = _partitions(n, depth)
-    mostly_tied = False
-    for lo in range(0, m, step):
-        block = scores[lo:lo + step]
-        if mostly_tied:
-            out[lo:lo + step] = stable(block)
-            continue
-        neg = -block
-        if wide:
-            cand = np.argpartition(neg, depth, axis=1)[:, :depth + 1]
-            order = np.take_along_axis(cand, np.argsort(
-                np.take_along_axis(neg, cand, axis=1), axis=1), axis=1)
-        else:
-            order = np.argsort(neg, axis=1)[:, :depth + 1]
-        lead = np.take_along_axis(block, order, axis=1)
-        out[lo:lo + step] = order[:, :depth]
-        tied = np.flatnonzero((lead[:, 1:] == lead[:, :-1]).any(axis=1))
-        if tied.size:
-            out[lo + tied] = stable(block[tied])
-        mostly_tied = 2 * tied.size > len(block)
-    return out
-
-
-def _exchange(c, r, slate, avail, needy, scores, id_rank):
+def _exchange(c, r, slate, avail, needy, scores, order, id_rank):
     """Same-rank exchange for a slot whose consumer already shows every
     needy item: (c2, y) such that consumer c2, filled earlier at rank r,
     can take the needy item y it does not show and hand its own rank-r
     item, which c does not show, to c. Among all such pairs the one that
     keeps the most relevance (c's score for the handed item, plus c2's for
     y, minus c2's for the handed item) wins; ties go to the smaller item
-    id, then the earlier consumer. None when no pair exists."""
+    id, then the earlier consumer. None when no pair exists. Consumer c
+    of the allocation order is row order[c] of `scores`."""
     filled = np.flatnonzero(slate[:, r] >= 0)
     handed = slate[filled, r]
     ok = avail[c, handed]
@@ -203,7 +132,8 @@ def _exchange(c, r, slate, avail, needy, scores, id_rank):
     if fi.size == 0:
         return None
     c2, x, y = filled[fi], handed[fi], needy[yi]
-    gain = scores[c, x] + scores[c2, y] - scores[c2, x]
+    u, u2 = order[c], order[c2]
+    gain = scores[u, x] + scores[u2, y] - scores[u2, x]
     best = np.lexsort((c2, id_rank[y], -gain))[0]
     return c2[best], y[best]
 
@@ -307,7 +237,7 @@ def _closing(g, room, pos, size):
 
 
 def _allocate_rank(r, first, p, quota, alloc_exp, gidx, pref, avail, slate,
-                   scores, id_rank):
+                   scores, order, id_rank):
     """Fill rank r of consumers first..m-1 in order, each slot with the
     consumer's first unshown preference whose group has headroom, else an
     exchange, else the fallback; charge `alloc_exp` and return whether a
@@ -370,7 +300,7 @@ def _allocate_rank(r, first, p, quota, alloc_exp, gidx, pref, avail, slate,
             continue
         c = rows[pos]
         swap = _exchange(c, r, slate, avail, np.flatnonzero(open_item),
-                         scores, id_rank)
+                         scores, order, id_rank)
         if swap is not None:
             c2, charged = swap
             d = slate[c2, r]
@@ -430,54 +360,8 @@ def _resort(plain_rank, last):
     return out
 
 
-class Preferences:
-    """What `allocate` computes before it reads alpha, for one `rel`,
-    `seed` and `shuffle`: the consumer order (a seeded shuffle, or dataset
-    order when `shuffle` is False), the scores in that order, the items'
-    id ranks, and each consumer's items, best first, to `depth` columns.
-
-    Each array is built on first use and is read-only. A sweep builds one
-    and hands it to every grid point, so the consumers are shuffled and
-    their preferences sorted once per sweep (see `harness.sweep`); `depth`
-    must then cover every point: n when some alpha of the grid is above
-    0, k when none is.
-    """
-
-    def __init__(self, rel: RelevanceMatrix, seed, shuffle, depth):
-        self.rel, self.seed, self.shuffle = rel, seed, shuffle
-        self.depth = depth
-
-    @staticmethod
-    def _frozen(a):
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def order(self):
-        m = self.rel.m
-        return self._frozen(np.random.default_rng(self.seed).permutation(m)
-                            if self.shuffle else np.arange(m))
-
-    @cached_property
-    def scores(self):
-        # row c = consumer at order position c
-        return self._frozen(self.rel.scores[self.order])
-
-    @cached_property
-    def id_rank(self):
-        return self._frozen(_id_ranks(self.rel.item_ids))
-
-    @cached_property
-    def items(self):
-        """(m, depth) item indices per row by descending score, ties by
-        ascending item id (`_preferences`)."""
-        return self._frozen(_preferences(self.scores, self.id_rank,
-                                         self.depth))
-
-
 def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
-             alpha, seed, shuffle=True, *, prefs: Preferences = None
-             ) -> SlateSet:
+             alpha, seed, shuffle=True) -> SlateSet:
     """Run the full three-phase allocation and return the slate set.
 
     The consumer order is a seeded shuffle; `shuffle=False` keeps dataset
@@ -487,10 +371,9 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     ranking: each slate is the consumer's first k preferences, returned
     as they are.
 
-    The shuffle and the preference sort do not depend on alpha. `prefs`,
-    built for this `rel`, `seed` and `shuffle`, lends them to every call of
-    a sweep, which so shuffles and sorts once. Without `prefs` the call
-    builds its own.
+    The preferences are `rel.preferences`, in the shuffled order: to depth
+    n, or k at alpha 0. The matrix keeps its sort, so a sweep's points and
+    the `evaluate` after them sort no row again.
     """
     k = model.k
     m, n = rel.m, rel.n
@@ -501,17 +384,9 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     # with no allocation phase only the appending phase reads the
     # preferences, and only the first k
     depth = n if alpha > 0 else k
-    if prefs is None:
-        prefs = Preferences(rel, seed, shuffle, depth)
-    elif (prefs.rel is not rel or prefs.seed != seed
-          or prefs.shuffle != shuffle):
-        raise ValueError("prefs were built for another rel, seed or shuffle")
-    elif prefs.depth < depth:
-        raise ValueError(f"prefs sorted to depth {prefs.depth}, "
-                         f"alpha={alpha} needs {depth}")
-
-    order, scores, id_rank = prefs.order, prefs.scores, prefs.id_rank
-    pref = prefs.items  # row c = c's items, best first
+    order = (np.random.default_rng(seed).permutation(m) if shuffle
+             else np.arange(m))
+    pref = rel.preferences(depth)[order]  # row c = c's items, best first
     alloc_exp = np.zeros(len(groups.group_ids))
     if alpha == 0:
         # every slot is appended, and each row's first k preferences are
@@ -525,6 +400,7 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     slate = np.full((m, k), -1, dtype=int)
     fallback_used = False
     gidx = groups.indices(rel)
+    id_rank = _id_ranks(rel.item_ids)
     avail = np.ones((m, n), dtype=bool)  # items each row does not show yet
     quota = compute_quotas(rel, groups, model, alpha)
     anchor = find_anchor(model, m, alpha)
@@ -532,7 +408,7 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
         first = anchor.consumer - 1 if r == anchor.rank - 1 else 0
         fallback_used |= _allocate_rank(
             r, first, model.probs[r], quota, alloc_exp, gidx, pref,
-            avail, slate, scores, id_rank)
+            avail, slate, rel.scores, order, id_rank)
 
     # Appending: each consumer's empty slots, in rank order, take its best
     # items its slate does not show. The allocation phase fills whole ranks
@@ -548,7 +424,7 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     phase = np.where(empty, 2, 1).astype(np.int8)  # 2 appending
 
     # Re-sort: by relevance, no allocation item below its deadline
-    row_scores = np.take_along_axis(scores, slate, axis=1)
+    row_scores = rel.scores[order[:, None], slate]
     plain = np.lexsort((id_rank[slate], -row_scores), axis=1)
     perm = _resort(np.argsort(plain, axis=1),
                    np.where(phase == 1, _deadlines(model.probs), k - 1))
@@ -562,8 +438,6 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
 
 
 def allocate_individual(rel: RelevanceMatrix, model: ExposureModel,
-                        alpha, seed, shuffle=True, *,
-                        prefs: Preferences = None) -> SlateSet:
+                        alpha, seed, shuffle=True) -> SlateSet:
     """Individual-level allocation: every item is its own group."""
-    return allocate(rel, identity_groups(rel), model, alpha, seed, shuffle,
-                    prefs=prefs)
+    return allocate(rel, identity_groups(rel), model, alpha, seed, shuffle)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .allocator import (APPENDING, PHASE_TAG, SlateSet, _id_ranks,
-                        _partitions, _preferences)
-from .data import GroupMap, RelevanceMatrix, identity_groups
+from .allocator import APPENDING, PHASE_TAG, SlateSet
+from .data import (GroupMap, RelevanceMatrix, _id_ranks, _partitions,
+                   identity_groups)
 from .exposure import ExposureModel
 from .quota import compute_quotas, group_relevance
 
@@ -29,11 +29,11 @@ def _horizontal(rel: RelevanceMatrix, slate_idx) -> SlateSet:
 
 
 def top_k(rel: RelevanceMatrix, k) -> SlateSet:
-    """Each consumer's k highest-relevance items, descending."""
+    """Each consumer's k highest-relevance items, descending: the first k
+    of `rel.preferences`."""
     if rel.n < k:
         raise ValueError(f"need n >= k (n={rel.n}, k={k})")
-    top = _preferences(rel.scores, _id_ranks(rel.item_ids), k)
-    return _horizontal(rel, top)
+    return _horizontal(rel, rel.preferences(k))
 
 
 def random_k(rel: RelevanceMatrix, k, seed) -> SlateSet:

@@ -83,6 +83,18 @@ class RelevanceMatrix:
             avg.flags.writeable = False
         return avg
 
+    def preferences(self, depth):
+        """(m, depth) item indices of each row, best first, ties by
+        ascending item id (`_preferences`). The deepest sort made is kept,
+        read-only: a shallower call is a slice of it, and a deeper one
+        sorts again and replaces it."""
+        pref = self.__dict__.get("_pref")
+        if pref is None or pref.shape[1] < depth:
+            pref = self.__dict__["_pref"] = _preferences(
+                self.scores, _id_ranks(self.item_ids), depth)
+            pref.flags.writeable = False
+        return pref[:, :depth]
+
     def item_index(self):
         return {d: i for i, d in enumerate(self.item_ids)}
 
@@ -114,6 +126,79 @@ class GroupMap:
         except KeyError as exc:  # gpos holds every group: an item is missing
             raise DataError(
                 f"unknown item {exc.args[0]!r}: it has no group") from None
+
+
+# Scores sorted at once by `_preferences`. From 1 << 14 up its speed is
+# flat; at 1 << 18 one block held all of alloc-ind's 2000x100 and the
+# benchmark's peak RSS rose by 2 MB.
+_SORT_BLOCK = 1 << 15
+
+
+def _id_ranks(ids):
+    """rank[i] = position of ids[i] in ascending lexicographic order."""
+    order = np.argsort(np.array(ids, dtype=object), kind="stable")
+    ranks = np.empty(len(ids), dtype=int)
+    ranks[order] = np.arange(len(ids))
+    return ranks
+
+
+def _partitions(n, depth):
+    """Whether a row of n entries, of which only the first `depth` in
+    sorted order are read, is cut to its leading entries by a partition
+    before they are sorted: when n >= 256 and n >= 4 * depth. Below that
+    a full sort of the row is faster. `_preferences` and the baselines'
+    `_top_k` follow this rule."""
+    return n >= max(256, 4 * depth)
+
+
+def _preferences(scores, id_rank, depth):
+    """(m, depth) item indices per row by descending score, ties by
+    ascending item id: the first `depth` columns of each row's
+    `np.lexsort((id_rank, -scores))`.
+
+    Distinct scores have one descending order, so an unstable argsort finds
+    it. Where `_partitions(n, depth)` holds, only the depth + 1 largest
+    scores of a row, found by `np.argpartition`, are sorted. A row is
+    sorted again only where two of its first depth + 1 sorted scores are
+    equal (0.0 and -0.0 included): with no such tie, its first depth items
+    each score strictly above every item after them, partitioned out or
+    not. The repair is a stable sort of the whole row's scores laid out in
+    item-id order, so equal scores keep ascending ids. Once most rows of a
+    block tie, as rated or rounded relevance does, the unstable pass is
+    wasted work and every later block goes to the stable sort outright.
+    Rows go a block of `_SORT_BLOCK` scores at a time, so no temporary
+    grows to (m, n).
+    """
+    m, n = scores.shape
+    by_id = np.argsort(id_rank)
+
+    def stable(rows):
+        return by_id[np.argsort(-rows[:, by_id], axis=1,
+                                kind="stable")[:, :depth]]
+
+    out = np.empty((m, depth), dtype=np.intp)
+    step = max(1, _SORT_BLOCK // n)
+    wide = _partitions(n, depth)
+    mostly_tied = False
+    for lo in range(0, m, step):
+        block = scores[lo:lo + step]
+        if mostly_tied:
+            out[lo:lo + step] = stable(block)
+            continue
+        neg = -block
+        if wide:
+            cand = np.argpartition(neg, depth, axis=1)[:, :depth + 1]
+            order = np.take_along_axis(cand, np.argsort(
+                np.take_along_axis(neg, cand, axis=1), axis=1), axis=1)
+        else:
+            order = np.argsort(neg, axis=1)[:, :depth + 1]
+        lead = np.take_along_axis(block, order, axis=1)
+        out[lo:lo + step] = order[:, :depth]
+        tied = np.flatnonzero((lead[:, 1:] == lead[:, :-1]).any(axis=1))
+        if tied.size:
+            out[lo + tied] = stable(block[tied])
+        mostly_tied = 2 * tied.size > len(block)
+    return out
 
 
 # Score fields per chunk of lines read at once. Chunks of 2**15 fields read

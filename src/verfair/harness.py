@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .allocator import PHASE_TAG, Preferences, allocate, allocate_individual
+from .allocator import PHASE_TAG, allocate, allocate_individual
 from .baselines import fairco, pr_k, random_k, top_k
 from . import data
 from .data import GroupMap, RelevanceMatrix, identity_groups
@@ -75,10 +75,9 @@ class TradeoffRecord:
 
 def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
                 model: ExposureModel, *, alpha=1.0, lam=0.0, seed=0,
-                shuffle=True, prefs=None):
+                shuffle=True):
     """Dispatch a method name to its allocator. `fairco` and
-    `verfair-group` work at the level of `groups`. `prefs` goes to the
-    verfair allocators (see `allocate`)."""
+    `verfair-group` work at the level of `groups`."""
     if method == "top-k":
         return top_k(rel, model.k)
     if method == "random-k":
@@ -88,11 +87,9 @@ def make_slates(method, rel: RelevanceMatrix, groups: GroupMap,
     if method == "fairco":
         return fairco(rel, groups, model, lam)
     if method == "verfair-ind":
-        return allocate_individual(rel, model, alpha, seed, shuffle,
-                                   prefs=prefs)
+        return allocate_individual(rel, model, alpha, seed, shuffle)
     if method == "verfair-group":
-        return allocate(rel, groups, model, alpha, seed, shuffle,
-                        prefs=prefs)
+        return allocate(rel, groups, model, alpha, seed, shuffle)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -109,7 +106,7 @@ def _record(config: RunConfig, param, report: EvalReport, wall_ms_per_1k):
 
 
 def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap,
-           prefs=None, slate_path=None):
+           slate_path=None):
     """Make, time and evaluate one slate set: (slates, report, record).
     With a `slate_path` the slates are also written there, as `run`
     describes."""
@@ -118,8 +115,7 @@ def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap,
     t0 = time.perf_counter()
     slates = make_slates(config.method, rel, groups, model,
                          alpha=config.alpha, lam=config.lam,
-                         seed=config.seed, shuffle=config.shuffle,
-                         prefs=prefs)
+                         seed=config.seed, shuffle=config.shuffle)
     wall = time.perf_counter() - t0
     calls = [partial(evaluate, slates, rel, groups, model, config.cutoffs)]
     if slate_path is not None:
@@ -169,11 +165,11 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     the records and the error are the serial sweep's, and every child is
     reaped before this returns or raises.
 
-    The verfair methods share one `Preferences` across the grid, so the
-    consumers are shuffled and their preferences sorted once per sweep:
-    in the first point on one CPU, whose `wall_ms_per_1k` carries the
-    sort, or here before the fork, which the children inherit, so no
-    point carries it.
+    Before the `_forked` call, `rel.preferences` sorts every row as deep
+    as any point reads it: to n for a verfair grid with some alpha above
+    0, else to k. The matrix keeps that sort, so the points and their
+    `evaluate` calls, here or in a child, sort no row again and no
+    `wall_ms_per_1k` carries the sort.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -183,20 +179,16 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     if kind == "alpha" and max(grid) > 1:
         raise ValueError("alpha values must be in [0,1]")
     field = "lam" if kind == "lambda" else "alpha"
-    prefs = None
-    cpus = data._usable_cpus()
-    if kind == "alpha":
-        prefs = Preferences(rel, config.seed, config.shuffle,
-                            rel.n if max(grid) > 0 else config.k)
-        if min(cpus, len(grid)) > 1:
-            prefs.items  # sorted before the fork
+    depth = rel.n if kind == "alpha" and max(grid) > 0 else config.k
+    if 1 <= depth <= rel.n:  # each point refuses a k outside 1..n
+        rel.preferences(depth)
 
     def record(value):
-        return _point(replace(config, **{field: value}), value, rel, groups,
-                      prefs)[2]
+        return _point(replace(config, **{field: value}), value, rel,
+                      groups)[2]
 
     with data._forked([partial(record, v) for v in sorted(grid)],
-                      cpus) as records:
+                      data._usable_cpus()) as records:
         return records
 
 
@@ -287,18 +279,22 @@ def write_slates(slates, config: RunConfig, path):
 
 def bench(method, rel: RelevanceMatrix, groups: GroupMap = None, *,
           eta=1.0, k=10, alpha=1.0, lam=0.0, seed=0, repeat=3):
-    """Median wall time (ms) to generate 1k slates, warm runs only."""
+    """Median wall time (ms) to generate 1k slates, warm runs only.
+
+    Each run, the warm-up too, gets a fresh copy of `rel`, made outside
+    the timed region, so every timed run sorts its preferences anew."""
     if repeat < 3:
         raise ValueError("repeat must be >= 3")
     groups = groups or identity_groups(rel)
     model = ExposureModel.pbm(eta, k)
-    make_slates(method, rel, groups, model, alpha=alpha, lam=lam, seed=seed)
     times = []
-    for _ in range(repeat):
+    for _ in range(repeat + 1):  # the first run warms up
+        fresh = replace(rel)
         t0 = time.perf_counter()
-        make_slates(method, rel, groups, model, alpha=alpha, lam=lam, seed=seed)
+        make_slates(method, fresh, groups, model, alpha=alpha, lam=lam,
+                    seed=seed)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e6 / rel.m  # ms per 1k slates
+    return statistics.median(times[1:]) * 1e6 / rel.m  # ms per 1k slates
 
 
 def dump_distributions(slates, rel: RelevanceMatrix, groups: GroupMap,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import _SORT_BLOCK, _partitions
 from .data import GroupMap, RelevanceMatrix
 from .exposure import ExposureLedger, ExposureModel, accumulate
 from .quota import group_relevance
@@ -32,26 +31,6 @@ def _positions(ids, dataset_ids):
         return np.arange(len(ids))
     pos = {d: i for i, d in enumerate(dataset_ids)}
     return np.array([pos[d] for d in ids], dtype=int)
-
-
-def _ideal_rows(scores, depth):
-    """The `depth` largest scores of each row, in descending order.
-
-    Rows go a block of `_SORT_BLOCK` scores at a time, so no temporary
-    grows to (m, n). Where `_partitions(n, depth)` holds, a block is cut to
-    the depth largest scores of each row by `np.partition` before the
-    sort. Either way each row holds the same values as the first depth
-    columns of `-np.sort(-scores, axis=1)`."""
-    m, n = scores.shape
-    out = np.empty((m, depth))
-    step = max(1, _SORT_BLOCK // n)
-    wide = _partitions(n, depth)
-    for lo in range(0, m, step):
-        neg = -scores[lo:lo + step]
-        if wide:
-            neg = np.partition(neg, depth - 1, axis=1)[:, :depth]
-        np.negative(np.sort(neg, axis=1)[:, :depth], out=out[lo:lo + step])
-    return out
 
 
 def _check_cutoff(k_c, model: ExposureModel):
@@ -80,11 +59,13 @@ def check_evaluable(rel: RelevanceMatrix, groups: GroupMap,
 def _gather(slates, rel: RelevanceMatrix, depth):
     """(rows, gains, ideal) for NDCG at every cutoff up to `depth`: each
     slate's consumer row, the relevance of its first `depth` items, and
-    the (m, depth) ideal scores of `_ideal_rows`."""
+    each row's `depth` largest scores, descending, read through
+    `rel.preferences(depth)`, which sorts no row the matrix has sorted
+    that deep."""
     rows = _positions(slates.consumer_ids, rel.consumer_ids)[slates.rows]
     cols = _positions(slates.item_ids, rel.item_ids)[slates.items[:, :depth]]
-    return rows, rel.scores[rows[:, None], cols], _ideal_rows(rel.scores,
-                                                             depth)
+    ideal = np.take_along_axis(rel.scores, rel.preferences(depth), axis=1)
+    return rows, rel.scores[rows[:, None], cols], ideal
 
 
 def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c,
@@ -95,8 +76,8 @@ def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c,
     consumer's own relevance row. Consumers with zero ideal DCG contribute 1.
     `gathered` is `_gather(slates, rel, depth)` for some depth >= k_c,
     passed by `evaluate` so all its cutoffs read one gather; it is made
-    for depth k_c when omitted, which sorts only each row's k_c largest
-    scores. An empty slate set is refused, as `evaluate` refuses it.
+    for depth k_c when omitted. An empty slate set is refused, as
+    `evaluate` refuses it.
     """
     if not len(slates.rows):
         raise ValueError("no slates to evaluate")

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 import reference_allocator
 import verfair.allocator as allocator
+import verfair.data as data
 import verfair.harness as harness
 import verfair.metrics as metrics
 from helpers import random_groups
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, find_anchor,
-                     identity_groups, synth_relevance)
+                     identity_groups, synth_relevance, top_k)
 from verfair.allocator import ALLOCATION, _deadlines, _resort
 
 FIELDS = ("order", "slates", "provenance", "pre_ranks", "fallback_used")
@@ -272,7 +273,7 @@ def test_batched_resort_matches_reference_on_every_late_row(monkeypatch,
     phase = np.empty_like(s.phase)
     np.put_along_axis(phase, pre, s.phase, axis=1)
     scores = rel.scores[s.rows]
-    id_rank = allocator._id_ranks(rel.item_ids)
+    id_rank = data._id_ranks(rel.item_ids)
     want_rank = np.argsort(np.lexsort(
         (id_rank[items], -np.take_along_axis(scores, items, axis=1)),
         axis=1), axis=1)
@@ -317,9 +318,9 @@ def test_preferences_match_lexsort(m, n, block_rows, rounded, equal_rows,
     id_rank = rng.permutation(n)  # item ids not in sorted order
     want = lexsort_preferences(scores, id_rank)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(allocator, "_SORT_BLOCK", block_rows * n)
+        mp.setattr(data, "_SORT_BLOCK", block_rows * n)
         for depth in range(1, n + 1):
-            got = allocator._preferences(scores, id_rank, depth)
+            got = data._preferences(scores, id_rank, depth)
             assert got.tolist() == want[:, :depth].tolist(), depth
 
 
@@ -334,7 +335,8 @@ def test_wide_preferences_match_lexsort(m, n, block_rows, rounded,
     # In about half the rows two scores are made equal at sorted positions
     # (depth - 1, depth), (depth, depth + 1) or (depth + 1, depth + 2):
     # the middle tie is the one the partition's depth + 1 candidates must
-    # expose. The ideal rows of `metrics` follow the same rule.
+    # expose. NDCG's ideal rows, gathered through `rel.preferences`, must
+    # hold each row's depth largest scores.
     rng = np.random.default_rng(seed)
     base = rng.random((m, n))
     if rounded:  # a thousand levels: sparse ties, some at any position
@@ -343,11 +345,13 @@ def test_wide_preferences_match_lexsort(m, n, block_rows, rounded,
         zero = rng.random((m, n)) < 0.4
         base[zero] = rng.choice([0.0, -0.0], size=zero.sum())
     id_rank = rng.permutation(n)
+    # ids whose ascending order is id_rank's
+    item_ids = tuple(f"i{r:04d}" for r in id_rank)
+    consumer_ids = tuple(f"c{c}" for c in range(m))
     tied_rows = np.flatnonzero(rng.random(m) < 0.5)
     order = lexsort_preferences(base, id_rank)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(allocator, "_SORT_BLOCK", block_rows * n)
-        mp.setattr(metrics, "_SORT_BLOCK", block_rows * n)
+        mp.setattr(data, "_SORT_BLOCK", block_rows * n)
         for depth in (1, 2, n // 4, n // 4 + 1, n):
             for at in (depth - 1, depth, depth + 1):  # 1-based position
                 if not 1 <= at < n:
@@ -357,11 +361,12 @@ def test_wide_preferences_match_lexsort(m, n, block_rows, rounded,
                 scores[rows, order[rows, at]] = \
                     scores[rows, order[rows, at - 1]]
                 want = lexsort_preferences(scores, id_rank)[:, :depth]
-                got = allocator._preferences(scores, id_rank, depth)
+                got = data._preferences(scores, id_rank, depth)
                 assert got.tolist() == want.tolist(), (depth, at)
+                rel = RelevanceMatrix(consumer_ids, item_ids, scores)
                 ideal = -np.sort(-scores, axis=1)[:, :depth]
-                assert metrics._ideal_rows(scores, depth).tolist() == \
-                    ideal.tolist(), (depth, at)
+                assert metrics._gather(top_k(rel, depth), rel, depth)[2] \
+                    .tolist() == ideal.tolist(), (depth, at)
 
 
 @pytest.mark.parametrize("rounded", [False, True])
@@ -370,20 +375,20 @@ def test_preferences_at_10k_by_1k_match_lexsort_within_its_memory(rounded):
     scores = rel.scores
     if rounded:  # five score levels: every row ties, like rated relevance
         scores = np.round(scores * 4) / 4
-    id_rank = allocator._id_ranks(rel.item_ids)
+    id_rank = data._id_ranks(rel.item_ids)
     tracemalloc.start()
     try:
         want = lexsort_preferences(scores, id_rank)
         lexsort_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        got = allocator._preferences(scores, id_rank, rel.n)
+        got = data._preferences(scores, id_rank, rel.n)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert peak <= lexsort_peak
-    assert np.array_equal(allocator._preferences(scores, id_rank, 10),
+    assert np.array_equal(data._preferences(scores, id_rank, 10),
                           want[:, :10])
 
 
@@ -408,62 +413,30 @@ SLATE_ARRAYS = ("rows", "items", "phase", "pre_rank", "allocation_exposure")
 @pytest.mark.parametrize("method", ["verfair-ind", "verfair-group"])
 @pytest.mark.parametrize("grid", [(1.0, 0.0, 0.5, 0.5, 0.25), (0.0, 0.0)])
 def test_sweep_shares_preferences_without_changing_a_point(
-        monkeypatch, shape, eta, method, grid):
-    # a sweep shuffles and sorts once and lends the result to every grid
-    # point: each point must equal the same alpha run alone, and no point
-    # may write into what the next one reads
+        shape, eta, method, grid):
+    # a sweep sorts once, before its points, and every point reads the
+    # sort the matrix keeps: each record must equal the same point run on
+    # a fresh matrix, and allocating on the swept matrix must give the
+    # fresh matrix's slates
     rel, groups = shared_instance(shape)
     config = harness.RunConfig(method, eta=eta, k=10, seed=9)
-    built = []
-
-    class Recording(allocator.Preferences):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(harness, "Preferences", Recording)
     records = harness.sweep(config, grid, rel, groups)
-    [prefs] = built
-    alone = [harness._point(replace(config, alpha=a), a, rel, groups)[2]
-             for a in sorted(grid)]
+    alone = [harness._point(replace(config, alpha=a), a, replace(rel),
+                            groups)[2] for a in sorted(grid)]
     assert [replace(r, wall_ms_per_1k=0.0) for r in records] == \
         [replace(r, wall_ms_per_1k=0.0) for r in alone]
 
     model = ExposureModel.pbm(eta, 10)
     group_map = groups if method == "verfair-group" else identity_groups(rel)
     for alpha in grid:
-        got = allocator.allocate(rel, group_map, model, alpha, 9,
-                                 prefs=prefs)
-        want = allocator.allocate(rel, group_map, model, alpha, 9)
+        got = allocator.allocate(rel, group_map, model, alpha, 9)
+        want = allocator.allocate(replace(rel), group_map, model, alpha, 9)
         for name in SLATE_ARRAYS:
             assert getattr(got, name).tolist() == \
                 getattr(want, name).tolist(), (name, alpha)
         assert got.fallback_used == want.fallback_used, alpha
 
-    order = np.random.default_rng(9).permutation(rel.m)
-    scores = rel.scores[order]
     depth = rel.n if max(grid) > 0 else 10
-    assert prefs.depth == depth
-    assert prefs.order.tolist() == order.tolist()
-    assert prefs.scores.tolist() == scores.tolist()
-    id_rank = allocator._id_ranks(rel.item_ids)
-    assert prefs.items.tolist() == \
-        lexsort_preferences(scores, id_rank)[:, :depth].tolist()
-
-
-def test_preferences_rejected_for_another_input():
-    rel, groups = shared_instance("tied")
-    model = ExposureModel.pbm(1.0, 10)
-    prefs = allocator.Preferences(rel, 9, True, rel.n)
-    other = RelevanceMatrix(rel.consumer_ids, rel.item_ids, rel.scores)
-    for args in ((other, 9, True), (rel, 8, True), (rel, 9, False)):
-        with pytest.raises(ValueError, match="another rel, seed or shuffle"):
-            allocator.allocate(args[0], groups, model, 1.0, args[1], args[2],
-                               prefs=prefs)
-    # sorted for alpha 0 only: too shallow for an allocation phase
-    shallow = allocator.Preferences(rel, 9, True, 10)
-    with pytest.raises(ValueError, match="depth 10"):
-        allocator.allocate_individual(rel, model, 0.5, 9, prefs=shallow)
-    assert allocator.allocate(rel, groups, model, 0.0, 9,
-                              prefs=shallow).items.tolist() == \
-        allocator.allocate(rel, groups, model, 0.0, 9).items.tolist()
+    id_rank = data._id_ranks(rel.item_ids)
+    assert rel.preferences(depth).tolist() == \
+        lexsort_preferences(rel.scores, id_rank)[:, :depth].tolist()

@@ -226,6 +226,79 @@ class TestSynthRelevance:
         assert not out.exists()
 
 
+def lexsort_head(rel, depth):
+    """The first `depth` columns of each row's
+    `np.lexsort((id_rank, -scores))`, id_rank from `sorted`."""
+    rank = {d: i for i, d in enumerate(sorted(rel.item_ids))}
+    id_rank = np.array([rank[d] for d in rel.item_ids])
+    return np.lexsort((np.broadcast_to(id_rank, rel.scores.shape),
+                       -rel.scores), axis=1)[:, :depth]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 6), n=st.sampled_from([1, 2, 5, 12, 255, 256, 300]),
+       levels=st.sampled_from([0, 2, 5]), signed_zeros=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_preferences_are_the_lexsort_head_at_every_depth(m, n, levels,
+                                                         signed_zeros, seed):
+    # tied rows (scores on 2 or 5 levels), rows of 256 items or more (which
+    # partition before they sort) and rows holding -0.0, which ties with
+    # 0.0 on the item id; ids not in sorted order
+    rng = np.random.default_rng(seed)
+    scores = rng.random((m, n))
+    if levels:
+        scores = np.ceil(scores * levels) / levels
+    if signed_zeros:
+        zero = rng.random((m, n)) < 0.4
+        scores[zero] = rng.choice([0.0, -0.0], size=zero.sum())
+    consumers = tuple(f"c{i}" for i in range(m))
+    items = tuple(f"i{j:03d}" for j in rng.permutation(n))
+    want = lexsort_head(RelevanceMatrix(consumers, items, scores), n)
+    for depth in range(1, n + 1):
+        rel = RelevanceMatrix(consumers, items, scores)
+        assert rel.preferences(depth).tolist() == want[:, :depth].tolist()
+
+
+class TestPreferences:
+    @staticmethod
+    def sorts(monkeypatch):
+        """The depth of each sort `data._preferences` makes from now on."""
+        depths = []
+
+        def counting(scores, id_rank, depth):
+            depths.append(depth)
+            return real(scores, id_rank, depth)
+
+        real = data_module._preferences
+        monkeypatch.setattr(data_module, "_preferences", counting)
+        return depths
+
+    def test_a_shallower_call_does_not_sort(self, monkeypatch):
+        rel = synth_relevance(7, 12, seed=3)
+        sorts = self.sorts(monkeypatch)
+        deep = rel.preferences(9)
+        for depth in (9, 4, 1):
+            assert rel.preferences(depth).tolist() == deep[:, :depth].tolist()
+        assert sorts == [9]
+
+    def test_a_deeper_call_sorts_once_and_is_kept(self, monkeypatch):
+        rel = synth_relevance(7, 12, seed=3)
+        sorts = self.sorts(monkeypatch)
+        for depth in (3, 8, 8, 5, 3):
+            assert rel.preferences(depth).tolist() == \
+                lexsort_head(rel, depth).tolist()
+        assert sorts == [3, 8]
+
+    @pytest.mark.parametrize("depths", [(6,), (6, 2), (2, 6)])
+    def test_read_only(self, depths):
+        rel = synth_relevance(4, 6, seed=1)
+        for depth in depths:
+            pref = rel.preferences(depth)
+            assert not pref.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                pref[0, 0] = 1
+
+
 class TestValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):

@@ -22,8 +22,8 @@ from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
                      evaluate, identity_groups, load_groups,
                      load_relevance, ndcg, save_groups, save_relevance,
                      synth_relevance, top_k)
-from verfair.allocator import _id_ranks
 from verfair.cli import main
+from verfair.data import _id_ranks
 from verfair.harness import METHODS, PARAM_OF, RunConfig, make_slates
 from verfair.metrics import EvalReport
 

@@ -8,7 +8,8 @@ individual level the instances are I(3) and C(3) in both arrival orders
 the rows in input order, VerFair shuffles them. C(3) in clustered order is
 also compared on the 1 - JSD axis, and G(1)...G(10) at group level
 (`helpers.grouped_instance`), where the claim holds only at the fairest
-point. The pinned figures were measured on this code; slates are
+point. A seed ledger repeats the individual-level comparison on I(s) and
+C(s) for s = 1...20. The pinned figures were measured on this code; slates are
 deterministic, so they hold to the last digit shown.
 """
 
@@ -126,3 +127,41 @@ def test_verfair_group_against_fairco_at_the_matched_guarantee(
     theirs, ours = ndcgs[0]
     assert (theirs, ours - theirs) == pytest.approx((fairco_ndcg, margin),
                                                     abs=5e-5)
+
+
+# The seed ledger: the guarantee-axis comparison above, on I(s) at the four
+# lambdas and on C(s) in both orders at the first three, for s = 1...20:
+# 200 points, VerFair ahead at each. (family, lambdas, the smallest margin
+# of VerFair's NDCG@10 over FairCo's, and its seed, lambda and alpha*)
+LEDGER = [
+    ("I", (0.003, 0.01, 0.03, 0.1), 0.0067, 15, 0.03, 0.93),
+    ("C clustered", (0.003, 0.01, 0.03), 0.0664, 4, 0.003, 0.53),
+    ("C random", (0.003, 0.01, 0.03), 0.0057, 13, 0.01, 0.86),
+]
+
+LEDGER_INSTANCES = {
+    "I": scaled_instance,
+    "C clustered": lambda s: clustered_instance(s, "clustered"),
+    "C random": lambda s: clustered_instance(s, "random"),
+}
+
+
+@pytest.mark.parametrize("family, lams, margin, seed, lam, alpha", LEDGER)
+def test_verfair_beats_fairco_at_every_seed(family, lams, margin, seed, lam,
+                                            alpha):
+    points = {}  # (s, lambda) -> (alpha*, VerFair minus FairCo)
+    for s in range(1, 21):
+        rel = LEDGER_INSTANCES[family](s)
+        groups = identity_groups(rel)
+        for lam_ in lams:
+            baseline = fairco(rel, groups, MODEL, lam_)
+            alpha_ = matched_alpha(baseline, rel, MODEL)
+            slates = allocate_individual(rel, MODEL, alpha_, seed=1)
+            points[s, lam_] = (alpha_, ndcg(slates, rel, MODEL, 10)
+                               - ndcg(baseline, rel, MODEL, 10))
+    losses = {p: v for p, v in points.items() if not v[1] > 0}
+    assert not losses
+    assert all(a > 0 for a, _ in points.values())  # every alpha* above 0
+    (s, lam_), (alpha_, least) = min(points.items(), key=lambda p: p[1][1])
+    assert (s, lam_) == (seed, lam)
+    assert (alpha_, least) == pytest.approx((alpha, margin), abs=5e-5)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import verfair
-import verfair.allocator as allocator
 import verfair.data as data
 import verfair.harness as harness
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, identity_groups,
@@ -116,35 +115,47 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(RunConfig(method="verfair-ind"), (0.5, 1.5), rel)
 
-    @pytest.mark.parametrize("method", ["verfair-ind", "verfair-group"])
-    @pytest.mark.parametrize("grid, depth", [
-        ((0.5,), 15), ((0.0, 0.25, 0.5, 0.75, 1.0), 15),
-        ((1.0, 0.0, 0.5, 0.5), 15), ((0.0, 0.0), 5)])
+    @pytest.mark.parametrize("method", ["verfair-ind", "verfair-group",
+                                        "fairco", "top-k"])
+    @pytest.mark.parametrize("grid", [
+        (0.5,), (0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 0.0, 0.5, 0.5), (0.0, 0.0)])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_verfair_sorts_preferences_once(self, rel, monkeypatch, tmp_path,
-                                            method, grid, depth, cpus):
-        # one sort per sweep, in this process, whatever the grid length and
-        # the CPU count, to depth n when some alpha is above 0 and to k
-        # when none is; one per run. Each sort appends "pid depth" to a
-        # file, so the sorts of forked children are counted too
+    def test_sorts_preferences_once(self, rel, monkeypatch, tmp_path, method,
+                                    grid, cpus):
+        # a sweep sorts once, here, before any point: to n for a verfair
+        # grid with some alpha above 0, else to k. A following run sorts
+        # only to a depth the sweep did not reach (a verfair run at alpha
+        # 1 after an all-zero grid). No forked child and no evaluate
+        # sorts. Each sort appends "pid depth in-evaluate" to a file, so
+        # the sorts of forked children are counted too
         sorts = tmp_path / "sorts"
+        evaluating = []
 
         def counting_preferences(scores, id_rank, d):
             with open(sorts, "a") as f:
-                f.write(f"{os.getpid()} {d}\n")
+                f.write(f"{os.getpid()} {d} {bool(evaluating)}\n")
             return real_preferences(scores, id_rank, d)
 
-        real_preferences = allocator._preferences
-        monkeypatch.setattr(allocator, "_preferences", counting_preferences)
+        def flagged_evaluate(*args):
+            evaluating.append(1)
+            try:
+                return real_evaluate(*args)
+            finally:
+                evaluating.pop()
+
+        real_preferences, real_evaluate = data._preferences, harness.evaluate
+        monkeypatch.setattr(data, "_preferences", counting_preferences)
+        monkeypatch.setattr(harness, "evaluate", flagged_evaluate)
         monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
-        groups = GroupMap({d: f"g{j % 3}" for j, d in enumerate(rel.item_ids)},
-                          ("g0", "g1", "g2"))
         config = RunConfig(method=method, eta=1.0, k=5, cutoffs=(1, 3))
-        sweep(config, grid, rel, groups)
-        assert sorts.read_text() == f"{os.getpid()} {depth}\n"
-        sorts.unlink()
-        run(config, rel, groups)
-        assert sorts.read_text() == f"{os.getpid()} {rel.n}\n"
+        verfair = method.startswith("verfair")
+        swept = rel.n if verfair and max(grid) > 0 else config.k
+        ran = rel.n if verfair else config.k
+        sweep(config, grid, rel, three_groups(rel))
+        run(config, rel, three_groups(rel))
+        depths = [swept] + ([ran] if ran > swept else [])
+        assert sorts.read_text() == "".join(
+            f"{os.getpid()} {d} False\n" for d in depths)
 
     def test_reproducible(self, rel):
         config = RunConfig(method="verfair-ind", eta=1.0, k=5, seed=4,
@@ -640,6 +651,24 @@ class TestBench:
     def test_reports_positive_time(self, rel):
         ms = bench("top-k", rel, eta=1.0, k=5, repeat=3)
         assert ms > 0
+
+    @pytest.mark.parametrize("method", ["top-k", "verfair-ind"])
+    @pytest.mark.parametrize("repeat", [3, 5])
+    def test_every_run_sorts_its_preferences(self, rel, monkeypatch, method,
+                                             repeat):
+        # each run, the warm-up too, gets a fresh matrix, so each timed run
+        # sorts; the caller's matrix keeps no sort
+        sorts = []
+
+        def counting_preferences(*args):
+            sorts.append(1)
+            return real_preferences(*args)
+
+        real_preferences = data._preferences
+        monkeypatch.setattr(data, "_preferences", counting_preferences)
+        bench(method, rel, k=5, repeat=repeat)
+        assert len(sorts) == repeat + 1
+        assert "_pref" not in rel.__dict__
 
 
 class TestDumpDistributions:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from verfair import (DataError, ExposureModel, GroupMap, RelevanceMatrix,
-                     evaluate, identity_groups, jsd_fairness, ndcg,
-                     synth_relevance, top_k)
+                     allocate_individual, evaluate, identity_groups,
+                     jsd_fairness, ndcg, synth_relevance, top_k)
+from verfair import data
 from verfair.exposure import ExposureLedger, accumulate
 from verfair.metrics import check_evaluable
 from helpers import brute_ndcg, direct_jsd, make_slateset
@@ -191,6 +192,35 @@ class TestEvaluate:
                 evaluate(empty, rel, identity_groups(rel),
                          ExposureModel.pbm(1.0, 2), (1, 2))
 
+    @pytest.mark.parametrize("make", [
+        lambda rel, model: top_k(rel, model.k),
+        lambda rel, model: allocate_individual(rel, model, 0.0, seed=1),
+        lambda rel, model: allocate_individual(rel, model, 0.6, seed=1)])
+    def test_evaluate_after_top_k_or_allocate_does_not_sort(
+            self, monkeypatch, make):
+        # NDCG's ideal rows read the preferences the matrix kept when the
+        # slates were made
+        rel = synth_relevance(12, 6, seed=2)
+        model = ExposureModel.pbm(1.0, 3)
+        slates = make(rel, model)
+        want = evaluate(slates, synth_relevance(12, 6, seed=2),
+                        identity_groups(rel), model, (1, 2, 3))
+        sorts = []
+
+        def counting_preferences(*args):
+            sorts.append(1)
+            return real_preferences(*args)
+
+        real_preferences = data._preferences
+        monkeypatch.setattr(data, "_preferences", counting_preferences)
+        assert evaluate(slates, rel, identity_groups(rel), model,
+                        (1, 2, 3)) == want
+        assert sorts == []
+        # the count is live: a fresh matrix sorts for its ideal rows
+        fresh = dataclasses.replace(rel)
+        evaluate(slates, fresh, identity_groups(rel), model, (1, 2, 3))
+        assert sorts == [1]
+
 
 class TestCheckEvaluable:
     # top-2 over A, B, C shows A and B, never C
@@ -239,3 +269,4 @@ class TestCheckEvaluable:
         assert all(avg is reads[0] for avg in reads)
         assert not reads[0].flags.writeable
         assert reads[0].tolist() == rel.scores.mean(axis=0).tolist()
+
