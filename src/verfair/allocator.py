@@ -257,7 +257,7 @@ def _allocate_rank(r, first, p, quota, alloc_exp, gidx, pref, avail, slate,
     left with no pick takes an exchange or the fallback on its own. Once
     no group has headroom, every consumer left falls back, all at once.
     """
-    m, n = avail.shape
+    m = len(avail)
     n_groups = len(quota)
     rows = np.arange(first, m)
     size = len(rows)

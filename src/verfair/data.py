@@ -253,7 +253,7 @@ def load_relevance(path) -> RelevanceMatrix:
     data lines are cut into P = min(usable CPUs, data bytes // 768 KiB)
     parts, and this process and P - 1 forked children parse one each at
     once, the children's scores coming back through shared memory and
-    their consumer ids on a pipe; a part whose child fails is parsed here.
+    their consumer ids on a pipe.
     A file of less than 1.5 MiB of data, or any file elsewhere, is one
     part; so is a pipe or other input that is not a regular file, read
     whole into memory as it can be read only once. Every part is read by
@@ -262,7 +262,7 @@ def load_relevance(path) -> RelevanceMatrix:
     `float()` would is read again from the same open file by the csv
     parser, which returns the same matrix or raises the error that names
     the line and item. So the result is bit-identical however the file is
-    cut and however the children fare.
+    cut.
     """
     with open(path, "rb") as fh:
         if not S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -391,11 +391,10 @@ def _parse_parts(path, fh, cuts, n):
     a part is inexact. The scores are the matrix the first part was read
     into, grown or not.
 
-    The parts are the calls of one `_forked`, a process each, so a part
-    whose child fails is read here. One part is the case of no children:
-    it is read into a private matrix with room for as many rows as lines
-    like the first would fill, as a line of n numbers is at least 2n + 1
-    bytes; pages of rows never written are never touched. With more parts,
+    The parts are the calls of one `_forked`, a process each. One part is
+    read into a private matrix with room for as many rows as lines like
+    the first would fill, as a line of n numbers is at least 2n + 1 bytes;
+    pages of rows never written are never touched. With more parts,
     the row each starts at is fixed first from the newlines of the parts
     before it, and one anonymous shared mapping holds every row, with room
     for the last part by the same bound: about 3.2 MB a part of the
@@ -431,23 +430,20 @@ def _parse_parts(path, fh, cuts, n):
 @contextlib.contextmanager
 def _forked(calls, procs):
     """A context of `[call() for call in calls]`, or the first error that
-    comprehension raises, with the calls dealt serpentine (0, 1, ..., P -
-    1, P - 1, ..., 0, and again) to P = min(procs, len(calls)) processes,
-    so that the last and costliest calls are not all one process's.
+    comprehension raises, with the calls dealt round-robin to P =
+    min(procs, len(calls)) processes: process j makes calls j, j + P, ...
 
-    This process runs deal 0 and a forked child each other deal, in order
+    This process makes deal 0 and a forked child each other deal, in order
     up to the first raise; a child pickles the values it got onto a pipe
     of its own and leaves by os._exit. Walking the calls in order, a value
     that came back is used and a call that raised here raises; any other
     call, that of a child that was not forked, died, raised or got a value
-    that cannot be pickled, is made here, once. Leaving with an error
-    kills the children; otherwise the values are used while they exit.
-    Every child is reaped when the context ends.
+    that cannot be pickled, is made here, once; with P = 1, every call.
+    Leaving with an error kills the children; otherwise the values are
+    used while they exit. Every child is reaped when the context ends.
     """
-    turn = 2 * max(1, min(procs, len(calls)))
-    deals = [[i for i in range(len(calls))
-              if j in (i % turn, turn - 1 - i % turn)]
-             for j in range(turn // 2)]
+    procs = max(1, min(procs, len(calls)))
+    deals = [range(j, len(calls), procs) for j in range(procs)]
     pids, pipes, got = [], [], {}
     try:
         try:
@@ -500,7 +496,7 @@ def _fork():
     that a child forked from a process with threads, such as numpy's BLAS
     pool, may deadlock. The children of `_forked` leave by os._exit. Those
     of `_parse_parts` call no BLAS; those of `harness.sweep` and
-    `harness.run`, which evaluate, do, in the `@` of `metrics.ndcg`. That
+    `harness.run`, which evaluate, do, in the `@` of `metrics._ndcg`. That
     is safe with the pthreads OpenBLAS that numpy's wheels ship: its
     `openblas_fork_handler` registers `blas_thread_shutdown_` with
     pthread_atfork, which stops the pool before each fork, so no BLAS

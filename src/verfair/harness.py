@@ -5,8 +5,7 @@ A run is a one-point sweep: both make, time and evaluate a slate set
 through `_point` and write metrics through `write_sweep`. Timing covers slate
 generation only (no loading, no metric evaluation) and is normalized to
 milliseconds per 1000 slates. `run` and `sweep` each share out their work
-with one `data._forked` call, whose zero-child case is their serial path;
-their docstrings state how.
+with one `data._forked` call.
 """
 
 from __future__ import annotations
@@ -121,8 +120,7 @@ def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap,
     if slate_path is not None:
         check_evaluable(rel, groups, model, config.cutoffs)
         calls.insert(0, partial(write_slates, slates, config, slate_path))
-    forks = (len(calls) > 1 and data._usable_cpus() > 1
-             and slates.items.size >= _MIN_FORKED_SLOTS)
+    forks = data._usable_cpus() > 1 and slates.items.size >= _MIN_FORKED_SLOTS
     with data._forked(calls, 2 if forks else 1) as (*_, report):
         return slates, report, _record(config, param, report,
                                        wall * 1e6 / rel.m)
@@ -134,13 +132,10 @@ def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
 
     The metrics row's param is the method's alpha or lambda, and nan for a
     method without a tradeoff parameter. With a `slate_path`,
-    `check_evaluable` runs first, so a refused run leaves no file and its
-    error is the serial run's. Then one `data._forked` call makes
-    `[write_slates, evaluate]`: both in this process, or, with at least
-    `_MIN_FORKED_SLOTS` slots and two or more usable CPUs, the write here
-    while a child evaluates and sends the report back. An evaluation that
-    does not come back runs here after the write, so the report is
-    bit-identical; the child is reaped before this returns or raises.
+    `check_evaluable` runs first, so a refused run leaves no file. Then
+    one `data._forked` call makes `[write_slates, evaluate]`, in two
+    processes with at least `_MIN_FORKED_SLOTS` slots and two or more
+    usable CPUs, else in this one.
     """
     param = {"alpha": config.alpha, "lambda": config.lam}.get(
         PARAM_OF.get(config.method), float("nan"))
@@ -157,13 +152,9 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
 
     Each value replaces `config.lam` for fairco and `config.alpha` for
     every other method, and is the record's param. The points are the
-    calls of one `data._forked` over the usable CPUs, which deals them
-    serpentine to this process and forked children and gives their
-    records in grid order, or the error the first failing point raises: a
-    point whose child was not forked or sent nothing back runs here, once.
-    So each `wall_ms_per_1k` is timed in the process that ran the point,
-    the records and the error are the serial sweep's, and every child is
-    reaped before this returns or raises.
+    calls of one `data._forked` over the usable CPUs, so the records and
+    the error are the serial sweep's, and each `wall_ms_per_1k` is timed
+    in the process that ran the point.
 
     Before the `_forked` call, `rel.preferences` sorts every row as deep
     as any point reads it: to n for a verfair grid with some alpha above

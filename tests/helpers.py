@@ -174,6 +174,31 @@ def clustered_instance(s, order):
                            rel.item_ids, scores[rows])
 
 
+def rated_instance(s, per, jitter):
+    """R(s; per, jitter): 1000 consumers, each rating `per` of 100 items
+    with whole stars from 1 to 5, every other score 0.
+
+    Through `rng = default_rng(s)`: item popularity is `rng.permutation`
+    of w / w.sum(), with w = 1 / (1...100) ** 0.8. Each consumer in order
+    draws its items, `rng.choice(100, per, replace=False, p=popularity)`,
+    then their stars, `rng.integers(1, 6, per)`. A `jitter` above 0 then
+    adds `jitter * rng.random((1000, 100))` to the rated cells only. Ids
+    are u0...u999 and d0...d99: ties break by id, and d10 sorts before
+    d2."""
+    m, n = 1000, 100
+    rng = np.random.default_rng(s)
+    w = 1 / np.arange(1, n + 1) ** 0.8
+    popularity = rng.permutation(w / w.sum())
+    scores = np.zeros((m, n))
+    for c in range(m):
+        rated = rng.choice(n, per, replace=False, p=popularity)
+        scores[c, rated] = rng.integers(1, 6, per)
+    if jitter > 0:
+        scores += np.where(scores > 0, jitter * rng.random((m, n)), 0.0)
+    return RelevanceMatrix(tuple(f"u{c}" for c in range(m)),
+                           tuple(f"d{j}" for j in range(n)), scores)
+
+
 def grouped_instance(s):
     """G(s): (rel, groups), the input of the benchmark's alloc-group-sweep
     workload at seed s, as `make_scores` of benchmark/workloads.py makes

@@ -1206,12 +1206,12 @@ def forked(calls, procs):
     return values
 
 
-def test_forked_deals_the_calls_serpentine():
-    # 7 calls on 3 processes: this one runs calls 0, 5 and 6, a child 1
-    # and 4, another 2 and 3; each value comes back in call order
+def test_forked_deals_the_calls_round_robin():
+    # 7 calls on 3 processes: this one runs calls 0, 3 and 6, a child 1
+    # and 4, another 2 and 5; each value comes back in call order
     pids = forked([os.getpid] * 7, 3)
-    assert pids[0] == pids[5] == pids[6] == os.getpid()
-    assert pids[1] == pids[4] != pids[2] == pids[3]
+    assert pids[0] == pids[3] == pids[6] == os.getpid()
+    assert pids[1] == pids[4] != pids[2] == pids[5]
     assert os.getpid() not in (pids[1], pids[2])
     assert forked([lambda: "own", lambda: "a", lambda: None,
                    lambda: {"k": [1.5, 2]}], 4) == \

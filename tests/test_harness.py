@@ -287,8 +287,8 @@ class TestForkedSweep:
         assert got == serial and forked == cpus - 1
 
     @pytest.mark.parametrize("cpus, ran_here", [
-        (2, [0.0, 0.6, 0.8, 0.2, 0.4, 1.0]),
-        (3, [0.0, 1.0, 0.2, 0.4, 0.6, 0.8])])
+        (2, [0.0, 0.4, 0.8, 0.2, 0.6, 1.0]),
+        (3, [0.0, 0.6, 0.2, 0.4, 0.8, 1.0])])
     def test_a_child_killed_before_it_signals_gives_the_serial_records(
             self, rel, monkeypatch, cpus, ran_here):
         # the children make the record of their first point, then die
@@ -311,17 +311,39 @@ class TestForkedSweep:
         assert got == serial and forked == cpus - 1
         assert ran == ran_here
 
-    @pytest.mark.parametrize("cpus, last", [(1, 16.0), (2, 4.0), (3, 16.0)])
+    def test_four_cpus_deal_both_ends_of_the_grid_here(self, rel,
+                                                      monkeypatch):
+        # 5 points on 4 processes, dealt round-robin: this process runs
+        # alpha 0 and alpha 1, each child one of the points between
+        config = RunConfig(method="verfair-group", eta=2.0, k=5, seed=3,
+                           cutoffs=(1, 3, 5))
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        groups = three_groups(rel)
+        serial, _ = self.swept(1, config, grid, rel, groups)
+        parent, point, ran = os.getpid(), harness._point, []
+
+        def counted(config, param, *args):
+            if os.getpid() == parent:
+                ran.append(param)
+            return point(config, param, *args)
+
+        monkeypatch.setattr(harness, "_point", counted)
+        got, forked = self.swept(4, config, grid, rel, groups)
+        assert got == serial and forked == 3
+        assert ran == [0.0, 1.0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_a_point_raising_here_raises_as_on_one_cpu(
-            self, rel, monkeypatch, cpus, last):
-        # once, on this process's last point: the sweep raises that error,
-        # as the serial sweep does, and leaves no child
+            self, rel, monkeypatch, cpus):
+        # once, on the last point, which is this process's on 1, 2 and 3
+        # CPUs: the sweep raises that error, as the serial sweep does, and
+        # leaves no child
         config = RunConfig(method="fairco", k=5, cutoffs=(1, 3))
         grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
         parent, point, raised = os.getpid(), harness._point, []
 
         def raises_once(config, param, *args):
-            if os.getpid() == parent and param == last and not raised:
+            if os.getpid() == parent and param == 16.0 and not raised:
                 raised.append(param)
                 raise RuntimeError("this process's point")
             return point(config, param, *args)
@@ -329,7 +351,7 @@ class TestForkedSweep:
         monkeypatch.setattr(harness, "_point", raises_once)
         with pytest.raises(RuntimeError, match="^this process's point$"):
             self.swept(cpus, config, grid, rel)
-        assert raised == [last]
+        assert raised == [16.0]
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -356,18 +378,18 @@ class TestForkedSweep:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_the_first_error_is_the_serial_sweeps(self, rel, monkeypatch,
                                                   cpus):
-        # 0.4 runs in a child and, on 2 CPUs, 0.8 here: the error of 0.4
+        # 0.2 runs in a child and, on 2 CPUs, 0.4 here: the error of 0.2
         # comes first
         point = harness._point
 
         def raises_at(config, param, *args):
-            if param in (0.4, 0.8):
+            if param in (0.2, 0.4):
                 raise ValueError(f"bad point {param}")
             return point(config, param, *args)
 
         monkeypatch.setattr(harness, "_point", raises_at)
         monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
-        with pytest.raises(ValueError, match=r"^bad point 0\.4$"):
+        with pytest.raises(ValueError, match=r"^bad point 0\.2$"):
             sweep(RunConfig(method="top-k", k=5, cutoffs=(1,)),
                   (0.0, 0.2, 0.4, 0.6, 0.8, 1.0), rel)
 
