@@ -496,7 +496,7 @@ def _fork():
     that a child forked from a process with threads, such as numpy's BLAS
     pool, may deadlock. The children of `_forked` leave by os._exit. Those
     of `_parse_parts` call no BLAS; those of `harness.sweep` and
-    `harness.run`, which evaluate, do, in the `@` of `metrics._ndcg`. That
+    `harness.run`, which evaluate, do, in the `@` of `metrics.ndcg`. That
     is safe with the pthreads OpenBLAS that numpy's wheels ship: its
     `openblas_fork_handler` registers `blas_thread_shutdown_` with
     pthread_atfork, which stops the pool before each fork, so no BLAS

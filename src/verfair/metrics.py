@@ -68,21 +68,22 @@ def _gather(slates, rel: RelevanceMatrix, depth):
     return rows, rel.scores[rows[:, None], cols], ideal
 
 
-def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c) -> float:
+def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c,
+         gathered=None) -> float:
     """Mean over consumers of DCG@k_c / IDCG@k_c.
 
     DCG@k_c = sum_{j<=k_c} R(slate[j], u) * p_j; the ideal ranking sorts the
     consumer's own relevance row. Consumers with zero ideal DCG contribute 1.
-    An empty slate set is refused, as `evaluate` refuses it.
+    `gathered` is `_gather(slates, rel, depth)` for some depth >= k_c,
+    passed by `evaluate` so all its cutoffs read one gather; it is made
+    for depth k_c when omitted. An empty slate set is refused, as
+    `evaluate` refuses it.
     """
     if not len(slates.rows):
         raise ValueError("no slates to evaluate")
     _check_cutoff(k_c, model)
-    return _ndcg(_gather(slates, rel, k_c), model, k_c)
-
-
-def _ndcg(gathered, model: ExposureModel, k_c) -> float:
-    """`ndcg` at k_c of `gathered`, a `_gather` to some depth >= k_c."""
+    if gathered is None:
+        gathered = _gather(slates, rel, k_c)
     rows, gains, ideal = gathered
     discounts = model.probs[:k_c]
     # vecdot takes the same per-row dot product as `gains[c] @ discounts`
@@ -142,7 +143,7 @@ def evaluate(slates, rel: RelevanceMatrix, groups: GroupMap,
     ledger = accumulate(slates, model, groups)
     gathered = _gather(slates, rel, max(cutoffs)) if cutoffs else None
     return EvalReport(
-        ndcg_at={kc: _ndcg(gathered, model, kc) for kc in cutoffs},
+        ndcg_at={kc: ndcg(slates, rel, model, kc, gathered) for kc in cutoffs},
         fairness_individual=jsd_fairness(ledger, rel, groups, "individual"),
         fairness_group=jsd_fairness(ledger, rel, groups, "group"),
     )

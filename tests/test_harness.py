@@ -332,18 +332,20 @@ class TestForkedSweep:
         assert got == serial and forked == 3
         assert ran == [0.0, 1.0]
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("cpus, last", [(1, 16.0), (2, 4.0), (2, 16.0),
+                                            (3, 16.0)])
     def test_a_point_raising_here_raises_as_on_one_cpu(
-            self, rel, monkeypatch, cpus):
-        # once, on the last point, which is this process's on 1, 2 and 3
-        # CPUs: the sweep raises that error, as the serial sweep does, and
-        # leaves no child
+            self, rel, monkeypatch, cpus, last):
+        # once, on one of this process's points: 16.0 is its last on 1, 2
+        # and 3 CPUs, and 4.0 its third of four on 2, raised while the
+        # child's 8.0 is still unread. The sweep raises that error, as the
+        # serial sweep does, and leaves no child
         config = RunConfig(method="fairco", k=5, cutoffs=(1, 3))
         grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
         parent, point, raised = os.getpid(), harness._point, []
 
         def raises_once(config, param, *args):
-            if os.getpid() == parent and param == 16.0 and not raised:
+            if os.getpid() == parent and param == last and not raised:
                 raised.append(param)
                 raise RuntimeError("this process's point")
             return point(config, param, *args)
@@ -351,7 +353,7 @@ class TestForkedSweep:
         monkeypatch.setattr(harness, "_point", raises_once)
         with pytest.raises(RuntimeError, match="^this process's point$"):
             self.swept(cpus, config, grid, rel)
-        assert raised == [16.0]
+        assert raised == [last]
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
