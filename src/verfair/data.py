@@ -49,10 +49,12 @@ class RelevanceMatrix:
             raise DataError("relevance matrix must be at least 1x1")
         if len(self.consumer_ids) != m or len(self.item_ids) != n:
             raise DataError("id lists do not match matrix shape")
-        if len(set(self.consumer_ids)) != m:
-            raise DataError("duplicate consumer ids")
-        if len(set(self.item_ids)) != n:
-            raise DataError("duplicate item ids")
+        for kind, ids in (("consumer", self.consumer_ids),
+                          ("item", self.item_ids)):
+            if len(set(ids)) != len(ids):
+                seen = set()
+                repeat = next(d for d in ids if d in seen or seen.add(d))
+                raise DataError(f"duplicate {kind} ids: {repeat!r}")
         if not np.all(np.isfinite(scores)):
             r, c = np.argwhere(~np.isfinite(scores))[0]
             raise DataError(
@@ -119,13 +121,19 @@ class GroupMap:
     def indices(self, items: RelevanceMatrix):
         """Array mapping each matrix item position to its group position.
         A DataError names the first matrix item that has no group."""
-        gpos = {g: i for i, g in enumerate(self.group_ids)}
-        try:
-            return np.array([gpos[self.assignment[d]]
-                             for d in items.item_ids])
-        except KeyError as exc:  # gpos holds every group: an item is missing
-            raise DataError(
-                f"unknown item {exc.args[0]!r}: it has no group") from None
+        at = _positions(items.item_ids, tuple(self.assignment))
+        if at.min() < 0:
+            item = items.item_ids[np.argmax(at < 0)]
+            raise DataError(f"unknown item {item!r}: it has no group")
+        return _positions(tuple(self.assignment.values()), self.group_ids)[at]
+
+
+def _positions(ids, target):
+    """Position of each of `ids` in `target`, or -1 where `target` lacks it."""
+    if ids == target:
+        return np.arange(len(ids))
+    pos = {d: i for i, d in enumerate(target)}
+    return np.array([pos.get(d, -1) for d in ids], dtype=int)
 
 
 # Scores sorted at once by `_preferences`. From 1 << 14 up its speed is
@@ -257,18 +265,19 @@ def load_relevance(path) -> RelevanceMatrix:
     A file of less than 1.5 MiB of data, or any file elsewhere, is one
     part; so is a pipe or other input that is not a regular file, read
     whole into memory as it can be read only once. Every part is read by
-    one path, and a file up to the size it had when it was cut. A file
-    with a part that parse cannot read exactly as `csv.reader` and
-    `float()` would is read again from the same open file by the csv
-    parser, which returns the same matrix or raises the error that names
-    the line and item. So the result is bit-identical however the file is
-    cut.
+    one path, and a file up to the size it had when it was cut. Wherever
+    the fast path cannot vouch that it reads the bytes exactly as
+    `csv.reader` and `float()` would, it raises _Inexact, caught here
+    alone: the same open file is then read again by the csv parser, which
+    returns the same matrix or raises the error that names the line and
+    item. So the result is bit-identical however the file is cut.
     """
     with open(path, "rb") as fh:
         if not S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh = io.BytesIO(fh.read())
-        parsed = _parse_relevance_numpy(path, fh)
-        if parsed is None:
+        try:
+            parsed = _parse_relevance_numpy(path, fh)
+        except _Inexact:
             fh.seek(0)
             parsed = _parse_relevance_csv(path, fh)
     try:
@@ -277,10 +286,14 @@ def load_relevance(path) -> RelevanceMatrix:
         raise DataError(f"{path}: {exc}") from None
 
 
+class _Inexact(Exception):
+    """Raised where the fast path cannot vouch for the bytes it reads."""
+
+
 def _parse_relevance_numpy(path, fh):
     """(consumer_ids, item_ids, scores) of the relevance CSV `fh`, opened
-    in binary at `path` or read into an io.BytesIO, or None where the
-    result could differ from `_parse_relevance_csv`'s, which includes
+    in binary at `path` or read into an io.BytesIO. Raises _Inexact where
+    the result could differ from `_parse_relevance_csv`'s, which includes
     every file that parser rejects.
 
     Without quotes, csv rows are the file's lines, split at each comma.
@@ -295,23 +308,22 @@ def _parse_relevance_numpy(path, fh):
     start = len(header)
     header = header.removesuffix(b"\n").removesuffix(b"\r")
     if not _plain(header) or b"\r" in header:
-        return None
+        raise _Inexact
     try:
         fields = header.decode().split(",")
     except UnicodeDecodeError:
-        return None
+        raise _Inexact from None
     if (len(fields) < 2 or fields[0] != "consumer_id"
             or max(map(len, fields)) > csv.field_size_limit()):
-        return None
+        raise _Inexact
     n = len(fields) - 1
     if isinstance(fh, io.BytesIO):  # a pipe's bytes, read whole
         cuts = [start, len(fh.getbuffer())]
     else:
         cuts = _cuts(fh, start, os.fstat(fh.fileno()).st_size)
-    parsed = _parse_parts(path, fh, cuts, n)
-    if not parsed or not parsed[0]:
-        return None
-    consumer_ids, scores = parsed
+    consumer_ids, scores = _parse_parts(path, fh, cuts, n)
+    if not consumer_ids:
+        raise _Inexact
     return tuple(consumer_ids), tuple(fields[1:]), scores[:len(consumer_ids)]
 
 
@@ -340,10 +352,6 @@ def _cuts(fh, start, end):
     return cuts + [end]
 
 
-class _Inexact(Exception):
-    """Lines that the csv parser could read otherwise."""
-
-
 def _parse_range(fh, start, end, row, scores):
     """(consumer_ids, scores) once the lines in bytes [start, end) of the
     file `fh`, each a consumer id and n numbers, are written from row `row`
@@ -366,11 +374,8 @@ def _parse_range(fh, start, end, row, scores):
         chunk = b"".join([line, fh.read(min(size, left)),
                           fh.readline() if size < left else b"", _PAD])
         left -= len(chunk) - len(line) - len(_PAD)
-        parsed = _parse_rows(chunk, scores, row + len(consumer_ids))
-        if parsed is None:
-            raise _Inexact
-        consumer_ids += parsed[0]
-        scores = parsed[1]
+        ids, scores = _parse_rows(chunk, scores, row + len(consumer_ids))
+        consumer_ids += ids
         line = fh.readline() if left > 0 else b""
         left -= len(line)
     return consumer_ids, scores
@@ -387,9 +392,9 @@ def _count_lines(fh, start, end):
 def _parse_parts(path, fh, cuts, n):
     """(consumer_ids, scores) of the lines of the relevance CSV `fh`,
     opened in binary at `path` or read into an io.BytesIO, each a consumer
-    id and n numbers, cut into parts [cuts[i], cuts[i + 1]); or None where
-    a part is inexact. The scores are the matrix the first part was read
-    into, grown or not.
+    id and n numbers, cut into parts [cuts[i], cuts[i + 1]), or raises
+    _Inexact. The scores are the matrix the first part was read into,
+    grown or not.
 
     The parts are the calls of one `_forked`, a process each. One part is
     read into a private matrix with room for as many rows as lines like
@@ -417,14 +422,11 @@ def _parse_parts(path, fh, cuts, n):
         scores = np.empty((cuts[1] // max(len(fh.readline()), 2 * n + 1)
                            + 1, n))
     own = partial(_parse_range, fh, cuts[0], cuts[1], 0, scores)
-    try:
-        with _forked([own, *children], len(rows)) as (parsed, *sent):
-            ids = [parsed[0], *(part.split("\n") for part in sent)]
-            if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
-                return None
-            return list(itertools.chain(*ids)), parsed[1]
-    except _Inexact:
-        return None
+    with _forked([own, *children], len(rows)) as (parsed, *sent):
+        ids = [parsed[0], *(part.split("\n") for part in sent)]
+        if [len(part) for part in ids[:-1]] != np.diff(rows).tolist():
+            raise _Inexact
+        return list(itertools.chain(*ids)), parsed[1]
 
 
 @contextlib.contextmanager
@@ -533,8 +535,8 @@ def _plain(data):
 def _parse_rows(data, scores, m):
     """(consumer_ids, scores) once the whole lines that start the bytes
     `data`, each a consumer id and n numbers, then _PAD, are written from
-    row m on of the (_, n) matrix `scores` or of a grown copy of it; or
-    None when the csv parser could read the lines otherwise.
+    row m on of the (_, n) matrix `scores` or of a grown copy of it.
+    Raises _Inexact when the csv parser could read the lines otherwise.
 
     The lines are split at commas and newlines in one pass over their
     bytes. `_decimals` converts the scores, and every field it does not
@@ -544,14 +546,14 @@ def _parse_rows(data, scores, m):
     if b"\r" in data:  # csv ends a row at "\r\n", "\n" or a lone "\r"
         data = data.replace(b"\r\n", b"\n")
         if b"\r" in data:
-            return None
+            raise _Inexact
     if not _plain(data):
-        return None
+        raise _Inexact
     if not data.isascii():
         try:
             data.decode()
         except UnicodeDecodeError:
-            return None
+            raise _Inexact from None
     if not data.endswith(b"\n" + _PAD):  # the file's last line
         data = data.removesuffix(_PAD) + b"\n" + _PAD
     n = scores.shape[1]
@@ -562,13 +564,13 @@ def _parse_rows(data, scores, m):
     newline = buf[sep] == ord("\n")
     rows = np.count_nonzero(newline)
     if sep.size != rows * (n + 1) or not newline[n::n + 1].all():
-        return None
+        raise _Inexact
     # a field's bytes are never fewer than the csv parser's characters
     line_starts = np.r_[0, sep[n:-1:n + 1] + 1]
     limit = csv.field_size_limit()
     if ((sep[n::n + 1] - line_starts).max() > limit
             and np.diff(sep, prepend=-1).max() > limit + 1):
-        return None
+        raise _Inexact
     sep = sep.reshape(rows, n + 1)
     consumer_ids = _ids(buf, line_starts, sep[:, 0])
     starts = (sep[:, :-1] + 1).ravel()
@@ -592,10 +594,7 @@ def _parse_rows(data, scores, m):
         blocks = [rest[i:i + _BLOCK_FIELDS]
                   for i in range(0, rest.size, _BLOCK_FIELDS)]
     if rest.size:
-        fallback = _float_fields(data, starts[rest], ends[rest])
-        if fallback is None:
-            return None
-        out[rest] = fallback
+        out[rest] = _float_fields(data, starts[rest], ends[rest])
     return consumer_ids, scores
 
 
@@ -608,13 +607,13 @@ def _ids(buf, starts, ends):
 
 
 def _float_fields(data, starts, ends):
-    """float() of each field, as the csv parser converts it, or None when
-    one is not a number."""
+    """float() of each field, as the csv parser converts it. Raises
+    _Inexact when one is not a number."""
     try:
         return [float(data[a:b].decode())
                 for a, b in zip(starts.tolist(), ends.tolist())]
     except ValueError:
-        return None
+        raise _Inexact from None
 
 
 # The decimal kernel reads a field as the integer w of its digits, eight

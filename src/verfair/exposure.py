@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupMap
+from .data import GroupMap, _positions
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,18 @@ def total_exposure(model: ExposureModel, m) -> float:
     return float(m * model.probs.sum())
 
 
+def _check_shown(slates, col):
+    """Refuse by name the first item a slate shows whose position in `col`,
+    the map of `slates.item_ids`, is -1; an item no slate shows may be."""
+    if col.min(initial=0) < 0:
+        unknown = col[slates.items] < 0
+        if unknown.any():
+            c, r = divmod(int(np.argmax(unknown)), unknown.shape[1])
+            raise ValueError(
+                f"slate for {slates.consumer_ids[slates.rows[c]]!r} contains "
+                f"unknown item {slates.item_ids[slates.items[c, r]]!r}")
+
+
 def accumulate(slates, model: ExposureModel, groups: GroupMap) -> ExposureLedger:
     """Sum each item's examination probability over all slates it appears in.
 
@@ -51,20 +63,14 @@ def accumulate(slates, model: ExposureModel, groups: GroupMap) -> ExposureLedger
     `groups.assignment`, groups like `groups.group_ids`. Both sums run
     consumer by consumer, rank by rank, in the slate set's row order.
     """
-    ids = list(groups.assignment)
-    pos = {d: i for i, d in enumerate(ids)}
-    col = np.array([pos.get(d, -1) for d in slates.item_ids], dtype=int)
-    shown = col[slates.items.ravel()]
-    if (shown < 0).any():
-        c, r = divmod(int(np.argmax(shown < 0)), slates.items.shape[1])
-        raise ValueError(
-            f"slate for {slates.consumer_ids[slates.rows[c]]!r} contains "
-            f"unknown item {slates.item_ids[slates.items[c, r]]!r}")
+    ids = tuple(groups.assignment)
+    col = _positions(slates.item_ids, ids)
+    _check_shown(slates, col)
     m, k = slates.items.shape
-    per_item = np.bincount(shown, weights=np.tile(model.probs[:k], m),
+    per_item = np.bincount(col[slates.items.ravel()],
+                           weights=np.tile(model.probs[:k], m),
                            minlength=len(ids))
-    gpos = {g: i for i, g in enumerate(groups.group_ids)}
-    group_of = np.array([gpos[groups.assignment[d]] for d in ids], dtype=int)
+    group_of = _positions(tuple(groups.assignment.values()), groups.group_ids)
     per_group = np.bincount(group_of, weights=per_item,
                             minlength=len(groups.group_ids))
     return ExposureLedger(per_item, per_group)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupMap, RelevanceMatrix
-from .exposure import ExposureLedger, ExposureModel, accumulate
+from .data import GroupMap, RelevanceMatrix, _positions
+from .exposure import ExposureLedger, ExposureModel, _check_shown, accumulate
 from .quota import group_relevance
 
 
@@ -23,14 +23,6 @@ class EvalReport:
     ndcg_at: dict            # cutoff -> value in [0,1]
     fairness_individual: float
     fairness_group: float
-
-
-def _positions(ids, dataset_ids):
-    """Index of each of `ids` within `dataset_ids`."""
-    if ids == dataset_ids:
-        return np.arange(len(ids))
-    pos = {d: i for i, d in enumerate(dataset_ids)}
-    return np.array([pos[d] for d in ids], dtype=int)
 
 
 def _check_cutoff(k_c, model: ExposureModel):
@@ -61,9 +53,16 @@ def _gather(slates, rel: RelevanceMatrix, depth):
     slate's consumer row, the relevance of its first `depth` items, and
     each row's `depth` largest scores, descending, read through
     `rel.preferences(depth)`, which sorts no row the matrix has sorted
-    that deep."""
+    that deep. A consumer, or an item a slate shows, that `rel` lacks is
+    refused by name."""
     rows = _positions(slates.consumer_ids, rel.consumer_ids)[slates.rows]
-    cols = _positions(slates.item_ids, rel.item_ids)[slates.items[:, :depth]]
+    if rows.min() < 0:
+        c = int(np.argmax(rows < 0))
+        raise ValueError(f"slate for unknown consumer "
+                         f"{slates.consumer_ids[slates.rows[c]]!r}")
+    col = _positions(slates.item_ids, rel.item_ids)
+    _check_shown(slates, col)
+    cols = col[slates.items[:, :depth]]
     ideal = np.take_along_axis(rel.scores, rel.preferences(depth), axis=1)
     return rows, rel.scores[rows[:, None], cols], ideal
 
@@ -113,12 +112,10 @@ def jsd_fairness(ledger: ExposureLedger, rel: RelevanceMatrix,
     to probability vectors first, so the metric is scale-invariant.
     """
     if level == "individual":
-        try:
-            e = ledger.per_item[_positions(rel.item_ids,
-                                           tuple(groups.assignment))]
-        except KeyError:  # an item of `rel` has no group
+        at = _positions(rel.item_ids, tuple(groups.assignment))
+        if at.min() < 0:  # an item of `rel` has no group
             groups.indices(rel)  # raises the DataError that names it
-            raise
+        e = ledger.per_item[at]
         r = rel.avg_relevance()
     elif level == "group":
         e = ledger.per_group

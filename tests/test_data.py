@@ -28,9 +28,13 @@ from verfair.data import _parse_relevance_numpy
 
 def parse_file(path, parser=_parse_relevance_numpy):
     """`parser`, one of the loader's two parsers, of the file at `path`,
-    opened as `load_relevance` opens a regular file."""
+    opened as `load_relevance` opens a regular file; None where the fast
+    parser declines the file (raises `_Inexact`)."""
     with open(path, "rb") as fh:
-        return parser(path, fh)
+        try:
+            return parser(path, fh)
+        except data_module._Inexact:
+            return None
 
 
 def write(path, text):
@@ -779,8 +783,8 @@ def test_cli_exits_2_on_malformed_groups(body, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, message", [
-    (b"consumer_id,A\nc1,0.5\nc1,0.5\n", "duplicate consumer ids"),
-    (b"consumer_id,A,A\nc1,0.5,0.5\n", "duplicate item ids"),
+    (b"consumer_id,A\nc1,0.5\nc1,0.5\n", "duplicate consumer ids: 'c1'"),
+    (b"consumer_id,A,A\nc1,0.5,0.5\n", "duplicate item ids: 'A'"),
     (b"consumer_id,A,B\nc1,0.5,nan\n",
      "non-finite score at consumer 'c1', item 'B'"),
     (b"consumer_id,A,B\nc1,0.5,0.5\nc2,-0.5,0.5\n",

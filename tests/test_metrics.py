@@ -222,6 +222,45 @@ class TestEvaluate:
         assert sorts == [1]
 
 
+class TestIdsTheMatrixLacks:
+    # top-2 over A, B, C shows A and B, never C; a cut keeps A and B, and
+    # drops u2 where it keeps two consumers
+    SCORES = [[0.9, 0.5, 0.1], [0.2, 0.8, 0.1], [0.6, 0.7, 0.3]]
+    FULL = RelevanceMatrix(("c1", "c2", "u2"), ("A", "B", "C"),
+                           np.array(SCORES))
+
+    def cut(self, consumers, items):
+        return RelevanceMatrix(self.FULL.consumer_ids[:consumers],
+                               self.FULL.item_ids[:items],
+                               self.FULL.scores[:consumers, :items])
+
+    def test_an_item_no_slate_shows_is_evaluated(self):
+        rel, model = self.cut(3, 2), ExposureModel.pbm(1.0, 2)
+        want = evaluate(top_k(rel, 2), rel, identity_groups(rel), model,
+                        (1, 2))
+        slates = top_k(self.FULL, 2)
+        assert evaluate(slates, rel, identity_groups(rel), model,
+                        (1, 2)) == want
+        assert ndcg(slates, rel, model, 2) == want.ndcg_at[2]
+
+    @pytest.mark.parametrize("k, consumers, cutoff, message", [
+        (2, 2, 2, "slate for unknown consumer 'u2'"),
+        (3, 3, 3, "slate for 'c1' contains unknown item 'C'"),
+        # C is shown at rank 3 only, below the cutoff
+        (3, 3, 1, "slate for 'c1' contains unknown item 'C'"),
+    ])
+    def test_an_id_a_slate_shows_is_refused_by_name(self, k, consumers,
+                                                    cutoff, message):
+        rel, model = self.cut(consumers, 2), ExposureModel.pbm(1.0, k)
+        slates = top_k(self.FULL, k)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ndcg(slates, rel, model, cutoff)
+        # the groups of every item, so that exposure is not what refuses
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate(slates, rel, identity_groups(self.FULL), model,
+                     (cutoff,))
+
+
 class TestCheckEvaluable:
     # top-2 over A, B, C shows A and B, never C
     SHOWN_AB = [[0.9, 0.5, 0.1], [0.2, 0.8, 0.1]]
