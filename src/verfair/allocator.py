@@ -3,38 +3,18 @@
 Starting from the anchor point, the allocation phase fills one rank across
 all consumers before moving to the next rank, placing for each slot the
 most relevant item whose group still has quota headroom of at least the
-slot's examination probability. When no item the consumer does not yet
-show has such headroom but some group still does, the slot is exchanged
-with a consumer already filled at the same rank: that consumer takes a
-needy item it does not show, and hands its own item, which this consumer
-does not show, over to this slot, so the needy group gains the slot's
-probability and the handed item's charge is unchanged. Only when no such
-exchange exists does the slot fall back to the most relevant item left,
-spending its exposure beyond quota. The appending phase then fills the
-remaining (top) slots greedily by relevance, and the re-sorting phase sorts
-each consumer's slate by personal relevance, with the constraint that an
-allocation-phase item never ends below the rank it was placed at, so its
-exposure never drops below what the quota granted.
+slot's examination probability. When the consumer already shows every
+item with such headroom but some group still has it, a consumer filled
+earlier at the same rank takes a needy item and hands its own to this
+slot (`_exchange`). Only when no such exchange exists does the slot fall
+back to the most relevant item left, spending its exposure beyond quota.
+The appending phase then fills the remaining (top) slots greedily by
+relevance, and the re-sorting phase sorts each consumer's slate by
+personal relevance, with the constraint that an allocation-phase item
+never ends below the rank it was placed at, so its exposure never drops
+below what the quota granted.
 
-The allocation phase walks a rank in runs of consumers, not slot by slot.
-Every slot charges some group, and a charge only lowers that group's
-headroom, so within a rank headroom only shrinks. Each rank therefore picks
-for all its consumers at once (each one's first unshown preference whose
-group has headroom) and then makes passes. A pass reads every group's
-closing position from the current picks, the position of the last picker
-the group has capacity for, commits the run of consumers before the first
-one past its group's closing position, and re-picks every consumer past
-its group's closing position. Re-picks only add pickers later in the rank,
-so closing positions read from the current picks are upper bounds on the
-true ones, and a consumer past one is truly shut out of that group.
-Exchanges and fallbacks taken while some group has headroom stay events
-taken one consumer at a time, between runs, in consumer order; once no
-group has headroom, the rest of the rank falls back in one step. The
-capacities are exact: a group's exposure after t charges of probability p
-is a running sum of [exposure, p, p, ...], which `np.add.accumulate`
-computes with the same float additions, in the same order, as one `+= p`
-per slot, so every headroom test and every granted exposure is
-bit-identical to the slot-by-slot walk kept in
+Every slate set is bit-identical to that of the slot-by-slot walk kept in
 `tests/reference_allocator.py`.
 """
 
@@ -370,10 +350,6 @@ def allocate(rel: RelevanceMatrix, groups: GroupMap, model: ExposureModel,
     rank. alpha=0 has no allocation phase and degenerates to pure relevance
     ranking: each slate is the consumer's first k preferences, returned
     as they are.
-
-    The preferences are `rel.preferences`, in the shuffled order: to depth
-    n, or k at alpha 0. The matrix keeps its sort, so a sweep's points and
-    the `evaluate` after them sort no row again.
     """
     k = model.k
     m, n = rel.m, rel.n

@@ -154,8 +154,9 @@ def _partitions(n, depth):
     """Whether a row of n entries, of which only the first `depth` in
     sorted order are read, is cut to its leading entries by a partition
     before they are sorted: when n >= 256 and n >= 4 * depth. Below that
-    a full sort of the row is faster. `_preferences` and the baselines'
-    `_top_k` follow this rule."""
+    a full sort of the row is faster: forced on 40000 x 20, a partition
+    made `top_k` take 21 ms against 13-15 ms. `_preferences` and the
+    baselines' `_top_k` follow this rule."""
     return n >= max(256, 4 * depth)
 
 
@@ -226,9 +227,18 @@ _CHUNK_FIELDS = 2 ** 14
 #   load-wide, 9.8 MB, 2 parts          35.7 ms 12,510    25.9 ms  1,680
 #   slates-tall, 15.9 MB, 2 parts       44.9 ms  3,010    46.8 ms  3,000
 _BLOCK_FIELDS = 2 ** 12
-# The second pass of the kernel costs about what float() does on a few
-# hundred fields; fewer fields than this go straight to float().
-_FEW_FIELDS = 64
+# Fields of a chunk that the kernel's first pass leaves go to its second
+# pass from this many on, and straight to float() below. Fastest of 7 x 200
+# calls on e-notation fields on a 2-vCPU VM, in us:
+#
+#   fields                          16     64    256    512    768
+#   _decimals(..., general=True)   125    160    182    204    247
+#   _float_fields                    7     29    115    206    305
+#
+# float() stays cheaper up to about 500 fields, but benchmark-shaped beta
+# scores leave about 300 e-notation fields a chunk, and the kernel is to
+# convert all but 1% of those (tests/test_data.py).
+_FEW_FIELDS = 256
 # Bytes that send a file to the csv parser: the quote, and NUL (a csv
 # error before Python 3.11).
 _CSV_PARSER_ONLY = (b'"', b"\x00")
@@ -256,21 +266,13 @@ _COUNT_BYTES = 2 ** 18
 def load_relevance(path) -> RelevanceMatrix:
     """Read a relevance CSV, validating shape, ids and score values.
 
-    The scores are converted by an exact numpy decimal kernel, in chunks of
-    lines. Where `os.fork` and `os.sched_getaffinity` exist (Linux), the
-    data lines are cut into P = min(usable CPUs, data bytes // 768 KiB)
-    parts, and this process and P - 1 forked children parse one each at
-    once, the children's scores coming back through shared memory and
-    their consumer ids on a pipe.
-    A file of less than 1.5 MiB of data, or any file elsewhere, is one
-    part; so is a pipe or other input that is not a regular file, read
-    whole into memory as it can be read only once. Every part is read by
-    one path, and a file up to the size it had when it was cut. Wherever
-    the fast path cannot vouch that it reads the bytes exactly as
-    `csv.reader` and `float()` would, it raises _Inexact, caught here
-    alone: the same open file is then read again by the csv parser, which
-    returns the same matrix or raises the error that names the line and
-    item. So the result is bit-identical however the file is cut.
+    The ids and score bits, or the error, are those of `csv.reader` with
+    one float() per cell, however many processes parse the file. A pipe or
+    other input that is not a regular file is read whole first, as it can
+    be read only once. The fast path reads a file up to the size it had
+    when the load sized it, and wherever it cannot vouch for the bytes it
+    raises _Inexact, caught here alone: the csv parser then reads the same
+    open file from its start.
     """
     with open(path, "rb") as fh:
         if not S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -295,14 +297,6 @@ def _parse_relevance_numpy(path, fh):
     in binary at `path` or read into an io.BytesIO. Raises _Inexact where
     the result could differ from `_parse_relevance_csv`'s, which includes
     every file that parser rejects.
-
-    Without quotes, csv rows are the file's lines, split at each comma.
-    Bytes in memory are one part. The data lines of a file are cut by
-    `_cuts` at line starts into P = min(`_usable_cpus()`, data bytes //
-    _MIN_PART_BYTES) parts, or one part where that is below 2, and end
-    where the file ended when it was sized: lines it gains later are not
-    read. `_parse_parts` reads the parts, however many, and returns the
-    same ids and score bits for any cut.
     """
     header = fh.readline()
     start = len(header)
@@ -496,14 +490,12 @@ def _forked(calls, procs):
 def _fork():
     """os.fork(), without the DeprecationWarning of Python 3.12 and later
     that a child forked from a process with threads, such as numpy's BLAS
-    pool, may deadlock. The children of `_forked` leave by os._exit. Those
-    of `_parse_parts` call no BLAS; those of `harness.sweep` and
-    `harness.run`, which evaluate, do, in the `@` of `metrics.ndcg`. That
-    is safe with the pthreads OpenBLAS that numpy's wheels ship: its
-    `openblas_fork_handler` registers `blas_thread_shutdown_` with
-    pthread_atfork, which stops the pool before each fork, so no BLAS
-    thread holds a lock the child needs, and a pool starts again at the
-    next product. (An OpenBLAS built on libgomp's
+    pool, may deadlock. A child that evaluates calls BLAS, in the `@` of
+    `metrics.ndcg`. That is safe with the pthreads OpenBLAS that numpy's
+    wheels ship: its `openblas_fork_handler` registers
+    `blas_thread_shutdown_` with pthread_atfork, which stops the pool
+    before each fork, so no BLAS thread holds a lock the child needs, and a
+    pool starts again at the next product. (An OpenBLAS built on libgomp's
     OpenMP can still hang after a fork.) `tests/test_harness.py` runs a
     forked sweep and a forked run after a BLAS product in a subprocess with
     a timeout, so a hang fails the test rather than blocking it."""

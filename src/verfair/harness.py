@@ -4,8 +4,7 @@ distribution dumps, all emitting diffable CSV.
 A run is a one-point sweep: both make, time and evaluate a slate set
 through `_point` and write metrics through `write_sweep`. Timing covers slate
 generation only (no loading, no metric evaluation) and is normalized to
-milliseconds per 1000 slates. `run` and `sweep` each share out their work
-with one `data._forked` call.
+milliseconds per 1000 slates.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ def _record(config: RunConfig, param, report: EvalReport, wall_ms_per_1k):
 def _point(config: RunConfig, param, rel: RelevanceMatrix, groups: GroupMap,
            slate_path=None):
     """Make, time and evaluate one slate set: (slates, report, record).
-    With a `slate_path` the slates are also written there, as `run`
-    describes."""
+    With a `slate_path` the slates are also written there, once
+    `check_evaluable` has passed."""
     groups = groups or identity_groups(rel)
     model = ExposureModel.pbm(config.eta, config.k)
     t0 = time.perf_counter()
@@ -132,10 +131,7 @@ def run(config: RunConfig, rel: RelevanceMatrix, groups: GroupMap = None,
 
     The metrics row's param is the method's alpha or lambda, and nan for a
     method without a tradeoff parameter. With a `slate_path`,
-    `check_evaluable` runs first, so a refused run leaves no file. Then
-    one `data._forked` call makes `[write_slates, evaluate]`, in two
-    processes with at least `_MIN_FORKED_SLOTS` slots and two or more
-    usable CPUs, else in this one.
+    `check_evaluable` runs first, so a refused run leaves no file.
     """
     param = {"alpha": config.alpha, "lambda": config.lam}.get(
         PARAM_OF.get(config.method), float("nan"))
@@ -154,13 +150,8 @@ def sweep(config: RunConfig, grid, rel: RelevanceMatrix,
     every other method, and is the record's param. The points are the
     calls of one `data._forked` over the usable CPUs, so the records and
     the error are the serial sweep's, and each `wall_ms_per_1k` is timed
-    in the process that ran the point.
-
-    Before the `_forked` call, `rel.preferences` sorts every row as deep
-    as any point reads it: to n for a verfair grid with some alpha above
-    0, else to k. The matrix keeps that sort, so the points and their
-    `evaluate` calls, here or in a child, sort no row again and no
-    `wall_ms_per_1k` carries the sort.
+    in the process that ran the point. Every row is sorted first, as deep
+    as any point reads it, so no `wall_ms_per_1k` carries the sort.
     """
     if not grid:
         raise ValueError("parameter grid must be non-empty")
@@ -238,11 +229,10 @@ def write_slates(slates, config: RunConfig, path):
     """Slate dump: a run-header line, then consumer_id,rank,item_id,phase_tag;
     returns the number of slots written, m·k.
 
-    Byte-identical to one `csv.writer` row per slot. Ids go out as they
-    are unless csv.writer would quote one of them; then a list of ids is
-    quoted through `_csv_fields`, the consumers a chunk at a time. Each
-    line is joined from three pieces: the consumer, ",rank," and
-    "item,tag" + row end, taken from a table of every item and phase.
+    Byte-identical to one `csv.writer` row per slot, the ids written by
+    `_fields`, the consumers a chunk at a time. Each line is joined from
+    three pieces: the consumer, ",rank," and "item,tag" + row end, taken
+    from a table of every item and phase.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# method={config.method} alpha={config.alpha} "

@@ -51,10 +51,8 @@ def check_evaluable(rel: RelevanceMatrix, groups: GroupMap,
 def _gather(slates, rel: RelevanceMatrix, depth):
     """(rows, gains, ideal) for NDCG at every cutoff up to `depth`: each
     slate's consumer row, the relevance of its first `depth` items, and
-    each row's `depth` largest scores, descending, read through
-    `rel.preferences(depth)`, which sorts no row the matrix has sorted
-    that deep. A consumer, or an item a slate shows, that `rel` lacks is
-    refused by name."""
+    each row's `depth` largest scores, descending. A consumer, or an item
+    a slate shows, that `rel` lacks is refused by name."""
     rows = _positions(slates.consumer_ids, rel.consumer_ids)[slates.rows]
     if rows.min() < 0:
         c = int(np.argmax(rows < 0))
@@ -73,9 +71,8 @@ def ndcg(slates, rel: RelevanceMatrix, model: ExposureModel, k_c,
 
     DCG@k_c = sum_{j<=k_c} R(slate[j], u) * p_j; the ideal ranking sorts the
     consumer's own relevance row. Consumers with zero ideal DCG contribute 1.
-    `gathered` is `_gather(slates, rel, depth)` for some depth >= k_c,
-    passed by `evaluate` so all its cutoffs read one gather; it is made
-    for depth k_c when omitted. An empty slate set is refused, as
+    `gathered` is `_gather(slates, rel, depth)` for some depth >= k_c; it
+    is made for depth k_c when omitted. An empty slate set is refused, as
     `evaluate` refuses it.
     """
     if not len(slates.rows):

@@ -5,13 +5,15 @@ For each FairCo run, with eta 1 and k 10, alpha* is the matched guarantee
 (`helpers.matched_alpha`), and VerFair runs at alpha* with seed 1. At
 individual level the instances are I(3) and C(3) in both arrival orders
 (`helpers.scaled_instance`, `helpers.clustered_instance`); FairCo serves
-the rows in input order, VerFair shuffles them. C(3) in both orders is
-also compared on the 1 - JSD axis, where in random order the claim holds
-only at the fairest point, and G(1)...G(10) at group level
-(`helpers.grouped_instance`), where the same holds. A seed ledger repeats
-the individual-level comparison on I(s) and C(s) for s = 1...20. On rated data (`helpers.rated_instance`) the claim
-reverses. The pinned figures were measured on this code; slates are
-deterministic, so they hold to the last digit shown.
+the rows in input order, VerFair shuffles them. I(3) is also compared
+under eta 0 and eta 2. I(3) and C(3) in both orders are also compared on
+the 1 - JSD axis, where the claim holds at every point only in clustered
+order, and G(1)...G(10) at group level (`helpers.grouped_instance`), where
+it holds only at the fairest point, on both axes. A seed ledger repeats
+the individual-level comparison on I(s) and C(s) for s = 1...20. On rated
+data (`helpers.rated_instance`) the claim reverses. The pinned figures
+were measured on this code; slates are deterministic, so they hold to the
+last digit shown.
 """
 
 import functools
@@ -63,12 +65,71 @@ def test_verfair_beats_fairco_at_the_matched_guarantee(
     assert shortfall_pk(slates, rel, MODEL, alpha) < 1
 
 
-# C(3) on the 1 - JSD axis, the metric `evaluate` reports: VerFair swept
-# over alpha 0.30, 0.32, ..., 1.00 and interpolated linearly at each FairCo
-# point's 1 - JSD. In clustered order VerFair wins at every lambda; in
-# random order, as on I(3), only at the fairest. (lambda, FairCo's 1 - JSD,
-# FairCo's NDCG@10, VerFair's interpolated NDCG@10, the winner)
+# Position bias on I(3): the comparison above under flat discounts (eta 0)
+# and steep ones (eta 2), NDCG@10 taken under the same eta. At eta 2 and
+# lambda 0.003 FairCo meets no guarantee: alpha* is 0, where VerFair is
+# top-k. (eta, lambda, alpha*, FairCo's NDCG@10, VerFair's NDCG@10 at
+# alpha*)
+ETA_POINTS = [
+    (0.0, 0.003, 0.62, 0.8963, 0.9229),
+    (0.0, 0.01, 0.89, 0.8669, 0.8766),
+    (0.0, 0.03, 0.97, 0.8450, 0.8596),
+    (0.0, 0.1, 1.00, 0.8018, 0.8525),
+    (2.0, 0.003, 0.00, 0.9535, 1.0000),
+    (2.0, 0.01, 0.47, 0.8639, 0.9334),
+    (2.0, 0.03, 0.83, 0.8240, 0.8418),
+    (2.0, 0.1, 0.95, 0.7940, 0.8054),
+]
+
+
+@pytest.mark.parametrize("eta, lam, alpha, fairco_ndcg, verfair_ndcg",
+                         ETA_POINTS)
+def test_verfair_beats_fairco_under_position_bias(eta, lam, alpha,
+                                                  fairco_ndcg, verfair_ndcg):
+    rel = INSTANCES["I(3)"]()
+    model = ExposureModel.pbm(eta, 10)
+    baseline = fairco(rel, identity_groups(rel), model, lam)
+    assert matched_alpha(baseline, rel, model) == alpha
+    slates = allocate_individual(rel, model, alpha, seed=1)
+    ours, theirs = ndcg(slates, rel, model, 10), ndcg(baseline, rel, model, 10)
+    assert ours > theirs
+    assert (theirs, ours) == pytest.approx((fairco_ndcg, verfair_ndcg),
+                                           abs=5e-5)
+    assert shortfall_pk(slates, rel, model, alpha) < 1
+
+
+def jsd_verdicts(method, alphas, rel, groups, level, points):
+    """Sweep `method` over `alphas` and, for each point (lambda, FairCo's
+    1 - JSD at `level`, FairCo's NDCG@10, the swept NDCG@10 interpolated
+    linearly at that 1 - JSD, the winner), check FairCo at that lambda
+    against it. Every FairCo point lies inside the swept curve."""
+    field = f"fairness_{level}"
+    records = sweep(RunConfig(method, k=10, seed=1, cutoffs=(10,)), alphas,
+                    rel, groups)
+    fair = [getattr(r, field) for r in records]
+    assert fair == sorted(fair)  # so the curve interpolates at any fairness
+    for lam, fairco_fair, fairco_ndcg, verfair_ndcg, winner in points:
+        report = evaluate(fairco(rel, groups, MODEL, lam), rel, groups,
+                          MODEL, (10,))
+        at, theirs = getattr(report, field), report.ndcg_at[10]
+        assert fair[0] <= at <= fair[-1]
+        ours = float(np.interp(at, fair, [r.ndcg_at[10] for r in records]))
+        assert ("VerFair" if ours > theirs else "FairCo") == winner
+        assert (at, theirs, ours) == pytest.approx(
+            (fairco_fair, fairco_ndcg, verfair_ndcg), abs=5e-5)
+
+
+# The 1 - JSD axis, the metric `evaluate` reports: VerFair swept over alpha
+# 0.30, 0.32, ..., 1.00. In clustered order VerFair wins at every lambda;
+# on I(3) and in random order, only at the fairest. (lambda, FairCo's
+# 1 - JSD, FairCo's NDCG@10, VerFair's interpolated NDCG@10, the winner)
 JSD_POINTS = {
+    "I(3)": [
+        (0.003, 0.96335, 0.9256, 0.9078, "FairCo"),
+        (0.01, 0.99728, 0.8648, 0.8444, "FairCo"),
+        (0.03, 0.99971, 0.8396, 0.8305, "FairCo"),
+        (0.1, 0.99998, 0.8094, 0.8259, "VerFair"),
+    ],
     "C(3) clustered": [
         (0.003, 0.98511, 0.8823, 0.9331, "VerFair"),
         (0.01, 0.99787, 0.7034, 0.8998, "VerFair"),
@@ -85,22 +146,27 @@ JSD_POINTS = {
 @pytest.mark.parametrize("name", sorted(JSD_POINTS))
 def test_the_jsd_axis_verdict_in_each_arrival_order(name):
     rel = INSTANCES[name]()
-    groups = identity_groups(rel)
-    alphas = [a / 100 for a in range(30, 101, 2)]
-    records = sweep(RunConfig("verfair-ind", k=10, seed=1, cutoffs=(10,)),
-                    alphas, rel)
-    fair = [r.fairness_individual for r in records]
-    assert fair == sorted(fair)  # so the curve interpolates at any fairness
-    for lam, fairco_fair, fairco_ndcg, verfair_ndcg, winner in \
-            JSD_POINTS[name]:
-        report = evaluate(fairco(rel, groups, MODEL, lam), rel, groups,
-                          MODEL, (10,))
-        theirs = report.ndcg_at[10]
-        ours = float(np.interp(report.fairness_individual, fair,
-                               [r.ndcg_at[10] for r in records]))
-        assert ("VerFair" if ours > theirs else "FairCo") == winner
-        assert (report.fairness_individual, theirs, ours) == pytest.approx(
-            (fairco_fair, fairco_ndcg, verfair_ndcg), abs=5e-5)
+    jsd_verdicts("verfair-ind", [a / 100 for a in range(30, 101, 2)], rel,
+                 identity_groups(rel), "individual", JSD_POINTS[name])
+
+
+# G(1) on the 1 - JSD_group axis: VerFair-group swept over alpha 0.80,
+# 0.81, ..., 1.00, whose curve tops out at 0.9999995. As on the guarantee
+# axis, VerFair wins only at the fairest lambda. (lambda, FairCo's
+# 1 - JSD_group, FairCo's NDCG@10, VerFair's interpolated NDCG@10, the
+# winner)
+GROUP_JSD_POINTS = [
+    (0.003, 0.99862, 0.9773, 0.9657, "FairCo"),
+    (0.01, 0.99987, 0.9699, 0.9578, "FairCo"),
+    (0.03, 0.99998, 0.9637, 0.9556, "FairCo"),
+    (0.1, 0.9999987, 0.9470, 0.9545, "VerFair"),
+]
+
+
+def test_the_jsd_group_axis_verdict_on_g1():
+    rel, groups = group_instance(1)
+    jsd_verdicts("verfair-group", [a / 100 for a in range(80, 101)], rel,
+                 groups, "group", GROUP_JSD_POINTS)
 
 
 # The group level on the guarantee axis, over G(1)...G(10)
