@@ -2,14 +2,17 @@
 
 import math
 import runpy
+from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 
 from verfair import (ExposureModel, GroupMap, RelevanceMatrix, accumulate,
-                     compute_quotas, identity_groups, synth_relevance)
+                     allocate, compute_quotas, fairco, identity_groups,
+                     synth_relevance)
 from verfair.allocator import SlateSet
+from verfair.metrics import _gather
 
 
 def make_slateset(slates):
@@ -213,16 +216,6 @@ def grouped_instance(s):
                           for d, g in zip(rel.item_ids, group_of)}, group_ids)
 
 
-def shortfall_pk(slates, rel, model, alpha, groups=None):
-    """The largest amount, in units of p_k, by which an item's exposure in
-    `slates` falls short of its individual quota at `alpha`; with
-    `groups`, a group's of its group quota."""
-    groups = groups or identity_groups(rel)
-    exposure = accumulate(slates, model, groups).per_group
-    short = compute_quotas(rel, groups, model, alpha) - exposure
-    return float(short.max() / model.probs[model.k - 1])
-
-
 def matched_alpha(slates, rel, model, groups=None):
     """The matched guarantee alpha* of `slates`: the largest alpha on a
     0.01 grid at which every item's exposure is at least its individual
@@ -234,3 +227,45 @@ def matched_alpha(slates, rel, model, groups=None):
     p_k = model.probs[model.k - 1]
     return max(a / 100 for a in range(101) if (
         exposure >= compute_quotas(rel, groups, model, a / 100) - p_k).all())
+
+
+def consumer_ndcg(slates, rel, model):
+    """Each slate's NDCG@k, in slate order: the values whose mean
+    `ndcg(slates, rel, model, model.k)` takes, bit for bit."""
+    rows, gains, ideal = _gather(slates, rel, model.k)
+    dcg = np.vecdot(gains, model.probs)
+    idcg = (ideal @ model.probs)[rows]
+    vals = np.ones(len(rows))
+    np.divide(dcg, idcg, out=vals, where=idcg > 0)
+    return vals
+
+
+@dataclass(frozen=True)
+class MatchedPoint:
+    """FairCo at one lambda against VerFair at FairCo's matched guarantee."""
+    alpha: float  # alpha*, `matched_alpha` of FairCo's slates
+    fairco: np.ndarray  # FairCo's per-consumer NDCG@k, in input order
+    verfair: np.ndarray  # VerFair's per-consumer NDCG@k, in allocation order
+    shortfall: float  # VerFair's shortfall at alpha*, in units of p_k
+
+    @property
+    def ndcg(self):
+        """(FairCo's NDCG@k, VerFair's): the means of the two vectors."""
+        return float(self.fairco.mean()), float(self.verfair.mean())
+
+
+def matched_point(rel, model, lam, groups=None):
+    """FairCo at `lam` against VerFair (`allocate`, seed 1) at FairCo's
+    alpha*, on `rel`: at individual level, or with `groups` at group
+    level. The shortfall is the largest amount by which an item's
+    exposure in VerFair's slates (with `groups`, a group's) falls short of
+    its quota at alpha*."""
+    groups = groups or identity_groups(rel)
+    baseline = fairco(rel, groups, model, lam)
+    alpha = matched_alpha(baseline, rel, model, groups)
+    slates = allocate(rel, groups, model, alpha, seed=1)
+    short = (compute_quotas(rel, groups, model, alpha)
+             - accumulate(slates, model, groups).per_group)
+    return MatchedPoint(alpha, consumer_ndcg(baseline, rel, model),
+                        consumer_ndcg(slates, rel, model),
+                        float(short.max() / model.probs[model.k - 1]))

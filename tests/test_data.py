@@ -667,6 +667,8 @@ def test_kernel_converts_all_but_a_few_repr_scores(dist, tmp_path,
         return float_fields(data, starts, ends)
 
     monkeypatch.setattr(data_module, "_float_fields", counted)
+    # one part, so every call is made, and counted, in this process
+    monkeypatch.setattr(data_module, "_usable_cpus", lambda: 1)
     parsed = parse_file(path)
     assert parsed is not None
     assert np.array_equal(parsed[2].view(np.int64), scores.view(np.int64))

@@ -1,19 +1,23 @@
 """The abstract's headline claim: at the guarantee FairCo (Morik et al.,
 SIGIR 2020) meets, VerFair gives consumers more.
 
-For each FairCo run, with eta 1 and k 10, alpha* is the matched guarantee
-(`helpers.matched_alpha`), and VerFair runs at alpha* with seed 1. At
-individual level the instances are I(3) and C(3) in both arrival orders
+Each comparison on the guarantee axis reads one record,
+`helpers.matched_point`: FairCo runs with eta 1 and k 10, alpha* is its
+matched guarantee (`helpers.matched_alpha`), VerFair runs at alpha* with
+seed 1, and the record holds alpha*, each consumer's NDCG@10 under both
+methods and VerFair's shortfall of its quotas. At individual level the
+instances are I(3) and C(3) in both arrival orders
 (`helpers.scaled_instance`, `helpers.clustered_instance`); FairCo serves
 the rows in input order, VerFair shuffles them. I(3) is also compared
 under eta 0 and eta 2. I(3) and C(3) in both orders are also compared on
 the 1 - JSD axis, where the claim holds at every point only in clustered
 order, and G(1)...G(10) at group level (`helpers.grouped_instance`), where
 it holds only at the fairest point, on both axes. A seed ledger repeats
-the individual-level comparison on I(s) and C(s) for s = 1...20. On rated
-data (`helpers.rated_instance`) the claim reverses. The pinned figures
-were measured on this code; slates are deterministic, so they hold to the
-last digit shown.
+the individual-level comparison on I(s) and C(s) for s = 1...20, and the
+consumer side splits the mean NDCG@10 of I(3) and G(1) by serving order.
+On rated data (`helpers.rated_instance`) the claim reverses. The pinned
+figures were measured on this code; slates are deterministic, so they
+hold to the last digit shown.
 """
 
 import functools
@@ -22,9 +26,9 @@ import numpy as np
 import pytest
 
 from helpers import (clustered_instance, grouped_instance, matched_alpha,
-                     rated_instance, scaled_instance, shortfall_pk)
-from verfair import (ExposureModel, allocate, allocate_individual, evaluate,
-                     fairco, identity_groups, ndcg, top_k)
+                     matched_point, rated_instance, scaled_instance)
+from verfair import (ExposureModel, allocate_individual, evaluate, fairco,
+                     identity_groups, ndcg, top_k)
 from verfair.harness import RunConfig, sweep
 
 MODEL = ExposureModel.pbm(1.0, 10)
@@ -53,16 +57,11 @@ POINTS = [
                          POINTS)
 def test_verfair_beats_fairco_at_the_matched_guarantee(
         name, lam, alpha, fairco_ndcg, verfair_ndcg):
-    rel = INSTANCES[name]()
-    baseline = fairco(rel, identity_groups(rel), MODEL, lam)
-    assert matched_alpha(baseline, rel, MODEL) == alpha
-    slates = allocate_individual(rel, MODEL, alpha, seed=1)
-    ours, theirs = ndcg(slates, rel, MODEL, 10), ndcg(baseline, rel, MODEL, 10)
-    assert ours > theirs
-    assert (theirs, ours) == pytest.approx((fairco_ndcg, verfair_ndcg),
-                                           abs=5e-5)
-    # VerFair meets the guarantee it is matched at: within p_k of quota
-    assert shortfall_pk(slates, rel, MODEL, alpha) < 1
+    point = matched_point(INSTANCES[name](), MODEL, lam)
+    theirs, ours = point.ndcg
+    assert point.alpha == alpha and ours > theirs
+    assert point.ndcg == pytest.approx((fairco_ndcg, verfair_ndcg), abs=5e-5)
+    assert point.shortfall < 1  # VerFair within p_k of every quota
 
 
 # Position bias on I(3): the comparison above under flat discounts (eta 0)
@@ -86,16 +85,11 @@ ETA_POINTS = [
                          ETA_POINTS)
 def test_verfair_beats_fairco_under_position_bias(eta, lam, alpha,
                                                   fairco_ndcg, verfair_ndcg):
-    rel = INSTANCES["I(3)"]()
-    model = ExposureModel.pbm(eta, 10)
-    baseline = fairco(rel, identity_groups(rel), model, lam)
-    assert matched_alpha(baseline, rel, model) == alpha
-    slates = allocate_individual(rel, model, alpha, seed=1)
-    ours, theirs = ndcg(slates, rel, model, 10), ndcg(baseline, rel, model, 10)
-    assert ours > theirs
-    assert (theirs, ours) == pytest.approx((fairco_ndcg, verfair_ndcg),
-                                           abs=5e-5)
-    assert shortfall_pk(slates, rel, model, alpha) < 1
+    point = matched_point(INSTANCES["I(3)"](), ExposureModel.pbm(eta, 10), lam)
+    theirs, ours = point.ndcg
+    assert point.alpha == alpha and ours > theirs
+    assert point.ndcg == pytest.approx((fairco_ndcg, verfair_ndcg), abs=5e-5)
+    assert point.shortfall < 1
 
 
 def jsd_verdicts(method, alphas, rel, groups, level, points):
@@ -182,28 +176,45 @@ GROUP_POINTS = [
 ]
 
 
-@functools.cache
-def group_instance(s):
-    return grouped_instance(s)
+group_instance = functools.cache(grouped_instance)
 
 
 @pytest.mark.parametrize("lam, wins, fairco_ndcg, margin", GROUP_POINTS)
 def test_verfair_group_against_fairco_at_the_matched_guarantee(
         lam, wins, fairco_ndcg, margin):
-    ndcgs = []
-    for s in range(1, 11):
-        rel, groups = group_instance(s)
-        baseline = fairco(rel, groups, MODEL, lam)
-        alpha = matched_alpha(baseline, rel, MODEL, groups)
-        slates = allocate(rel, groups, MODEL, alpha, seed=1)
-        ndcgs.append((ndcg(baseline, rel, MODEL, 10),
-                      ndcg(slates, rel, MODEL, 10)))
-        # VerFair meets the guarantee it is matched at: within p_k of quota
-        assert shortfall_pk(slates, rel, MODEL, alpha, groups) < 1
+    points = [matched_point(rel, MODEL, lam, groups)
+              for rel, groups in map(group_instance, range(1, 11))]
+    assert all(p.shortfall < 1 for p in points)  # within p_k of quota
+    ndcgs = [p.ndcg for p in points]
     assert sum(ours > theirs for theirs, ours in ndcgs) == wins
     theirs, ours = ndcgs[0]
     assert (theirs, ours - theirs) == pytest.approx((fairco_ndcg, margin),
                                                     abs=5e-5)
+
+
+# The consumer side at lambda 0.01 (Do et al., NeurIPS 2021): NDCG@10
+# averaged over quartiles of the serving order, VerFair's shuffled one and
+# FairCo's input order, and its 10th percentile. VerFair's walk fills each
+# rank in its order, so its quartiles fall from first to last. (instance,
+# VerFair's Q1...Q4 and p10, FairCo's Q1...Q4 and p10)
+CONSUMER_SIDE = [
+    ("I(3)", (0.9145, 0.9026, 0.8855, 0.8795, 0.8607),
+     (0.9392, 0.8422, 0.8374, 0.8405, 0.7624)),
+    ("G(1)", (0.9776, 0.9682, 0.9564, 0.9445, 0.9317),
+     (0.9774, 0.9669, 0.9686, 0.9668, 0.9416)),
+]
+
+
+@pytest.mark.parametrize("name, verfair, fairco_", CONSUMER_SIDE)
+def test_who_pays_for_the_quota(name, verfair, fairco_):
+    rel, groups = (group_instance(1) if name == "G(1)"
+                   else (INSTANCES[name](), None))
+    point = matched_point(rel, MODEL, 0.01, groups)
+    ours, theirs = ([*(q.mean() for q in np.array_split(v, 4)),
+                     np.percentile(v, 10)]
+                    for v in (point.verfair, point.fairco))
+    assert all(a > b for a, b in zip(ours[:3], ours[1:4]))
+    assert ours + theirs == pytest.approx(verfair + fairco_, abs=5e-5)
 
 
 # The seed ledger: the guarantee-axis comparison above, on I(s) at the four
@@ -226,22 +237,16 @@ LEDGER_INSTANCES = {
 @pytest.mark.parametrize("family, lams, margin, seed, lam, alpha", LEDGER)
 def test_verfair_beats_fairco_at_every_seed(family, lams, margin, seed, lam,
                                             alpha):
-    points = {}  # (s, lambda) -> (alpha*, VerFair minus FairCo)
-    for s in range(1, 21):
-        rel = LEDGER_INSTANCES[family](s)
-        groups = identity_groups(rel)
-        for lam_ in lams:
-            baseline = fairco(rel, groups, MODEL, lam_)
-            alpha_ = matched_alpha(baseline, rel, MODEL)
-            slates = allocate_individual(rel, MODEL, alpha_, seed=1)
-            points[s, lam_] = (alpha_, ndcg(slates, rel, MODEL, 10)
-                               - ndcg(baseline, rel, MODEL, 10))
-    losses = {p: v for p, v in points.items() if not v[1] > 0}
-    assert not losses
-    assert all(a > 0 for a, _ in points.values())  # every alpha* above 0
-    (s, lam_), (alpha_, least) = min(points.items(), key=lambda p: p[1][1])
-    assert (s, lam_) == (seed, lam)
-    assert (alpha_, least) == pytest.approx((alpha, margin), abs=5e-5)
+    rels = {s: LEDGER_INSTANCES[family](s) for s in range(1, 21)}
+    points = {(s, lam_): matched_point(rels[s], MODEL, lam_)
+              for s in rels for lam_ in lams}
+    gain = {at: p.ndcg[1] - p.ndcg[0] for at, p in points.items()}
+    assert not [at for at, g in gain.items() if not g > 0]  # no loss
+    # every alpha* above 0, and VerFair within p_k of every quota
+    assert all(p.alpha > 0 and p.shortfall < 1 for p in points.values())
+    assert min(gain, key=gain.get) == (seed, lam)
+    assert (points[seed, lam].alpha, gain[seed, lam]) == pytest.approx(
+        (alpha, margin), abs=5e-5)
 
 
 # Rated, sparse relevance, R(s; per, jitter) (`helpers.rated_instance`):
@@ -276,24 +281,18 @@ RATED_POINTS = [
 ]
 
 
-@functools.cache
-def rated(name):
-    return rated_instance(*RATED[name])
+rated = functools.cache(lambda name: rated_instance(*RATED[name]))
 
 
 @pytest.mark.parametrize("name, lam, alpha, fairco_ndcg, verfair_ndcg",
                          RATED_POINTS)
 def test_fairco_beats_verfair_on_rated_data(name, lam, alpha, fairco_ndcg,
                                             verfair_ndcg):
-    rel = rated(name)
-    baseline = fairco(rel, identity_groups(rel), MODEL, lam)
-    assert matched_alpha(baseline, rel, MODEL) == alpha
-    slates = allocate_individual(rel, MODEL, alpha, seed=1)
-    ours, theirs = ndcg(slates, rel, MODEL, 10), ndcg(baseline, rel, MODEL, 10)
-    assert theirs > ours
-    assert (theirs, ours) == pytest.approx((fairco_ndcg, verfair_ndcg),
-                                           abs=5e-5)
-    assert shortfall_pk(slates, rel, MODEL, alpha) < 1
+    point = matched_point(rated(name), MODEL, lam)
+    theirs, ours = point.ndcg
+    assert point.alpha == alpha and theirs > ours
+    assert point.ndcg == pytest.approx((fairco_ndcg, verfair_ndcg), abs=5e-5)
+    assert point.shortfall < 1
 
 
 # One cause of the reversal: top-k alone already meets the guarantee up to

@@ -11,7 +11,7 @@ from verfair import (DataError, ExposureModel, GroupMap, RelevanceMatrix,
 from verfair import data
 from verfair.exposure import ExposureLedger, accumulate
 from verfair.metrics import check_evaluable
-from helpers import brute_ndcg, direct_jsd, make_slateset
+from helpers import brute_ndcg, consumer_ndcg, direct_jsd, make_slateset
 
 
 class TestNdcg:
@@ -78,6 +78,21 @@ class TestNdcg:
                         assert ndcg(slates, rel, model, kc) == pytest.approx(
                             brute_ndcg(slates, rel, model.probs, kc),
                             abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
+    def test_consumer_ndcg_means_to_ndcg_bit_for_bit(self, eta):
+        # the claim tests compare means of these vectors; a consumer with
+        # an all-zero row contributes 1, in VerFair's shuffled order too
+        rel = synth_relevance(300, 40, seed=11)
+        rel = RelevanceMatrix(rel.consumer_ids, rel.item_ids,
+                              np.where(np.arange(300)[:, None] % 50 == 7, 0.0,
+                                       rel.scores))
+        model = ExposureModel.pbm(eta, 10)
+        for slates in (top_k(rel, 10),
+                       allocate_individual(rel, model, 0.8, seed=1)):
+            vals = consumer_ndcg(slates, rel, model)
+            assert vals.mean() == ndcg(slates, rel, model, 10)
+            assert (vals[slates.rows % 50 == 7] == 1).all()
 
 
 class TestJsdFairness:
